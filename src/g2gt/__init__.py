@@ -18,8 +18,7 @@ from .edges import (EdgeScorerParams, EdgeScores, greedy_decode, init_edge_score
 from .errors import CheckpointError, DataError, G2GTError, UsageError
 from .graphs import (COREF_VOCAB, CorefLabelMatrix, DepTree, LabeledGraph,
                      RelationVocab, dep_tree_to_graph, empty_graph, graph_equals,
-                     graph_to_dep_tree, onehot_relation, permute_graph,
-                     strip_labels)
+                     graph_to_dep_tree, onehot_relation, permute_graph)
 from .model import (DependencyParserModel, MentionCorefModel, ModelConfig,
                     SentenceEncoderModel)
 from .mst import is_arborescence, mst_decode

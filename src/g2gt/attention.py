@@ -6,13 +6,14 @@ the cell's label) and a key-relation term (a second relation embedding
 against the key vector).  Attention outputs receive a relation term added
 to each value vector.  Relation embeddings are one |L| x d matrix per
 role, shared across layers; head h reads its own d/h-wide column slice.
+The two score terms are read, one scalar per cell, from the per-node
+n x |L| tables q R1' and k R2', so no n*n copies of vectors are built.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -117,13 +118,6 @@ class EncoderState:
     z: Tensor
 
 
-@lru_cache(maxsize=64)
-def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row indices (i, j) of every cell of an n x n matrix, flattened row-major."""
-    idx = np.arange(n, dtype=np.intp)
-    return np.repeat(idx, n), np.tile(idx, n)
-
-
 def _head_slice(rel_matrix: Tensor, head: int, d_head: int) -> Tensor:
     lo = head * d_head
     hi = lo + d_head
@@ -134,30 +128,37 @@ def _head_slice(rel_matrix: Tensor, head: int, d_head: int) -> Tensor:
     return slice_cols(rel_matrix, lo, hi)
 
 
-def _score_terms(q: Tensor, k: Tensor, labels_flat: np.ndarray,
+def _score_terms(q: Tensor, k: Tensor, labels: np.ndarray,
                  rel_q: Tensor, rel_k: Tensor | None) -> Tensor:
-    """The bracketed sum of the score formula, for one head, unscaled."""
+    """The bracketed sum of the score formula, for one head, unscaled.
+
+    The relation terms are read from n x L tables: q_i.r1_ij is entry
+    (i, label_ij) of q R1' and r2_ij.k_j is entry (j, label_ij) of k R2'.
+    """
     n = q.shape[0]
-    idx_i, idx_j = _pair_indices(n)
+    n_labels = rel_q.shape[0]
+    if labels.size and labels.max() >= n_labels:
+        # an out-of-range label would silently read the next row's table entry
+        raise ValueError(
+            f"label index {labels.max()} out of range for {n_labels} relations")
+    offsets = np.arange(n) * n_labels
     e = matmul(q, transpose(k))
-    rel_rows = gather_rows(rel_q, labels_flat)
-    q_rows = gather_rows(q, idx_i)
-    q_term = reshape(tensor_sum(mul(q_rows, rel_rows), axis=1), (n, n))
-    e = add(e, q_term)
+    q_table = reshape(matmul(q, transpose(rel_q)), (n * n_labels,))
+    q_cells = (offsets[:, None] + labels).reshape(-1)
+    e = add(e, reshape(gather_rows(q_table, q_cells), (n, n)))
     if rel_k is not None:
-        rel_rows_k = gather_rows(rel_k, labels_flat)
-        k_rows = gather_rows(k, idx_j)
-        k_term = reshape(tensor_sum(mul(rel_rows_k, k_rows), axis=1), (n, n))
-        e = add(e, k_term)
+        k_table = reshape(matmul(k, transpose(rel_k)), (n * n_labels,))
+        k_cells = (offsets[None, :] + labels).reshape(-1)
+        e = add(e, reshape(gather_rows(k_table, k_cells), (n, n)))
     return e
 
 
-def _value_sum(alpha: Tensor, v: Tensor, labels_flat: np.ndarray,
+def _value_sum(alpha: Tensor, v: Tensor, labels: np.ndarray,
                rel_v: Tensor | None) -> Tensor:
     n, d_head = v.shape
     out = matmul(alpha, v)
     if rel_v is not None:
-        rel_rows = gather_rows(rel_v, labels_flat)
+        rel_rows = gather_rows(rel_v, labels.reshape(-1))
         weighted = mul(reshape(alpha, (n * n, 1)), rel_rows)
         rel_term = tensor_sum(reshape(weighted, (n, n, d_head)), axis=1)
         out = add(out, rel_term)
@@ -177,8 +178,7 @@ def attention_scores(x: Tensor, w_q: Tensor, w_k: Tensor, graph: LabeledGraph,
     rel_q, rel_k, _ = rel.effective()
     rel_q_h = _head_slice(rel_q, head, d_head)
     rel_k_h = _head_slice(rel_k, head, d_head) if cfg.use_key_term else None
-    labels_flat = graph.labels.reshape(-1)
-    e = _score_terms(q, k, labels_flat, rel_q_h, rel_k_h)
+    e = _score_terms(q, k, graph.labels, rel_q_h, rel_k_h)
     return scale(e, 1.0 / math.sqrt(d_head))
 
 
@@ -198,8 +198,7 @@ def attention_values(alpha: Tensor, x: Tensor, w_v: Tensor, graph: LabeledGraph,
     d_head = v.shape[1]
     _, _, rel_v = rel.effective()
     rel_v_h = _head_slice(rel_v, head, d_head) if cfg.use_value_term else None
-    labels_flat = graph.labels.reshape(-1)
-    return _value_sum(alpha, v, labels_flat, rel_v_h)
+    return _value_sum(alpha, v, graph.labels, rel_v_h)
 
 
 @dataclass
@@ -262,7 +261,7 @@ def encode(x: Tensor, graph: LabeledGraph, params: EncoderParams,
         raise ValueError(f"graph has {graph.n} nodes but input has {n} rows")
     d_head = cfg.d_head
     inv_sqrt = 1.0 / math.sqrt(d_head)
-    labels_flat = graph.labels.reshape(-1)
+    labels = graph.labels
     rel_q, rel_k, rel_v = params.rel.effective()
 
     for layer in params.layers:
@@ -279,9 +278,9 @@ def encode(x: Tensor, graph: LabeledGraph, params: EncoderParams,
             rel_q_h = slice_cols(rel_q, lo, hi)
             rel_k_h = slice_cols(rel_k, lo, hi) if cfg.use_key_term else None
             rel_v_h = slice_cols(rel_v, lo, hi) if cfg.use_value_term else None
-            e = scale(_score_terms(q, k, labels_flat, rel_q_h, rel_k_h), inv_sqrt)
+            e = scale(_score_terms(q, k, labels, rel_q_h, rel_k_h), inv_sqrt)
             alpha = softmax_rows(e)
-            head_outputs.append(_value_sum(alpha, v, labels_flat, rel_v_h))
+            head_outputs.append(_value_sum(alpha, v, labels, rel_v_h))
         attn = matmul(concat(head_outputs, axis=1), layer.w_o)
         x = layer_norm(add(x, attn), layer.attn_gain, layer.attn_bias)
         hidden = relu(add(matmul(x, layer.ffn_w1), layer.ffn_b1))

@@ -61,10 +61,6 @@ class Tensor:
             raise ValueError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def numpy(self) -> np.ndarray:
-        """The underlying array. Callers must not mutate it."""
-        return self.data
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -122,9 +118,6 @@ class Record:
 
     def __len__(self) -> int:
         return len(self._nodes)
-
-    def clear(self) -> None:
-        self._nodes.clear()
 
 
 _LOCAL = threading.local()

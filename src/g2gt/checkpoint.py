@@ -3,7 +3,7 @@
 Layout (all integers little-endian):
 
     bytes 0..7    magic  b"G2GTCKPT"
-    bytes 8..11   format version (u32); this module writes version 1
+    bytes 8..11   format version (u32); this module writes version 2
     bytes 12..19  header length H (u64)
     bytes 20..20+H-1  header, UTF-8 JSON
     remainder     parameter payload: raw little-endian float64 buffers,
@@ -30,7 +30,7 @@ from .vocab import Vocab
 __all__ = ["checkpoint_save", "checkpoint_load", "FORMAT_VERSION"]
 
 MAGIC = b"G2GTCKPT"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def checkpoint_save(model: DependencyParserModel, path) -> None:

@@ -1,9 +1,11 @@
 """Pairwise edge scoring and non-autoregressive graph extraction.
 
 Every node vector is projected into distinct head and tail views; a
-biaffine classifier (one bilinear map per label plus linear terms and a
-bias) then scores all n*n node pairs for every label independently, so
-the whole graph can be decoded in one parallel pass.
+biaffine classifier then scores all n*n node pairs for every label
+independently, so the whole graph can be decoded in one parallel pass.
+The L bilinear maps are stacked into one (L*d_e, d_e) parameter whose
+row block l is label l's map, so all labels are scored by two matrix
+products; the linear terms and the bias are added by broadcasting.
 """
 
 from __future__ import annotations
@@ -12,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (Tensor, add, concat, gather_rows, matmul, mul,
-                       reshape, tensor_sum, transpose)
-from .attention import EncoderState, _pair_indices
+from .autodiff import Tensor, add, matmul, reshape, transpose
+from .attention import EncoderState
 from .errors import DataError
 from .graphs import NONE_LABEL, DepTree, LabeledGraph, RelationVocab
 from .mst import is_arborescence
@@ -33,26 +34,29 @@ __all__ = [
 
 @dataclass
 class EdgeScorerParams:
-    """Biaffine classifier weights: scores[i,j,l] = h_i B_l t_j' + u_l.h_i + v_l.t_j + b_l."""
+    """Biaffine classifier weights: scores[i,j,l] = h_i B_l t_j' + u_l.h_i + v_l.t_j + b_l.
+
+    ``bilinear`` stacks the per-label maps: rows l*d_e .. (l+1)*d_e-1 hold B_l.
+    """
 
     head_proj: Tensor            # (d, d_e)
     tail_proj: Tensor            # (d, d_e)
-    bilinear: list[Tensor]       # per label, (d_e, d_e)
+    bilinear: Tensor             # (L*d_e, d_e), row block l is B_l
     head_lin: Tensor             # (d_e, L)
     tail_lin: Tensor             # (d_e, L)
     bias: Tensor                 # (1, L)
 
     @property
     def n_labels(self) -> int:
-        return len(self.bilinear)
+        return self.bias.shape[1]
 
 
 def init_edge_scorer(registry: ParameterRegistry, d: int, d_e: int, n_labels: int,
                      rng: np.random.Generator, prefix: str = "edge") -> EdgeScorerParams:
     if d_e > d:
         raise ValueError(f"edge width d_e={d_e} must not exceed d={d}")
-    bilinear = [registry.parameter(f"{prefix}.bilinear.{l}", (d_e, d_e), rng)
-                for l in range(n_labels)]
+    # drawn first, as one block: the same draws as L consecutive (d_e, d_e) maps
+    bilinear = registry.parameter(f"{prefix}.bilinear", (n_labels * d_e, d_e), rng)
     return EdgeScorerParams(
         head_proj=registry.parameter(f"{prefix}.head_proj", (d, d_e), rng),
         tail_proj=registry.parameter(f"{prefix}.tail_proj", (d, d_e), rng),
@@ -87,20 +91,17 @@ def score_edges(state: EncoderState, params: EdgeScorerParams) -> EdgeScores:
     """Score every ordered node pair for every label in parallel."""
     z = state.z
     n = z.shape[0]
+    n_labels = params.n_labels
     h = matmul(z, params.head_proj)
     t = matmul(z, params.tail_proj)
-    idx_i, idx_j = _pair_indices(n)
-    h_rows = gather_rows(h, idx_i)
-    t_rows = gather_rows(t, idx_j)
-    columns = []
-    for b in params.bilinear:
-        bt = matmul(t_rows, transpose(b))
-        columns.append(tensor_sum(mul(h_rows, bt), axis=1, keepdims=True))
-    flat = concat(columns, axis=1)
-    flat = add(flat, gather_rows(matmul(h, params.head_lin), idx_i))
-    flat = add(flat, gather_rows(matmul(t, params.tail_lin), idx_j))
-    flat = add(flat, params.bias)
-    return EdgeScores(flat, n)
+    d_e = h.shape[1]
+    # row j*L + l of bt is t_j B_l', so (h bt')[i, j*L + l] = h_i B_l t_j'
+    bt = reshape(matmul(t, transpose(params.bilinear)), (n * n_labels, d_e))
+    cells = reshape(matmul(h, transpose(bt)), (n, n, n_labels))
+    cells = add(cells, reshape(matmul(h, params.head_lin), (n, 1, n_labels)))
+    cells = add(cells, matmul(t, params.tail_lin))
+    cells = add(cells, params.bias)
+    return EdgeScores(reshape(cells, (n * n, n_labels)), n)
 
 
 def _masked_array(scores: EdgeScores, allowed) -> np.ndarray:

@@ -29,7 +29,6 @@ __all__ = [
     "graph_equals",
     "onehot_relation",
     "permute_graph",
-    "strip_labels",
 ]
 
 NONE_LABEL = 0
@@ -246,14 +245,4 @@ def permute_graph(graph: LabeledGraph, perm: Sequence[int]) -> LabeledGraph:
         raise ValueError("perm must be a permutation of the node indices")
     out = np.zeros_like(graph.labels)
     out[np.ix_(perm, perm)] = graph.labels
-    return LabeledGraph(out)
-
-
-def strip_labels(graph: LabeledGraph) -> LabeledGraph:
-    """Replace every relation by UNK, keeping only edge presence.
-
-    Used when refinement is configured to condition on unlabeled
-    predictions instead of labeled ones.
-    """
-    out = np.where(graph.labels != NONE_LABEL, UNK_LABEL, NONE_LABEL)
     return LabeledGraph(out)

@@ -57,13 +57,6 @@ class ParameterRegistry:
         self._params[name] = Parameter(name, t)
         return t
 
-    def adopt(self, name: str, tensor: Tensor) -> Tensor:
-        """Register an existing tensor under a name (used by checkpoint load)."""
-        if name in self._params:
-            raise ValueError(f"duplicate parameter name: {name!r}")
-        self._params[name] = Parameter(name, tensor)
-        return tensor
-
     def __iter__(self) -> Iterator[Parameter]:
         return iter(self._params.values())
 
@@ -124,9 +117,6 @@ class Adam:
     def step(self) -> None:
         adam_step(self.registry, lr=self.lr, betas=self.betas, eps=self.eps)
 
-    def zero_grad(self) -> None:
-        self.registry.zero_grad()
-
 
 @dataclass
 class GradCheckReport:
@@ -134,7 +124,6 @@ class GradCheckReport:
 
     threshold: float
     max_errors: dict[str, float] = field(default_factory=dict)
-    worst_index: dict[str, int] = field(default_factory=dict)
 
     @property
     def max_error(self) -> float:
@@ -189,7 +178,6 @@ def grad_check(fn: Callable[[], Tensor], params: Iterable[Parameter],
         flat = data.reshape(-1)
         analytic_flat = analytic.reshape(-1)
         worst = 0.0
-        worst_i = -1
         for i in range(flat.size):
             saved = flat[i]
             flat[i] = saved + eps
@@ -199,9 +187,6 @@ def grad_check(fn: Callable[[], Tensor], params: Iterable[Parameter],
             flat[i] = saved
             numeric = (f_plus - f_minus) / (2.0 * eps)
             err = _relative_error(float(analytic_flat[i]), numeric)
-            if err > worst:
-                worst = err
-                worst_i = i
+            worst = max(worst, err)
         report.max_errors[p.name] = worst
-        report.worst_index[p.name] = worst_i
     return report

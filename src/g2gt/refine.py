@@ -19,7 +19,7 @@ from .autodiff import (Record, Tensor, backward, log_softmax_rows, mul, neg,
 from .edges import EdgeScores
 from .errors import DataError, UsageError
 from .graphs import (COREF_VOCAB, LabeledGraph, RelationVocab, empty_graph,
-                     graph_equals, strip_labels)
+                     graph_equals)
 
 __all__ = [
     "RefinementConfig",
@@ -50,7 +50,6 @@ class RefinementConfig:
     t_train: int = 2
     schedule: str = "full-graph"          # or "mention-first"
     initializer: str = "empty"            # or "external"
-    condition_on_labels: bool = True
     stop_on_convergence: bool = True
 
     def __post_init__(self):
@@ -123,10 +122,6 @@ def stage_mask(t: int, schedule: str, vocab: RelationVocab) -> Optional[frozense
     raise UsageError(f"unknown stage schedule {schedule!r}")
 
 
-def _condition(graph: LabeledGraph, cfg: RefinementConfig) -> LabeledGraph:
-    return graph if cfg.condition_on_labels else strip_labels(graph)
-
-
 def refine(tokens: Sequence, model, cfg: RefinementConfig,
            external_graph: Optional[LabeledGraph] = None
            ) -> tuple[LabeledGraph, RefinementTrace]:
@@ -143,7 +138,7 @@ def refine(tokens: Sequence, model, cfg: RefinementConfig,
     trace = RefinementTrace([TraceStep(0, g, False)])
     for t in range(1, cfg.t_max + 1):
         allowed = stage_mask(t, cfg.schedule, model.rel_vocab)
-        scores = model.score(tokens, _condition(g, cfg))
+        scores = model.score(tokens, g)
         new_graph = model.decode(scores, allowed=allowed)
         converged = graph_equals(new_graph, g)
         trace.steps.append(TraceStep(t, new_graph, converged))
@@ -226,7 +221,7 @@ def refinement_loss(batch: Sequence[tuple], model, cfg: RefinementConfig) -> Ten
             raise DataError(f"gold graph has {gold.n} nodes, input needs {n}")
         g = initial_graph(n, "empty")  # training always starts from the empty parse
         for t in range(1, cfg.t_train + 1):
-            scores = model.score(tokens, _condition(g, cfg))
+            scores = model.score(tokens, g)
             dist = FactoredGraphDistribution.from_scores(scores, model.scope)
             loss_t = neg(graph_log_likelihood(dist, gold))
             total = loss_t if total is None else total + loss_t

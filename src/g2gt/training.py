@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -32,7 +32,6 @@ class EvalReport:
     uas: float
     las: float
     n_tokens: int
-    per_sentence: list[tuple[float, float]] = field(default_factory=list)
 
     def __str__(self) -> str:
         return f"UAS {self.uas:.2f}  LAS {self.las:.2f}  ({self.n_tokens} tokens)"
@@ -43,7 +42,6 @@ def evaluate(pred: Sequence[DepTree], gold: Sequence[DepTree]) -> EvalReport:
     if len(pred) != len(gold):
         raise DataError(f"corpora are misaligned: {len(pred)} vs {len(gold)} sentences")
     total = head_hits = label_hits = 0
-    per_sentence = []
     for k, (p, g) in enumerate(zip(pred, gold)):
         if p.n != g.n:
             raise DataError(
@@ -57,27 +55,23 @@ def evaluate(pred: Sequence[DepTree], gold: Sequence[DepTree]) -> EvalReport:
         total += g.n
         head_hits += s_head
         label_hits += s_label
-        per_sentence.append((100.0 * s_head / g.n, 100.0 * s_label / g.n))
     if total == 0:
         raise DataError("cannot evaluate an empty corpus")
     return EvalReport(uas=100.0 * head_hits / total,
                       las=100.0 * label_hits / total,
-                      n_tokens=total,
-                      per_sentence=per_sentence)
+                      n_tokens=total)
 
 
 def parse_corpus(model: DependencyParserModel, sentences: Sequence[Sentence],
-                 refinement: RefinementConfig,
-                 collect_traces: bool = False
+                 refinement: RefinementConfig
                  ) -> tuple[list[DepTree], list[RefinementTrace]]:
-    """Refine every sentence and convert the final graphs back to trees."""
+    """Refine every sentence; return the final graphs as trees, and the traces."""
     trees = []
     traces = []
     for s in sentences:
         graph, trace = refine(s.forms, model, refinement)
         trees.append(graph_to_dep_tree(graph, model.rel_vocab))
-        if collect_traces:
-            traces.append(trace)
+        traces.append(trace)
     return trees, traces
 
 

@@ -94,11 +94,16 @@ def graph_attention_values_loop(alpha, x, w_v, rel_v, labels,
     return out
 
 
-def vanilla_encoder_forward(x, layers, heads, eps=1e-5) -> np.ndarray:
+def vanilla_encoder_forward(x, layers, heads, eps=1e-5, rel=None,
+                            labels=None) -> np.ndarray:
     """Plain post-norm transformer encoder, numpy only.
 
     ``layers`` is a list of dicts with keys wq, wk, wv, wo, attn_gain,
     attn_bias, ffn_w1, ffn_b1, ffn_w2, ffn_b2, ffn_gain, ffn_bias.
+    With ``rel`` = (query, key, value) |L| x d relation matrices and an
+    n x n ``labels`` matrix, every head adds q_i.r1_ij + r2_ij.k_j to its
+    scores and r3_ij to the values it sums, reading its own column slice
+    of the relation rows selected by the label of cell (i, j).
     """
     def ln(v, gain, bias):
         mean = v.mean(axis=-1, keepdims=True)
@@ -114,11 +119,19 @@ def vanilla_encoder_forward(x, layers, heads, eps=1e-5) -> np.ndarray:
         head_outs = []
         for h in range(heads):
             sl = slice(h * d_head, (h + 1) * d_head)
-            e = q[:, sl] @ k[:, sl].T / math.sqrt(d_head)
+            e = q[:, sl] @ k[:, sl].T
+            if rel is not None:
+                r1, r2, _ = (r[labels][:, :, sl] for r in rel)
+                e = e + np.einsum("id,ijd->ij", q[:, sl], r1)
+                e = e + np.einsum("ijd,jd->ij", r2, k[:, sl])
+            e = e / math.sqrt(d_head)
             e = e - e.max(axis=1, keepdims=True)
             a = np.exp(e)
             a /= a.sum(axis=1, keepdims=True)
-            head_outs.append(a @ v[:, sl])
+            out = a @ v[:, sl]
+            if rel is not None:
+                out = out + np.einsum("ij,ijd->id", a, rel[2][labels][:, :, sl])
+            head_outs.append(out)
         attn = np.concatenate(head_outs, axis=1) @ p["wo"]
         x = ln(x + attn, p["attn_gain"], p["attn_bias"])
         hidden = np.maximum(x @ p["ffn_w1"] + p["ffn_b1"], 0.0)

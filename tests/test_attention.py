@@ -122,6 +122,19 @@ class TestAttentionScores:
                              Tensor(rng.normal(size=(4, 4))),
                              random_graph(rng, 3, 3), rel, cfg)
 
+    def test_label_beyond_relation_rows_rejected(self):
+        # label 3 of node 0 must not read label 0 of node 1's table row
+        rng = np.random.default_rng(2)
+        cfg = G2GLayerConfig(d=4, heads=1, d_ff=8, n_layers=1)
+        rel = make_rel(rng, 3, 4)
+        labels = np.zeros((3, 3), dtype=np.int64)
+        labels[0, 1] = 3
+        with pytest.raises(ValueError, match="out of range"):
+            attention_scores(Tensor(rng.normal(size=(3, 4))),
+                             Tensor(rng.normal(size=(4, 4))),
+                             Tensor(rng.normal(size=(4, 4))),
+                             LabeledGraph(labels), rel, cfg)
+
 
 class TestAttentionValues:
     def test_zero_value_relation_reduces_to_weighted_values(self):
@@ -191,6 +204,21 @@ class TestEncoder:
         z = encode(Tensor(x), graph, params, cfg)
         oracle = vanilla_encoder_forward(x, encoder_as_numpy_layers(params),
                                          heads=2)
+        assert_allclose(z.z.data, oracle, rtol=0, atol=1e-10)
+
+    def test_multi_head_relations_match_oracle(self):
+        # a head-slicing or row-offset slip in the relation terms shows here
+        cfg = G2GLayerConfig(d=8, heads=2, d_ff=16, n_layers=2)
+        registry, params = build_encoder(cfg, 5, seed=4)
+        rng = np.random.default_rng(9)
+        rel = [rng.normal(size=(5, 8)) for _ in range(3)]
+        for name, data in zip(("query", "key", "value"), rel):
+            registry.get(f"encoder.rel.{name}").tensor.data[:] = data
+        x = rng.normal(size=(6, 8))
+        graph = random_graph(rng, 6, 5)
+        z = encode(Tensor(x), graph, params, cfg)
+        oracle = vanilla_encoder_forward(x, encoder_as_numpy_layers(params),
+                                         heads=2, rel=rel, labels=graph.labels)
         assert_allclose(z.z.data, oracle, rtol=0, atol=1e-10)
 
     def test_permutation_equivariance(self):

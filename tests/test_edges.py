@@ -42,7 +42,7 @@ class TestScoreEdges:
         registry, params = build_scorer(1, 1, 1, seed=0)
         registry.get("edge.head_proj").tensor.data[:] = [[2.0]]
         registry.get("edge.tail_proj").tensor.data[:] = [[3.0]]
-        registry.get("edge.bilinear.0").tensor.data[:] = [[1.0]]
+        registry.get("edge.bilinear").tensor.data[:] = [[1.0]]
         registry.get("edge.head_lin").tensor.data[:] = 0.0
         registry.get("edge.tail_lin").tensor.data[:] = 0.0
         registry.get("edge.bias").tensor.data[:] = 0.0
@@ -57,7 +57,7 @@ class TestScoreEdges:
             scores = scores_for(z, params)
             oracle = biaffine_score_loop(
                 z, params.head_proj.data, params.tail_proj.data,
-                [b.data for b in params.bilinear],
+                np.split(params.bilinear.data, params.n_labels),
                 params.head_lin.data, params.tail_lin.data, params.bias.data)
             assert_allclose(scores.array(), oracle, rtol=0, atol=1e-12)
 

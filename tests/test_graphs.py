@@ -8,7 +8,7 @@ from g2gt.errors import DataError
 from g2gt.graphs import (COREF_VOCAB, NONE_LABEL, UNK_LABEL, CorefLabelMatrix,
                          DepTree, LabeledGraph, RelationVocab, dep_tree_to_graph,
                          empty_graph, graph_equals, graph_to_dep_tree,
-                         onehot_relation, permute_graph, strip_labels)
+                         onehot_relation, permute_graph)
 
 from oracles import random_tree
 
@@ -173,10 +173,3 @@ class TestPermutation:
                 for j in range(n):
                     assert pg.label(perm[i], perm[j]) == g.label(i, j)
 
-
-class TestStripLabels:
-    def test_non_none_becomes_unk(self):
-        g = dep_tree_to_graph(DepTree([0, 1], ["root", "det"]), VOCAB)
-        stripped = strip_labels(g)
-        assert set(np.unique(stripped.labels)) <= {NONE_LABEL, UNK_LABEL}
-        assert np.array_equal(stripped.labels != 0, g.labels != 0)

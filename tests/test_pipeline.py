@@ -112,14 +112,16 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="truncated"):
             checkpoint_load(path)
 
-    def test_version_bump_rejected(self, tmp_path):
+    @pytest.mark.parametrize("version", [99, 1])
+    def test_version_bump_rejected(self, tmp_path, version):
+        # version 1 stored one edge.bilinear.<l> parameter per label
         model = small_model()
         path = tmp_path / "model.g2gt"
         checkpoint_save(model, path)
         blob = bytearray(path.read_bytes())
-        blob[8] = 99
+        blob[8:12] = version.to_bytes(4, "little")
         path.write_bytes(bytes(blob))
-        with pytest.raises(CheckpointError, match="version"):
+        with pytest.raises(CheckpointError, match=f"version {version} "):
             checkpoint_load(path)
 
     def test_garbage_rejected(self, tmp_path):
