@@ -6,8 +6,11 @@ the cell's label) and a key-relation term (a second relation embedding
 against the key vector).  Attention outputs receive a relation term added
 to each value vector.  Relation embeddings are one |L| x d matrix per
 role, shared across layers; head h reads its own d/h-wide column slice.
-The two score terms are read, one scalar per cell, from the per-node
-n x |L| tables q R1' and k R2', so no n*n copies of vectors are built.
+
+One kernel runs all heads at once, for the encoder and for the single-head
+views.  It builds no n*n copies of vectors: the score terms are read from
+the per-node H x n x |L| tables q R1' and k R2', and the value term is the
+H x n x |L| histogram of each query's attention weight per label times R3.
 """
 
 from __future__ import annotations
@@ -17,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (Tensor, add, concat, gather_rows, layer_norm, matmul, mul,
-                       relu, reshape, scale, slice_cols, softmax_rows, tensor_sum,
-                       transpose)
+from .autodiff import (Tensor, add, gather_rows, layer_norm, matmul, mul, relu,
+                       reshape, scale, scatter_sum, softmax_rows, transpose)
 from .graphs import LabeledGraph
 from .optim import ParameterRegistry
 
@@ -57,10 +59,6 @@ class G2GLayerConfig:
             raise ValueError("all encoder dimensions must be positive")
         if self.d % self.heads != 0:
             raise ValueError(f"d={self.d} not divisible by heads={self.heads}")
-
-    @property
-    def d_head(self) -> int:
-        return self.d // self.heads
 
 
 class RelationEmbeddings:
@@ -118,50 +116,68 @@ class EncoderState:
     z: Tensor
 
 
+def _split_heads(x: Tensor, heads: int) -> Tensor:
+    """(m, H*d_h) -> (H, m, d_h): head h takes columns h*d_h to (h+1)*d_h."""
+    m, width = x.shape
+    return transpose(reshape(x, (m, heads, width // heads)), (1, 0, 2))
+
+
 def _head_slice(rel_matrix: Tensor, head: int, d_head: int) -> Tensor:
-    lo = head * d_head
-    hi = lo + d_head
-    if hi > rel_matrix.shape[1]:
-        raise ValueError(
-            f"relation matrix width {rel_matrix.shape[1]} too small for "
-            f"head {head} at d_head={d_head}")
-    return slice_cols(rel_matrix, lo, hi)
+    width = rel_matrix.shape[1]
+    if width % d_head or not 0 <= head < width // d_head:
+        raise ValueError(f"relation matrix width {width} holds no head {head} "
+                         f"at d_head={d_head}")
+    return gather_rows(_split_heads(rel_matrix, width // d_head), [head])
 
 
-def _score_terms(q: Tensor, k: Tensor, labels: np.ndarray,
-                 rel_q: Tensor, rel_k: Tensor | None) -> Tensor:
-    """The bracketed sum of the score formula, for one head, unscaled.
-
-    The relation terms are read from n x L tables: q_i.r1_ij is entry
-    (i, label_ij) of q R1' and r2_ij.k_j is entry (j, label_ij) of k R2'.
-    """
-    n = q.shape[0]
-    n_labels = rel_q.shape[0]
+def _node_rows(labels: np.ndarray, stack: Tensor, n_labels: int) -> np.ndarray:
+    """Offsets (h*n + i)*L of node i's row in a flat (H, n, L) table, for an
+    (H, n, .) stack; shape (H, n, 1)."""
+    heads, n, _ = stack.shape
+    if labels.shape[0] != n:
+        raise ValueError(f"graph has {labels.shape[0]} nodes but input has {n} rows")
     if labels.size and labels.max() >= n_labels:
         # an out-of-range label would silently read the next row's table entry
         raise ValueError(
             f"label index {labels.max()} out of range for {n_labels} relations")
-    offsets = np.arange(n) * n_labels
-    e = matmul(q, transpose(k))
-    q_table = reshape(matmul(q, transpose(rel_q)), (n * n_labels,))
-    q_cells = (offsets[:, None] + labels).reshape(-1)
-    e = add(e, reshape(gather_rows(q_table, q_cells), (n, n)))
+    return np.arange(heads * n).reshape(heads, n, 1) * n_labels
+
+
+def _table_cells(x: Tensor, rel: Tensor, cells: np.ndarray) -> Tensor:
+    table = matmul(x, transpose(rel, (0, 2, 1)))
+    return reshape(gather_rows(reshape(table, (table.data.size,)), cells.reshape(-1)),
+                   cells.shape)
+
+
+def _scores(q: Tensor, k: Tensor, labels: np.ndarray,
+            rel_q: Tensor, rel_k: Tensor | None) -> Tensor:
+    """Scaled scores of every head, (H, n, n), from (H, n, d_h) projections.
+
+    The relation terms are read from the per-node tables q R1' and k R2':
+    q_i.r1_ij is entry (h, i, label_ij) of the first, r2_ij.k_j entry
+    (h, j, label_ij) of the second.
+    """
+    rows = _node_rows(labels, q, rel_q.shape[1])
+    e = matmul(q, transpose(k, (0, 2, 1)))
+    e = add(e, _table_cells(q, rel_q, rows + labels))
     if rel_k is not None:
-        k_table = reshape(matmul(k, transpose(rel_k)), (n * n_labels,))
-        k_cells = (offsets[None, :] + labels).reshape(-1)
-        e = add(e, reshape(gather_rows(k_table, k_cells), (n, n)))
-    return e
+        e = add(e, _table_cells(k, rel_k, np.swapaxes(rows, 1, 2) + labels))
+    return scale(e, 1.0 / math.sqrt(q.shape[2]))
 
 
-def _value_sum(alpha: Tensor, v: Tensor, labels: np.ndarray,
-               rel_v: Tensor | None) -> Tensor:
-    n, d_head = v.shape
+def _values(alpha: Tensor, v: Tensor, labels: np.ndarray,
+            rel_v: Tensor | None) -> Tensor:
+    """alpha v plus, per cell, alpha_ij r3_ij, for every head: (H, n, d_h).
+
+    The relation term is the (H, n, L) histogram of each query's weights
+    over the labels of its cells, times R3.
+    """
     out = matmul(alpha, v)
     if rel_v is not None:
-        rel_rows = gather_rows(rel_v, labels.reshape(-1))
-        weighted = mul(reshape(alpha, (n * n, 1)), rel_rows)
-        rel_term = tensor_sum(reshape(weighted, (n, n, d_head)), axis=1)
-        out = add(out, rel_term)
+        n_labels = rel_v.shape[1]
+        rows = _node_rows(labels, v, n_labels)
+        histogram = scatter_sum(alpha, rows + labels, rows.size * n_labels)
+        out = add(out, matmul(reshape(histogram, rows.shape[:2] + (n_labels,)), rel_v))
     return out
 
 
@@ -170,16 +186,14 @@ def attention_scores(x: Tensor, w_q: Tensor, w_k: Tensor, graph: LabeledGraph,
                      head: int = 0) -> Tensor:
     """Graph-conditioned attention scores for one head, scaled by 1/sqrt(d_head)."""
     n = x.shape[0]
-    if graph.n != n:
-        raise ValueError(f"graph has {graph.n} nodes but input has {n} rows")
     q = matmul(x, w_q)
     k = matmul(x, w_k)
     d_head = q.shape[1]
     rel_q, rel_k, _ = rel.effective()
-    rel_q_h = _head_slice(rel_q, head, d_head)
     rel_k_h = _head_slice(rel_k, head, d_head) if cfg.use_key_term else None
-    e = _score_terms(q, k, graph.labels, rel_q_h, rel_k_h)
-    return scale(e, 1.0 / math.sqrt(d_head))
+    e = _scores(reshape(q, (1, n, d_head)), reshape(k, (1, n, d_head)),
+                graph.labels, _head_slice(rel_q, head, d_head), rel_k_h)
+    return reshape(e, (n, n))
 
 
 def attention_values(alpha: Tensor, x: Tensor, w_v: Tensor, graph: LabeledGraph,
@@ -198,7 +212,9 @@ def attention_values(alpha: Tensor, x: Tensor, w_v: Tensor, graph: LabeledGraph,
     d_head = v.shape[1]
     _, _, rel_v = rel.effective()
     rel_v_h = _head_slice(rel_v, head, d_head) if cfg.use_value_term else None
-    return _value_sum(alpha, v, graph.labels, rel_v_h)
+    z = _values(reshape(alpha, (1, n, n)), reshape(v, (1, n, d_head)),
+                graph.labels, rel_v_h)
+    return reshape(z, (n, d_head))
 
 
 @dataclass
@@ -257,31 +273,19 @@ def encode(x: Tensor, graph: LabeledGraph, params: EncoderParams,
     residual + layer norm (post-norm arrangement).
     """
     n = x.shape[0]
-    if graph.n != n:
-        raise ValueError(f"graph has {graph.n} nodes but input has {n} rows")
-    d_head = cfg.d_head
-    inv_sqrt = 1.0 / math.sqrt(d_head)
     labels = graph.labels
     rel_q, rel_k, rel_v = params.rel.effective()
+    rel_q = _split_heads(rel_q, cfg.heads)
+    rel_k = _split_heads(rel_k, cfg.heads) if cfg.use_key_term else None
+    rel_v = _split_heads(rel_v, cfg.heads) if cfg.use_value_term else None
 
     for layer in params.layers:
-        q_full = matmul(x, layer.w_q)
-        k_full = matmul(x, layer.w_k)
-        v_full = matmul(x, layer.w_v)
-        head_outputs = []
-        for h in range(cfg.heads):
-            lo = h * d_head
-            hi = lo + d_head
-            q = slice_cols(q_full, lo, hi)
-            k = slice_cols(k_full, lo, hi)
-            v = slice_cols(v_full, lo, hi)
-            rel_q_h = slice_cols(rel_q, lo, hi)
-            rel_k_h = slice_cols(rel_k, lo, hi) if cfg.use_key_term else None
-            rel_v_h = slice_cols(rel_v, lo, hi) if cfg.use_value_term else None
-            e = scale(_score_terms(q, k, labels, rel_q_h, rel_k_h), inv_sqrt)
-            alpha = softmax_rows(e)
-            head_outputs.append(_value_sum(alpha, v, labels, rel_v_h))
-        attn = matmul(concat(head_outputs, axis=1), layer.w_o)
+        q = _split_heads(matmul(x, layer.w_q), cfg.heads)
+        k = _split_heads(matmul(x, layer.w_k), cfg.heads)
+        v = _split_heads(matmul(x, layer.w_v), cfg.heads)
+        alpha = softmax_rows(_scores(q, k, labels, rel_q, rel_k))
+        heads = _values(alpha, v, labels, rel_v)
+        attn = matmul(reshape(transpose(heads, (1, 0, 2)), (n, cfg.d)), layer.w_o)
         x = layer_norm(add(x, attn), layer.attn_gain, layer.attn_bias)
         hidden = relu(add(matmul(x, layer.ffn_w1), layer.ffn_b1))
         ffn = add(matmul(hidden, layer.ffn_w2), layer.ffn_b2)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -31,9 +31,8 @@ __all__ = [
     "matmul",
     "transpose",
     "reshape",
-    "concat",
     "gather_rows",
-    "slice_cols",
+    "scatter_sum",
     "tensor_sum",
     "relu",
     "softmax_rows",
@@ -226,30 +225,38 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two rank-2 tensors."""
-    if a.data.ndim != 2 or b.data.ndim != 2:
+    """Matrix product of two rank-2 tensors, or of two rank-3 stacks taken
+    matrix by matrix along their equal leading extent."""
+    if (a.data.ndim not in (2, 3) or b.data.ndim != a.data.ndim
+            or a.data.shape[:-2] != b.data.shape[:-2]):
         raise ValueError(
-            f"matmul needs rank-2 operands, got {a.data.shape} and {b.data.shape}")
-    if a.data.shape[1] != b.data.shape[0]:
+            f"matmul needs two rank-2 operands or two rank-3 stacks of equal "
+            f"batch extent, got {a.data.shape} and {b.data.shape}")
+    if a.data.shape[-1] != b.data.shape[-2]:
         raise ValueError(
             f"matmul inner extents differ: {a.data.shape} vs {b.data.shape}")
     out = a.data @ b.data
 
     def bwd(g: np.ndarray) -> None:
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
+        _accumulate(a, g @ np.swapaxes(b.data, -1, -2))
+        _accumulate(b, np.swapaxes(a.data, -1, -2) @ g)
 
     return _make(out, (a, b), bwd)
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ValueError(f"transpose needs a rank-2 tensor, got shape {a.data.shape}")
+def transpose(a: Tensor, axes: Sequence[int] = (1, 0)) -> Tensor:
+    """Permute the axes of ``a``; by default swap the two axes of a matrix."""
+    axes = tuple(axes)
+    if sorted(axes) != list(range(a.data.ndim)):
+        raise ValueError(
+            f"transpose axes {axes} are not a permutation of the axes of "
+            f"shape {a.data.shape}")
+    inverse = tuple(np.argsort(axes))
 
     def bwd(g: np.ndarray) -> None:
-        _accumulate(a, g.T)
+        _accumulate(a, g.transpose(inverse))
 
-    return _make(a.data.T.copy(), (a,), bwd)
+    return _make(a.data.transpose(axes).copy(), (a,), bwd)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -259,22 +266,6 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
         _accumulate(a, g.reshape(a.data.shape))
 
     return _make(out.copy(), (a,), bwd)
-
-
-def concat(parts: Sequence[Tensor], axis: int = 1) -> Tensor:
-    parts = list(parts)
-    out = np.concatenate([p.data for p in parts], axis=axis)
-    extents = [p.data.shape[axis] for p in parts]
-
-    def bwd(g: np.ndarray) -> None:
-        offset = 0
-        for p, extent in zip(parts, extents):
-            index = [slice(None)] * g.ndim
-            index[axis] = slice(offset, offset + extent)
-            _accumulate(p, g[tuple(index)])
-            offset += extent
-
-    return _make(out, parts, bwd)
 
 
 def gather_rows(a: Tensor, indices) -> Tensor:
@@ -296,22 +287,24 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     return _make(out, (a,), bwd)
 
 
-def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    if a.data.ndim != 2:
-        raise ValueError(f"slice_cols needs a rank-2 tensor, got shape {a.data.shape}")
-    if not (0 <= start <= stop <= a.data.shape[1]):
+def scatter_sum(a: Tensor, indices, size: int) -> Tensor:
+    """Sum each entry of ``a`` into bin ``indices`` of a length-``size`` vector.
+
+    ``indices`` has the shape of ``a``.  This is the adjoint of
+    :func:`gather_rows` on a flat source: backward gathers ``g[indices]``.
+    """
+    idx = np.asarray(indices, dtype=np.intp)
+    if idx.shape != a.data.shape:
         raise ValueError(
-            f"column slice [{start}:{stop}] out of range for shape {a.data.shape}")
-    out = a.data[:, start:stop]
+            f"scatter_sum needs one index per entry: {idx.shape} vs {a.data.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= size):
+        raise ValueError(f"scatter_sum indices [{idx.min()}, {idx.max()}] exceed {size} bins")
+    out = np.bincount(idx.reshape(-1), weights=a.data.reshape(-1), minlength=size)
 
     def bwd(g: np.ndarray) -> None:
-        if not a.requires_grad:
-            return
-        if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-        a.grad[:, start:stop] += g
+        _accumulate(a, g[idx])
 
-    return _make(out.copy(), (a,), bwd)
+    return _make(out, (a,), bwd)
 
 
 def tensor_sum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
@@ -335,18 +328,20 @@ def relu(a: Tensor) -> Tensor:
 
 
 def softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise softmax of a rank-2 tensor, stabilised by max subtraction."""
-    if x.data.ndim != 2:
-        raise ValueError(f"softmax_rows needs a rank-2 tensor, got shape {x.data.shape}")
-    if x.data.shape[1] == 0:
+    """Softmax over the last axis of a rank-2 or rank-3 tensor, stabilised
+    by max subtraction."""
+    if x.data.ndim not in (2, 3):
+        raise ValueError(
+            f"softmax_rows needs a rank-2 or rank-3 tensor, got shape {x.data.shape}")
+    if x.data.shape[-1] == 0:
         raise ValueError("softmax_rows: empty rows")
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    out = e / e.sum(axis=1, keepdims=True)
+    out = e / e.sum(axis=-1, keepdims=True)
 
     def bwd(g: np.ndarray) -> None:
         # d softmax: s * (g - sum(g * s))
-        inner = (g * out).sum(axis=1, keepdims=True)
+        inner = (g * out).sum(axis=-1, keepdims=True)
         _accumulate(x, out * (g - inner))
 
     return _make(out, (x,), bwd)

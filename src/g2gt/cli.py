@@ -120,11 +120,21 @@ def _cmd_parse(args) -> int:
     model = checkpoint_load(args.checkpoint)
     sentences = load_conllu(args.input)
     refinement = RefinementConfig(t_max=args.t_max)
-    trees, _ = parse_corpus(model, sentences, refinement)
-    write_conllu([Sentence(s.forms, t) for s, t in zip(sentences, trees)],
-                 args.output)
-    print(f"parsed {len(sentences)} sentences into {args.output}")
-    return 0
+    parsed = []
+    failed = 0
+    for k, s in enumerate(sentences, start=1):
+        try:
+            (tree,), _ = parse_corpus(model, [s], refinement)
+        except DataError as exc:
+            # the sentence keeps its place in the output, with '_' heads and deprels
+            print(f"warning: sentence {k} not parsed: {exc}", file=sys.stderr)
+            tree = DepTree([None] * s.n, [None] * s.n)
+            failed += 1
+        parsed.append(Sentence(s.forms, tree))
+    write_conllu(parsed, args.output)
+    print(f"parsed {len(sentences) - failed} of {len(sentences)} sentences "
+          f"into {args.output}")
+    return 2 if failed else 0
 
 
 def _cmd_eval(args) -> int:

@@ -206,14 +206,20 @@ class TestEncoder:
                                          heads=2)
         assert_allclose(z.z.data, oracle, rtol=0, atol=1e-10)
 
-    def test_multi_head_relations_match_oracle(self):
+    @pytest.mark.parametrize("use_key_term,use_value_term",
+                             [(True, True), (False, True), (True, False)])
+    def test_multi_head_relations_match_oracle(self, use_key_term, use_value_term):
         # a head-slicing or row-offset slip in the relation terms shows here
-        cfg = G2GLayerConfig(d=8, heads=2, d_ff=16, n_layers=2)
+        cfg = G2GLayerConfig(d=8, heads=2, d_ff=16, n_layers=2,
+                             use_key_term=use_key_term, use_value_term=use_value_term)
         registry, params = build_encoder(cfg, 5, seed=4)
         rng = np.random.default_rng(9)
         rel = [rng.normal(size=(5, 8)) for _ in range(3)]
         for name, data in zip(("query", "key", "value"), rel):
             registry.get(f"encoder.rel.{name}").tensor.data[:] = data
+        # an ablated role reads as a zero relation matrix
+        rel[1] = rel[1] if use_key_term else np.zeros((5, 8))
+        rel[2] = rel[2] if use_value_term else np.zeros((5, 8))
         x = rng.normal(size=(6, 8))
         graph = random_graph(rng, 6, 5)
         z = encode(Tensor(x), graph, params, cfg)
@@ -268,6 +274,19 @@ class TestEncoder:
         registry.get("encoder.rel.value").tensor.data[:] = rng.normal(size=(4, 8))
         after = encode(Tensor(x), graph, params, cfg).z.data
         assert np.array_equal(before, after)
+
+    def test_graph_size_mismatch_rejected_on_every_view(self):
+        cfg = G2GLayerConfig(d=4, heads=1, d_ff=8, n_layers=1)
+        _, params = build_encoder(cfg, 3, seed=0)
+        x = Tensor(np.ones((3, 4)))
+        w = params.layers[0].w_q
+        alpha = Tensor(np.full((3, 3), 1.0 / 3.0))
+        graph = empty_graph(4)
+        for call in (lambda: encode(x, graph, params, cfg),
+                     lambda: attention_scores(x, w, w, graph, params.rel, cfg),
+                     lambda: attention_values(alpha, x, w, graph, params.rel, cfg)):
+            with pytest.raises(ValueError, match="graph has 4 nodes"):
+                call()
 
     def test_width_not_divisible_by_heads_rejected(self):
         with pytest.raises(ValueError, match="divisible"):

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from g2gt.autodiff import (Record, Tensor, add, backward, concat, gather_rows,
-                           layer_norm, log_softmax_rows, matmul, mul, neg,
-                           recording, relu, reshape, scale, slice_cols,
-                           softmax_rows, tensor_sum, transpose)
+from g2gt.autodiff import (Record, Tensor, add, backward, gather_rows, layer_norm,
+                           log_softmax_rows, matmul, mul, neg, recording, relu,
+                           reshape, scale, scatter_sum, softmax_rows, tensor_sum,
+                           transpose)
 from g2gt.optim import ParameterRegistry, grad_check
 
 from oracles import layer_norm_rows, naive_matmul, softmax_row
@@ -41,6 +41,40 @@ class TestMatmul:
         with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 3\)"):
             matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
 
+    def test_batched_against_triple_loop(self):
+        rng = np.random.default_rng(8)
+        a = rng.normal(size=(3, 2, 4))
+        b = rng.normal(size=(3, 4, 5))
+        out = matmul(Tensor(a), Tensor(b)).data
+        for h in range(3):
+            assert_allclose(out[h], naive_matmul(a[h], b[h]), rtol=1e-12, atol=0)
+
+    def test_batch_extent_mismatch_rejected(self):
+        with pytest.raises(ValueError, match=r"batch extent.*\(2, 3, 4\).*\(3, 4, 2\)"):
+            matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 4, 2))))
+
+
+class TestTranspose:
+    def test_permutes_axes(self):
+        x = np.arange(24.0).reshape(2, 3, 4)
+        assert_allclose(transpose(Tensor(x), (2, 0, 1)).data, x.transpose(2, 0, 1))
+
+    @pytest.mark.parametrize("axes", [(1, 0), (0, 1, 1), (0, 1, 3)])
+    def test_axes_not_a_permutation_rejected(self, axes):
+        with pytest.raises(ValueError, match="permutation"):
+            transpose(Tensor(np.ones((2, 3, 4))), axes)
+
+
+class TestScatterSum:
+    def test_sums_repeated_bins(self):
+        out = scatter_sum(Tensor([1.0, 2.0, 3.0]), [0, 2, 0], 4)
+        assert_allclose(out.data, [4.0, 0.0, 2.0, 0.0], rtol=0, atol=0)
+
+    @pytest.mark.parametrize("index", [3, -1])
+    def test_index_outside_bins_rejected(self, index):
+        with pytest.raises(ValueError, match="exceed 3 bins"):
+            scatter_sum(Tensor([1.0, 2.0]), [0, index], 3)
+
 
 class TestSoftmaxRows:
     def test_uniform(self):
@@ -68,6 +102,12 @@ class TestSoftmaxRows:
     def test_empty_rows_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             softmax_rows(Tensor(np.ones((3, 0))))
+
+    def test_rank3_normalises_last_axis(self):
+        x = np.random.default_rng(1).normal(size=(2, 3, 4))
+        out = softmax_rows(Tensor(x)).data
+        for h in range(2):
+            assert_allclose(out[h], softmax_rows(Tensor(x[h])).data, rtol=0, atol=0)
 
 
 class TestLayerNorm:
@@ -213,15 +253,19 @@ class TestOperationGradients:
         rng = np.random.default_rng(1000 + seed)
         registry = ParameterRegistry()
         a = registry.parameter("a", (4, 3), rng, std=1.0)
-        c = Tensor(rng.normal(size=(2, 6)))
+        b = registry.parameter("b", (3, 2, 2), rng, std=1.0)
+        c = Tensor(rng.normal(size=(3, 2, 2)))
         idx = rng.integers(0, 4, size=5)
         c_idx = Tensor(rng.normal(size=(5, 3)))
+        bins = rng.integers(0, 4, size=(3, 2, 2))   # 12 entries into 5 bins
+        c_bins = Tensor(rng.normal(size=(5,)))
 
         def fn():
-            r = reshape(a, (2, 6))                      # reshape
-            cat = concat([slice_cols(r, 0, 2), slice_cols(r, 2, 6)], axis=1)
+            r = transpose(reshape(a, (2, 2, 3)), (2, 0, 1))  # reshape, rank-3 transpose
+            m = matmul(r, b)                            # batched matmul
+            hist = scatter_sum(m, bins, 5)              # scatter with repeated bins
             picked = gather_rows(a, idx)                # gather with repeats
-            return add(tensor_sum(mul(cat, c)),
+            return add(add(tensor_sum(mul(m, c)), tensor_sum(mul(hist, c_bins))),
                        tensor_sum(mul(picked, c_idx)))
 
         _check(fn, registry, f"(shape ops, seed {seed})")

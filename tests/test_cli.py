@@ -5,7 +5,8 @@ from pathlib import Path
 import pytest
 
 from g2gt.cli import main
-from g2gt.conllu import load_conllu
+from g2gt.conllu import Sentence, load_conllu, write_conllu
+from g2gt.graphs import DepTree
 
 FIXTURE = Path(__file__).parent / "fixtures" / "toy_treebank.conllu"
 
@@ -36,6 +37,30 @@ def test_train_and_parse_and_eval(trained, tmp_path, capsys):
     assert main(["eval", "--gold", str(FIXTURE), "--pred", str(parsed)]) == 0
     out = capsys.readouterr().out
     assert "UAS" in out and "LAS" in out
+
+
+def test_parse_writes_every_sentence_when_one_fails(trained, tmp_path, capsys):
+    # the middle sentence has more nodes than the checkpoint's max_len=32
+    short = load_conllu(FIXTURE)[:2]
+    long = Sentence([f"w{k}" for k in range(40)], DepTree([None] * 40, [None] * 40))
+    mixed = tmp_path / "mixed.conllu"
+    write_conllu([short[0], long, short[1]], mixed)
+    alone = tmp_path / "short.conllu"
+    write_conllu(short, alone)
+
+    out = tmp_path / "mixed-pred.conllu"
+    assert main(["parse", "--checkpoint", str(trained), "--input", str(mixed),
+                 "--output", str(out)]) == 2
+    assert "sentence 2" in capsys.readouterr().err
+    parsed = load_conllu(out)
+    assert [s.forms for s in parsed] == [short[0].forms, long.forms, short[1].forms]
+    assert parsed[1].tree == long.tree
+
+    reference = tmp_path / "short-pred.conllu"
+    assert main(["parse", "--checkpoint", str(trained), "--input", str(alone),
+                 "--output", str(reference)]) == 0
+    expected = load_conllu(reference)
+    assert [parsed[0].tree, parsed[2].tree] == [s.tree for s in expected]
 
 
 def test_refine_demo_prints_trace(trained, capsys):
