@@ -93,14 +93,6 @@ class RelationEmbeddings:
         v = registry.parameter(f"{prefix}.value", (n_labels, d), rng)
         return cls(q, k, v, freeze_none=freeze_none)
 
-    @property
-    def n_labels(self) -> int:
-        return self.query_rel.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.query_rel.shape[1]
-
     def effective(self) -> tuple[Tensor, Tensor, Tensor]:
         if self._mask is None:
             return self.query_rel, self.key_rel, self.value_rel

@@ -1,16 +1,30 @@
 """Maximum spanning arborescence decoding against exhaustive enumeration."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from g2gt.errors import DataError
 from g2gt.mst import is_arborescence, mst_decode
 
-from oracles import brute_force_best_tree
+from oracles import all_arborescences, brute_force_best_tree
 
 
 def _total(scores, heads, root=0):
     return sum(scores[i, heads[i]] for i in range(len(heads)) if i != root)
+
+
+@st.composite
+def _masked_integer_scores(draw):
+    """Small-integer scores (so trees tie) with a random -inf mask, and a root."""
+    n = draw(st.integers(2, 6))
+    values = draw(st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n))
+    masked = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    scores = np.array(values, dtype=np.float64).reshape(n, n)
+    scores[np.array(masked).reshape(n, n)] = -np.inf
+    return scores, draw(st.integers(0, n - 1))
 
 
 class TestSmallCases:
@@ -49,6 +63,25 @@ class TestSmallCases:
         heads = mst_decode(np.zeros((1, 1)))
         assert heads.tolist() == [-1]
 
+    def test_neg_inf_cells_keep_single_root(self):
+        inf = np.inf
+        scores = np.array([
+            [3.0, -2.0, -inf, 1.0],
+            [-1.0, -1.0, -2.0, -1.0],
+            [1.0, -inf, -inf, -inf],
+            [2.0, 3.0, -inf, 1.0],
+        ])
+        heads = mst_decode(scores, single_root=True)
+        best, _ = brute_force_best_tree(scores, single_root=True)
+        assert best == 2.0
+        assert _total(scores, heads) == pytest.approx(best)
+        assert is_arborescence(heads, single_root=True)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nan_or_pos_inf_rejected(self, value):
+        with pytest.raises(DataError):
+            mst_decode(np.full((4, 4), value))
+
 
 class TestAgainstBruteForce:
     @pytest.mark.parametrize("single_root", [False, True])
@@ -67,6 +100,17 @@ class TestAgainstBruteForce:
                 trial += 1
         assert trial == 1000
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=_masked_integer_scores(), single_root=st.booleans())
+    def test_ties_and_neg_inf_cells(self, case, single_root):
+        scores, root = case
+        heads = mst_decode(scores, root=root, single_root=single_root)
+        assert is_arborescence(heads, root=root)
+        best, _ = brute_force_best_tree(scores, root=root, single_root=single_root)
+        if np.isfinite(best):
+            assert _total(scores, heads, root) == pytest.approx(best, rel=1e-12, abs=1e-9)
+            assert is_arborescence(heads, root=root, single_root=single_root)
+
     def test_score_at_least_random_samples(self):
         rng = np.random.default_rng(77)
         scores = rng.normal(size=(6, 6))
@@ -82,6 +126,16 @@ class TestAgainstBruteForce:
 
 
 class TestStructuralValidity:
+    @pytest.mark.parametrize("single_root", [False, True])
+    def test_is_arborescence_equals_enumeration(self, single_root):
+        # every head array, out-of-range heads -1 and n included
+        for n in range(1, 6):
+            trees = {tuple(t[i] for i in range(1, n))
+                     for t in all_arborescences(n, single_root=single_root)}
+            for combo in itertools.product(range(-1, n + 1), repeat=n - 1):
+                assert is_arborescence([-1, *combo], single_root=single_root) \
+                    == (combo in trees), combo
+
     def test_always_valid_up_to_n12(self):
         checked = 0
         for seed in range(10_000):
