@@ -15,10 +15,10 @@ from .conllu import Sentence, load_conllu, write_conllu
 from .config import RunConfig, load_config_file
 from .edges import (EdgeScorerParams, EdgeScores, greedy_decode, init_edge_scorer,
                     label_edges, pooled_head_scores, score_edges)
-from .errors import CheckpointError, DataError, G2GTError, UsageError
-from .graphs import (COREF_VOCAB, CorefLabelMatrix, DepTree, LabeledGraph,
-                     RelationVocab, dep_tree_to_graph, empty_graph, graph_equals,
-                     graph_to_dep_tree, onehot_relation, permute_graph)
+from .errors import CheckpointError, DataError, G2GTError, TrainingError, UsageError
+from .graphs import (COREF_VOCAB, DepTree, GraphBatch, LabeledGraph, RelationVocab,
+                     dep_tree_to_graph, empty_graph, graph_equals, graph_to_dep_tree,
+                     permute_graph)
 from .model import (DependencyParserModel, MentionCorefModel, ModelConfig,
                     SentenceEncoderModel)
 from .mst import is_arborescence, mst_decode

@@ -11,6 +11,11 @@ One kernel runs all heads at once, for the encoder and for the single-head
 views.  It builds no n*n copies of vectors: the score terms are read from
 the per-node H x n x |L| tables q R1' and k R2', and the value term is the
 H x n x |L| histogram of each query's attention weight per label times R3.
+Leading axes ride along: ``encode`` takes one sentence (n, d) with a
+:class:`LabeledGraph`, or a padded batch (B, n_max, d) with a
+:class:`GraphBatch`, and every relation matrix applies to every sentence.
+Padding keys get -inf before the softmax, so a real node attends to real
+nodes only and its output equals that of encoding its sentence alone.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import numpy as np
 
 from .autodiff import (Tensor, add, gather_rows, layer_norm, matmul, mul, relu,
                        reshape, scale, scatter_sum, softmax_rows, transpose)
-from .graphs import LabeledGraph
+from .graphs import GraphBatch, LabeledGraph
 from .optim import ParameterRegistry
 
 __all__ = [
@@ -109,67 +114,77 @@ class EncoderState:
 
 
 def _split_heads(x: Tensor, heads: int) -> Tensor:
-    """(m, H*d_h) -> (H, m, d_h): head h takes columns h*d_h to (h+1)*d_h."""
-    m, width = x.shape
-    return transpose(reshape(x, (m, heads, width // heads)), (1, 0, 2))
+    """(..., m, H*d_h) -> (..., H, m, d_h): head h takes columns h*d_h to (h+1)*d_h."""
+    *lead, m, width = x.shape
+    r = len(lead)
+    return transpose(reshape(x, (*lead, m, heads, width // heads)),
+                     (*range(r), r + 1, r, r + 2))
 
 
-def _head_slice(rel_matrix: Tensor, head: int, d_head: int) -> Tensor:
+def _split_table_heads(rel: Tensor, heads: int) -> Tensor:
+    """(L, H*d_h) -> (H, d_h, L): per head, the transposed relation matrix
+    that turns (..., H, n, d_h) projections into per-node label tables."""
+    n_labels, width = rel.shape
+    return transpose(reshape(rel, (n_labels, heads, width // heads)), (1, 2, 0))
+
+
+def _head_slice(rel_matrix: Tensor, head: int, d_head: int, split) -> Tensor:
+    """Head ``head`` of a relation matrix split by ``split``, as a stack of one."""
     width = rel_matrix.shape[1]
     if width % d_head or not 0 <= head < width // d_head:
         raise ValueError(f"relation matrix width {width} holds no head {head} "
                          f"at d_head={d_head}")
-    return gather_rows(_split_heads(rel_matrix, width // d_head), [head])
+    return gather_rows(split(rel_matrix, width // d_head), [head])
 
 
 def _node_rows(labels: np.ndarray, stack: Tensor, n_labels: int) -> np.ndarray:
-    """Offsets (h*n + i)*L of node i's row in a flat (H, n, L) table, for an
-    (H, n, .) stack; shape (H, n, 1)."""
-    heads, n, _ = stack.shape
-    if labels.shape[0] != n:
-        raise ValueError(f"graph has {labels.shape[0]} nodes but input has {n} rows")
+    """Offsets of node i's row in a flat (..., H, n, L) table, for a
+    (..., H, n, .) stack; shape (..., H, n, 1)."""
+    n = stack.shape[-2]
+    if labels.shape[-1] != n:
+        raise ValueError(f"graph has {labels.shape[-1]} nodes but input has {n} rows")
     if labels.size and labels.max() >= n_labels:
         # an out-of-range label would silently read the next row's table entry
         raise ValueError(
             f"label index {labels.max()} out of range for {n_labels} relations")
-    return np.arange(heads * n).reshape(heads, n, 1) * n_labels
+    return np.arange(math.prod(stack.shape[:-1])).reshape(stack.shape[:-1] + (1,)) * n_labels
 
 
-def _table_cells(x: Tensor, rel: Tensor, cells: np.ndarray) -> Tensor:
-    table = matmul(x, transpose(rel, (0, 2, 1)))
-    return reshape(gather_rows(reshape(table, (table.data.size,)), cells.reshape(-1)),
-                   cells.shape)
+def _table_cells(x: Tensor, rel_t: Tensor, cells: np.ndarray) -> Tensor:
+    table = matmul(x, rel_t)
+    return gather_rows(reshape(table, (table.data.size,)), cells)
 
 
 def _scores(q: Tensor, k: Tensor, labels: np.ndarray,
             rel_q: Tensor, rel_k: Tensor | None) -> Tensor:
-    """Scaled scores of every head, (H, n, n), from (H, n, d_h) projections.
+    """Scaled scores of every head, (..., H, n, n), from (..., H, n, d_h)
+    projections, the (..., 1, n, n) labels and (H, d_h, L) relation matrices.
 
     The relation terms are read from the per-node tables q R1' and k R2':
     q_i.r1_ij is entry (h, i, label_ij) of the first, r2_ij.k_j entry
     (h, j, label_ij) of the second.
     """
-    rows = _node_rows(labels, q, rel_q.shape[1])
-    e = matmul(q, transpose(k, (0, 2, 1)))
+    rows = _node_rows(labels, q, rel_q.shape[-1])
+    e = matmul(q, transpose(k))
     e = add(e, _table_cells(q, rel_q, rows + labels))
     if rel_k is not None:
-        e = add(e, _table_cells(k, rel_k, np.swapaxes(rows, 1, 2) + labels))
-    return scale(e, 1.0 / math.sqrt(q.shape[2]))
+        e = add(e, _table_cells(k, rel_k, np.swapaxes(rows, -1, -2) + labels))
+    return scale(e, 1.0 / math.sqrt(q.shape[-1]))
 
 
 def _values(alpha: Tensor, v: Tensor, labels: np.ndarray,
             rel_v: Tensor | None) -> Tensor:
-    """alpha v plus, per cell, alpha_ij r3_ij, for every head: (H, n, d_h).
+    """alpha v plus, per cell, alpha_ij r3_ij, for every head: (..., H, n, d_h).
 
-    The relation term is the (H, n, L) histogram of each query's weights
-    over the labels of its cells, times R3.
+    The relation term is the (..., H, n, L) histogram of each query's
+    weights over the labels of its cells, times the (H, L, d_h) R3.
     """
     out = matmul(alpha, v)
     if rel_v is not None:
-        n_labels = rel_v.shape[1]
+        n_labels = rel_v.shape[-2]
         rows = _node_rows(labels, v, n_labels)
         histogram = scatter_sum(alpha, rows + labels, rows.size * n_labels)
-        out = add(out, matmul(reshape(histogram, rows.shape[:2] + (n_labels,)), rel_v))
+        out = add(out, matmul(reshape(histogram, rows.shape[:-1] + (n_labels,)), rel_v))
     return out
 
 
@@ -182,9 +197,11 @@ def attention_scores(x: Tensor, w_q: Tensor, w_k: Tensor, graph: LabeledGraph,
     k = matmul(x, w_k)
     d_head = q.shape[1]
     rel_q, rel_k, _ = rel.effective()
-    rel_k_h = _head_slice(rel_k, head, d_head) if cfg.use_key_term else None
+    rel_q_h = _head_slice(rel_q, head, d_head, _split_table_heads)
+    rel_k_h = (_head_slice(rel_k, head, d_head, _split_table_heads)
+               if cfg.use_key_term else None)
     e = _scores(reshape(q, (1, n, d_head)), reshape(k, (1, n, d_head)),
-                graph.labels, _head_slice(rel_q, head, d_head), rel_k_h)
+                graph.labels, rel_q_h, rel_k_h)
     return reshape(e, (n, n))
 
 
@@ -203,7 +220,7 @@ def attention_values(alpha: Tensor, x: Tensor, w_v: Tensor, graph: LabeledGraph,
     v = matmul(x, w_v)
     d_head = v.shape[1]
     _, _, rel_v = rel.effective()
-    rel_v_h = _head_slice(rel_v, head, d_head) if cfg.use_value_term else None
+    rel_v_h = _head_slice(rel_v, head, d_head, _split_heads) if cfg.use_value_term else None
     z = _values(reshape(alpha, (1, n, n)), reshape(v, (1, n, d_head)),
                 graph.labels, rel_v_h)
     return reshape(z, (n, d_head))
@@ -256,28 +273,40 @@ def init_encoder(registry: ParameterRegistry, cfg: G2GLayerConfig, n_labels: int
     return EncoderParams(rel=rel, layers=layers)
 
 
-def encode(x: Tensor, graph: LabeledGraph, params: EncoderParams,
+def encode(x: Tensor, graph: LabeledGraph | GraphBatch, params: EncoderParams,
            cfg: G2GLayerConfig) -> EncoderState:
     """Run the stacked graph-conditioned encoder over an embedded sequence.
 
+    ``x`` is one sentence (n, d) conditioned on a :class:`LabeledGraph`, or
+    a padded batch (B, n_max, d) conditioned on a :class:`GraphBatch`.
     Each layer applies multi-head graph-conditioned attention, then a
     residual + layer norm, then a feed-forward block with its own
-    residual + layer norm (post-norm arrangement).
+    residual + layer norm (post-norm arrangement).  The rows of padding
+    nodes come out finite and meaningless.
     """
-    n = x.shape[0]
-    labels = graph.labels
+    *lead, n, _ = x.shape
+    if graph.labels.shape[:-2] != tuple(lead):
+        raise ValueError(f"graph labels {graph.labels.shape} do not match input "
+                         f"{x.shape}")
+    labels = np.expand_dims(graph.labels, -3)       # broadcast over heads
+    padding = graph.key_mask() if isinstance(graph, GraphBatch) else None
     rel_q, rel_k, rel_v = params.rel.effective()
-    rel_q = _split_heads(rel_q, cfg.heads)
-    rel_k = _split_heads(rel_k, cfg.heads) if cfg.use_key_term else None
+    rel_q = _split_table_heads(rel_q, cfg.heads)
+    rel_k = _split_table_heads(rel_k, cfg.heads) if cfg.use_key_term else None
     rel_v = _split_heads(rel_v, cfg.heads) if cfg.use_value_term else None
+    r = len(lead)
+    merge = (*range(r), r + 1, r, r + 2)
 
     for layer in params.layers:
         q = _split_heads(matmul(x, layer.w_q), cfg.heads)
         k = _split_heads(matmul(x, layer.w_k), cfg.heads)
         v = _split_heads(matmul(x, layer.w_v), cfg.heads)
-        alpha = softmax_rows(_scores(q, k, labels, rel_q, rel_k))
+        e = _scores(q, k, labels, rel_q, rel_k)
+        if padding is not None:
+            e = add(e, Tensor(padding))
+        alpha = softmax_rows(e)
         heads = _values(alpha, v, labels, rel_v)
-        attn = matmul(reshape(transpose(heads, (1, 0, 2)), (n, cfg.d)), layer.w_o)
+        attn = matmul(reshape(transpose(heads, merge), (*lead, n, cfg.d)), layer.w_o)
         x = layer_norm(add(x, attn), layer.attn_gain, layer.attn_bias)
         hidden = relu(add(matmul(x, layer.ffn_w1), layer.ffn_b1))
         ffn = add(matmul(hidden, layer.ffn_w2), layer.ffn_b2)

@@ -141,8 +141,9 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = np.array(g, dtype=np.float64)   # a copy: g may be shared
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -192,8 +193,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
 
     def bwd(g: np.ndarray) -> None:
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(g, b.data.shape))
+        for t in (a, b):
+            if t.requires_grad:
+                _accumulate(t, _unbroadcast(g, t.data.shape))
 
     return _make(out, (a, b), bwd)
 
@@ -225,33 +227,54 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two rank-2 tensors, or of two rank-3 stacks taken
-    matrix by matrix along their equal leading extent."""
-    if (a.data.ndim not in (2, 3) or b.data.ndim != a.data.ndim
-            or a.data.shape[:-2] != b.data.shape[:-2]):
+    """Matrix product over the last two axes; the leading axes broadcast, so
+    one matrix or one stack of matrices applies to every matrix of a batch."""
+    if a.data.ndim < 2 or b.data.ndim < 2:
         raise ValueError(
-            f"matmul needs two rank-2 operands or two rank-3 stacks of equal "
-            f"batch extent, got {a.data.shape} and {b.data.shape}")
+            f"matmul needs operands of rank 2 or more, got {a.data.shape} and "
+            f"{b.data.shape}")
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ValueError(
             f"matmul inner extents differ: {a.data.shape} vs {b.data.shape}")
-    out = a.data @ b.data
+    if b.data.ndim == 2:
+        # one matrix for every row of a: a single 2-D product over all rows
+        rows = a.data.reshape(-1, a.data.shape[-1])
+        out = (rows @ b.data).reshape(a.data.shape[:-1] + b.data.shape[1:])
+
+        def bwd_matrix(g: np.ndarray) -> None:
+            g_rows = g.reshape(-1, g.shape[-1])
+            if a.requires_grad:
+                _accumulate(a, (g_rows @ b.data.T).reshape(a.data.shape))
+            if b.requires_grad:
+                _accumulate(b, rows.T @ g_rows)
+
+        return _make(out, (a, b), bwd_matrix)
+    try:
+        out = a.data @ b.data
+    except ValueError:  # the inner extents agree, so the batch extents do not
+        raise ValueError(
+            f"matmul batch extents do not broadcast: {a.data.shape} and "
+            f"{b.data.shape}") from None
 
     def bwd(g: np.ndarray) -> None:
-        _accumulate(a, g @ np.swapaxes(b.data, -1, -2))
-        _accumulate(b, np.swapaxes(a.data, -1, -2) @ g)
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
 
     return _make(out, (a, b), bwd)
 
 
-def transpose(a: Tensor, axes: Sequence[int] = (1, 0)) -> Tensor:
-    """Permute the axes of ``a``; by default swap the two axes of a matrix."""
+def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
+    """Permute the axes of ``a``; by default swap its last two axes."""
+    if axes is None:
+        axes = tuple(range(a.data.ndim - 2)) + (a.data.ndim - 1, a.data.ndim - 2)
     axes = tuple(axes)
     if sorted(axes) != list(range(a.data.ndim)):
         raise ValueError(
             f"transpose axes {axes} are not a permutation of the axes of "
             f"shape {a.data.shape}")
-    inverse = tuple(np.argsort(axes))
+    inverse = tuple(sorted(range(len(axes)), key=axes.__getitem__))
 
     def bwd(g: np.ndarray) -> None:
         _accumulate(a, g.transpose(inverse))
@@ -269,10 +292,9 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 
 def gather_rows(a: Tensor, indices) -> Tensor:
-    """Select rows ``a[indices]``; backward scatter-adds into the source."""
+    """Select rows ``a[indices]``, of shape ``indices.shape + a.shape[1:]``;
+    backward scatter-adds into the source."""
     idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim != 1:
-        raise ValueError(f"gather_rows needs a flat index list, got shape {idx.shape}")
     if a.data.ndim < 1:
         raise ValueError("gather_rows needs at least rank-1 input")
     out = a.data[idx]
@@ -328,11 +350,10 @@ def relu(a: Tensor) -> Tensor:
 
 
 def softmax_rows(x: Tensor) -> Tensor:
-    """Softmax over the last axis of a rank-2 or rank-3 tensor, stabilised
-    by max subtraction."""
-    if x.data.ndim not in (2, 3):
-        raise ValueError(
-            f"softmax_rows needs a rank-2 or rank-3 tensor, got shape {x.data.shape}")
+    """Softmax over the last axis, stabilised by max subtraction.  An entry
+    of -inf gets weight exactly 0, as long as its row has a finite entry."""
+    if x.data.ndim < 1:
+        raise ValueError("softmax_rows needs at least rank-1 input")
     if x.data.shape[-1] == 0:
         raise ValueError("softmax_rows: empty rows")
     shifted = x.data - x.data.max(axis=-1, keepdims=True)
@@ -374,9 +395,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         raise ValueError(
             f"layer_norm: gain/bias must have shape ({d},), "
             f"got {gain.data.shape} and {bias.data.shape}")
-    mean = x.data.mean(axis=-1, keepdims=True)
+    # sum / d is what ndarray.mean computes, without its per-call overhead
+    mean = x.data.sum(axis=-1, keepdims=True) / d
     centred = x.data - mean
-    var = (centred * centred).mean(axis=-1, keepdims=True)
+    var = (centred * centred).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centred * inv
     out = xhat * gain.data + bias.data
@@ -387,8 +409,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         if x.requires_grad:
             gx = g * gain.data
             # standard layer-norm input gradient
-            gmean = gx.mean(axis=-1, keepdims=True)
-            gdot = (gx * xhat).mean(axis=-1, keepdims=True)
+            gmean = gx.sum(axis=-1, keepdims=True) / d
+            gdot = (gx * xhat).sum(axis=-1, keepdims=True) / d
             _accumulate(x, inv * (gx - gmean - xhat * gdot))
 
     return _make(out, (x, gain, bias), bwd)

@@ -147,8 +147,10 @@ def _cmd_eval(args) -> int:
 
 def _cmd_gradcheck(args) -> int:
     rng = np.random.default_rng(args.seed)
-    forms = [f"w{i}" for i in range(args.tokens)]
-    vocab = Vocab.from_forms(forms)
+    # a second sentence one token longer, so the batch is padded; its last
+    # form is out of the vocabulary
+    longer = [f"w{i}" for i in range(args.tokens + 1)]
+    vocab = Vocab.from_forms(longer[:-1])
     rel_vocab = RelationVocab.from_deprels(["a", "b"])
     cfg = ModelConfig(d=args.d, heads=args.heads, d_ff=2 * args.d,
                       layers=1, d_edge=args.d // 2, max_len=32)
@@ -156,10 +158,11 @@ def _cmd_gradcheck(args) -> int:
     for param in model.registry:
         if "norm" not in param.name:
             param.tensor.data *= args.scale / 0.02
-    heads = [0] + [int(h) for h in rng.integers(0, 2, size=args.tokens - 1)]
-    deprels = [str(rng.choice(["a", "b"])) for _ in range(args.tokens)]
-    gold = dep_tree_to_graph(DepTree(heads, deprels), rel_vocab)
-    batch = [(forms, gold)]
+    batch = []
+    for forms in (longer[:-1], longer):
+        heads = [0] + [int(h) for h in rng.integers(0, 2, size=len(forms) - 1)]
+        deprels = [str(rng.choice(["a", "b"])) for _ in forms]
+        batch.append((forms, dep_tree_to_graph(DepTree(heads, deprels), rel_vocab)))
     refinement = RefinementConfig(t_train=args.t_train)
 
     report = grad_check(lambda: refinement_loss(batch, model, refinement),

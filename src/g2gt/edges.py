@@ -5,7 +5,9 @@ biaffine classifier then scores all n*n node pairs for every label
 independently, so the whole graph can be decoded in one parallel pass.
 The L bilinear maps are stacked into one (L*d_e, d_e) parameter whose
 row block l is label l's map, so all labels are scored by two matrix
-products; the linear terms and the bias are added by broadcasting.
+products; the linear terms and the bias are added by broadcasting.  A
+padded batch of B sentences is scored in the same products, as
+(B, n_max, n_max, L) cells.
 """
 
 from __future__ import annotations
@@ -68,13 +70,16 @@ def init_edge_scorer(registry: ParameterRegistry, d: int, d_e: int, n_labels: in
 
 
 class EdgeScores:
-    """n x n x |L| label scores; cell (i, j) scores "i relates to j"."""
+    """n x n x |L| label scores of each of B sentences padded to n nodes;
+    cell (i, j) scores "i relates to j".  ``flat`` holds one row per cell,
+    (B*n*n, L), sentence by sentence."""
 
     __slots__ = ("flat", "n")
 
     def __init__(self, flat: Tensor, n: int):
-        if flat.shape[0] != n * n:
-            raise ValueError(f"flat scores have {flat.shape[0]} rows, expected {n * n}")
+        if flat.shape[0] % (n * n):
+            raise ValueError(
+                f"flat scores have {flat.shape[0]} rows, not a multiple of {n * n}")
         self.flat = flat
         self.n = n
 
@@ -83,25 +88,33 @@ class EdgeScores:
         return self.flat.shape[1]
 
     def array(self) -> np.ndarray:
-        """Scores as an (n, n, L) array (a copy; safe to mutate)."""
+        """One sentence's scores as an (n, n, L) array (a copy; safe to mutate)."""
         return self.flat.data.reshape(self.n, self.n, self.n_labels).copy()
+
+    def sentence(self, b: int, n: int) -> "EdgeScores":
+        """Sentence b's scores over its first n nodes, untracked, for decoding."""
+        cells = self.flat.data.reshape(-1, self.n, self.n, self.n_labels)[b, :n, :n]
+        return EdgeScores(Tensor(cells.reshape(n * n, self.n_labels)), n)
 
 
 def score_edges(state: EncoderState, params: EdgeScorerParams) -> EdgeScores:
-    """Score every ordered node pair for every label in parallel."""
+    """Score every ordered node pair for every label in parallel.
+
+    ``state.z`` is one sentence (n, d) or a padded batch (B, n, d).
+    """
     z = state.z
-    n = z.shape[0]
+    *lead, n, _ = z.shape
     n_labels = params.n_labels
     h = matmul(z, params.head_proj)
     t = matmul(z, params.tail_proj)
-    d_e = h.shape[1]
+    d_e = h.shape[-1]
     # row j*L + l of bt is t_j B_l', so (h bt')[i, j*L + l] = h_i B_l t_j'
-    bt = reshape(matmul(t, transpose(params.bilinear)), (n * n_labels, d_e))
-    cells = reshape(matmul(h, transpose(bt)), (n, n, n_labels))
-    cells = add(cells, reshape(matmul(h, params.head_lin), (n, 1, n_labels)))
-    cells = add(cells, matmul(t, params.tail_lin))
+    bt = reshape(matmul(t, transpose(params.bilinear)), (*lead, n * n_labels, d_e))
+    cells = reshape(matmul(h, transpose(bt)), (*lead, n, n, n_labels))
+    cells = add(cells, reshape(matmul(h, params.head_lin), (*lead, n, 1, n_labels)))
+    cells = add(cells, reshape(matmul(t, params.tail_lin), (*lead, 1, n, n_labels)))
     cells = add(cells, params.bias)
-    return EdgeScores(reshape(cells, (n * n, n_labels)), n)
+    return EdgeScores(reshape(cells, (cells.data.size // n_labels, n_labels)), n)
 
 
 def _masked_array(scores: EdgeScores, allowed) -> np.ndarray:

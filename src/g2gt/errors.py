@@ -4,7 +4,7 @@ The CLI maps these onto process exit codes: usage problems exit 1, data
 problems exit 2, anything else exits 3.
 """
 
-__all__ = ["G2GTError", "UsageError", "DataError", "CheckpointError"]
+__all__ = ["G2GTError", "UsageError", "DataError", "CheckpointError", "TrainingError"]
 
 
 class G2GTError(Exception):
@@ -21,3 +21,7 @@ class DataError(G2GTError):
 
 class CheckpointError(DataError):
     """Unreadable, truncated, or version-incompatible checkpoint file."""
+
+
+class TrainingError(G2GTError):
+    """Training cannot go on: the loss is no longer a finite number."""

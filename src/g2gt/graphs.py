@@ -20,14 +20,13 @@ __all__ = [
     "UNK_LABEL",
     "RelationVocab",
     "LabeledGraph",
-    "CorefLabelMatrix",
+    "GraphBatch",
     "DepTree",
     "COREF_VOCAB",
     "empty_graph",
     "dep_tree_to_graph",
     "graph_to_dep_tree",
     "graph_equals",
-    "onehot_relation",
     "permute_graph",
 ]
 
@@ -129,14 +128,43 @@ class LabeledGraph:
         return f"LabeledGraph(n={self.n})"
 
 
-class CorefLabelMatrix(LabeledGraph):
-    """Three-way graph {NONE, MENTION, COREF}; only cells with j <= i carry meaning."""
+class GraphBatch:
+    """B labeled graphs padded with NONE to the size of the largest.
 
-    def __init__(self, labels: np.ndarray):
-        super().__init__(labels, n_labels=len(COREF_VOCAB))
-        upper = np.triu(self.labels, k=1)
-        if np.any(upper != NONE_LABEL):
-            raise ValueError("upper-triangular cells must be NONE")
+    ``labels`` is (B, n_max, n_max) and ``lengths`` holds each graph's own
+    node count; a padding node relates to nothing.
+    """
+
+    __slots__ = ("labels", "lengths")
+
+    def __init__(self, graphs: Sequence[LabeledGraph]):
+        if not graphs:
+            raise DataError("empty batch")
+        self.lengths = np.array([g.n for g in graphs], dtype=np.intp)
+        n = int(self.lengths.max())
+        self.labels = np.zeros((len(graphs), n, n), dtype=np.int64)
+        for b, g in enumerate(graphs):
+            self.labels[b, :g.n, :g.n] = g.labels
+
+    def __len__(self) -> int:
+        return self.labels.shape[0]
+
+    @property
+    def n(self) -> int:
+        return self.labels.shape[-1]
+
+    def real_cells(self) -> np.ndarray:
+        """(B, n_max, n_max) mask of the cells whose two nodes are both real."""
+        real = np.arange(self.n) < self.lengths[:, None]
+        return real[:, :, None] & real[:, None, :]
+
+    def key_mask(self) -> Optional[np.ndarray]:
+        """Additive (B, 1, 1, n_max) attention mask, -inf at padding keys;
+        None when every graph has n_max nodes and nothing is padded."""
+        if np.all(self.lengths == self.n):
+            return None
+        padding = np.arange(self.n) >= self.lengths[:, None]
+        return np.where(padding, -np.inf, 0.0)[:, None, None, :]
 
 
 @dataclass
@@ -227,15 +255,6 @@ def graph_equals(a: LabeledGraph, b: LabeledGraph) -> bool:
     if a.n != b.n:
         raise ValueError(f"graph size mismatch: {a.n} vs {b.n}")
     return bool(np.array_equal(a.labels, b.labels))
-
-
-def onehot_relation(graph: LabeledGraph, i: int, j: int, n_labels: int) -> np.ndarray:
-    """The one-hot relation vector for cell (i, j)."""
-    if not (0 <= i < graph.n and 0 <= j < graph.n):
-        raise ValueError(f"indices ({i}, {j}) out of range for n={graph.n}")
-    v = np.zeros(n_labels)
-    v[graph.label(i, j)] = 1.0
-    return v
 
 
 def permute_graph(graph: LabeledGraph, perm: Sequence[int]) -> LabeledGraph:

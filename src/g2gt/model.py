@@ -2,7 +2,9 @@
 
 Two decode styles share the same trunk: the dependency parser decodes a
 spanning arborescence over a virtual root, while the mention/coreference
-style model decodes every lower-triangular cell independently.
+style model decodes every lower-triangular cell independently.  The trunk
+scores a batch of sentences in one pass, padded to the longest; one
+sentence is the batch of one.
 """
 
 from __future__ import annotations
@@ -12,13 +14,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .attention import (EncoderParams, EncoderState, G2GLayerConfig, encode,
-                        init_encoder)
+from .attention import EncoderParams, G2GLayerConfig, encode, init_encoder
 from .autodiff import Tensor, add, gather_rows
 from .edges import (EdgeScorerParams, EdgeScores, greedy_decode, init_edge_scorer,
                     label_edges, pooled_head_scores, score_edges)
 from .errors import DataError, UsageError
-from .graphs import (COREF_VOCAB, DepTree, LabeledGraph, RelationVocab,
+from .graphs import (COREF_VOCAB, DepTree, GraphBatch, LabeledGraph, RelationVocab,
                      dep_tree_to_graph)
 from .mst import mst_decode
 from .optim import ParameterRegistry
@@ -79,22 +80,42 @@ class SentenceEncoderModel:
         self.edge_params: EdgeScorerParams = init_edge_scorer(
             self.registry, cfg.d, cfg.d_edge, len(rel_vocab), rng)
 
-    def embed(self, ids: Sequence[int]) -> Tensor:
-        n = len(ids)
+    def embed(self, ids: np.ndarray) -> Tensor:
+        """Token plus position embeddings of padded ids: (B, n_max) -> (B, n_max, d)."""
+        ids = np.asarray(ids, dtype=np.intp)
+        n = ids.shape[-1]
         if n > self.cfg.max_len:
             raise DataError(f"sequence of {n} tokens exceeds max_len={self.cfg.max_len}")
-        tok = gather_rows(self.token_emb, np.asarray(ids, dtype=np.intp))
+        tok = gather_rows(self.token_emb, ids)
         pos = gather_rows(self.pos_emb, np.arange(n, dtype=np.intp))
         return add(tok, pos)
 
-    def encode_ids(self, ids: Sequence[int], graph: LabeledGraph) -> EncoderState:
-        return encode(self.embed(ids), graph, self.encoder, self.layer_cfg)
+    def ids(self, tokens: Sequence) -> list[int]:
+        """Embedding row of each graph node of a sentence."""
+        raise NotImplementedError
 
-    def score_ids(self, ids: Sequence[int], graph: LabeledGraph) -> EdgeScores:
-        if graph.n != len(ids):
-            raise DataError(
-                f"conditioning graph has {graph.n} nodes for {len(ids)} tokens")
-        return score_edges(self.encode_ids(ids, graph), self.edge_params)
+    def graph_size(self, tokens: Sequence) -> int:
+        return len(self.ids(tokens))
+
+    def score(self, tokens: Sequence, graph: LabeledGraph) -> EdgeScores:
+        """One sentence's edge scores, conditioned on ``graph``."""
+        return self.score_batch([tokens], [graph])
+
+    def score_batch(self, batch: Sequence[Sequence],
+                    graphs: Sequence[LabeledGraph]) -> EdgeScores:
+        """Edge scores of B sentences, each conditioned on its own graph, in
+        one pass over the batch padded to its longest sentence."""
+        id_lists = [self.ids(tokens) for tokens in batch]
+        for ids, graph in zip(id_lists, graphs, strict=True):
+            if graph.n != len(ids):
+                raise DataError(
+                    f"conditioning graph has {graph.n} nodes for {len(ids)} tokens")
+        graph_batch = GraphBatch(graphs)
+        padded = np.zeros(graph_batch.labels.shape[:2], dtype=np.intp)
+        for b, ids in enumerate(id_lists):
+            padded[b, :len(ids)] = ids
+        state = encode(self.embed(padded), graph_batch, self.encoder, self.layer_cfg)
+        return score_edges(state, self.edge_params)
 
 
 class DependencyParserModel(SentenceEncoderModel):
@@ -109,11 +130,8 @@ class DependencyParserModel(SentenceEncoderModel):
         super().__init__(cfg, len(token_vocab), rel_vocab, seed=seed)
         self.token_vocab = token_vocab
 
-    def graph_size(self, forms: Sequence[str]) -> int:
-        return len(forms) + 1
-
-    def score(self, forms: Sequence[str], graph: LabeledGraph) -> EdgeScores:
-        return self.score_ids(self.token_vocab.encode_with_root(forms), graph)
+    def ids(self, forms: Sequence[str]) -> list[int]:
+        return self.token_vocab.encode_with_root(forms)
 
     def decode_tree(self, scores: EdgeScores, allowed=None) -> DepTree:
         pooled = pooled_head_scores(scores, self.rel_vocab, allowed=allowed)
@@ -132,11 +150,8 @@ class MentionCorefModel(SentenceEncoderModel):
     def __init__(self, cfg: ModelConfig, n_embeddings: int, seed: int = 0):
         super().__init__(cfg, n_embeddings, COREF_VOCAB, seed=seed)
 
-    def graph_size(self, tokens: Sequence[int]) -> int:
-        return len(tokens)
-
-    def score(self, tokens: Sequence[int], graph: LabeledGraph) -> EdgeScores:
-        return self.score_ids(list(tokens), graph)
+    def ids(self, tokens: Sequence[int]) -> list[int]:
+        return list(tokens)
 
     def decode(self, scores: EdgeScores, allowed=None) -> LabeledGraph:
         return greedy_decode(scores, allowed=allowed, lower_triangular=True)

@@ -5,6 +5,12 @@ predicted graph and re-predicts every edge in parallel; the loop stops
 early once the graph stops changing, or at the iteration cap.  Training
 runs a fixed number of iterations, conditioning each one on the previous
 (detached, discrete) prediction and summing the per-iteration losses.
+
+Training takes a batch in one pass per iteration: its sentences are
+padded to the longest, encoded and scored together, and the loss gathers
+the gold label's log-probability at every real, in-scope cell of every
+sentence.  Padding cells carry NONE and fall outside that gather; only
+the discrete decode between iterations runs sentence by sentence.
 """
 
 from __future__ import annotations
@@ -14,12 +20,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .autodiff import (Record, Tensor, backward, log_softmax_rows, mul, neg,
-                       recording, tensor_sum)
+from .autodiff import (Record, Tensor, backward, gather_rows, log_softmax_rows, neg,
+                       recording, reshape, tensor_sum)
 from .edges import EdgeScores
-from .errors import DataError, UsageError
-from .graphs import (COREF_VOCAB, LabeledGraph, RelationVocab, empty_graph,
-                     graph_equals)
+from .errors import DataError, TrainingError, UsageError
+from .graphs import (COREF_VOCAB, GraphBatch, LabeledGraph, RelationVocab,
+                     empty_graph, graph_equals)
 
 __all__ = [
     "RefinementConfig",
@@ -162,13 +168,15 @@ def scope_mask(n: int, scope: str) -> np.ndarray:
 
 
 class FactoredGraphDistribution:
-    """Per-cell categorical distributions over labels, conditioned jointly."""
+    """Per-cell categorical distributions over labels, conditioned jointly,
+    for B graphs padded to n nodes: ``log_probs`` is (B*n*n, L), one row per
+    cell, graph by graph."""
 
     __slots__ = ("log_probs", "n", "scope")
 
     def __init__(self, log_probs: Tensor, n: int, scope: str):
-        if log_probs.shape != (n * n, log_probs.shape[1]):
-            raise ValueError(f"log_probs must be (n*n, L), got {log_probs.shape}")
+        if log_probs.data.ndim != 2 or log_probs.shape[0] % (n * n):
+            raise ValueError(f"log_probs must be (B*n*n, L), got {log_probs.shape}")
         scope_mask(n, scope)  # validates the scope name
         self.log_probs = log_probs
         self.n = n
@@ -178,58 +186,61 @@ class FactoredGraphDistribution:
     def from_scores(cls, scores: EdgeScores, scope: str) -> "FactoredGraphDistribution":
         return cls(log_softmax_rows(scores.flat), scores.n, scope)
 
-    @property
-    def n_labels(self) -> int:
-        return self.log_probs.shape[1]
 
-    def probs(self) -> np.ndarray:
-        """Cell probabilities as an (n, n, L) array."""
-        return np.exp(self.log_probs.data).reshape(self.n, self.n, self.n_labels)
+def graph_log_likelihood(dist: FactoredGraphDistribution, gold: GraphBatch) -> Tensor:
+    """Sum over the batch of log p(cell = gold label) over the real,
+    in-scope cells of each graph (a scalar <= 0).
 
-
-def graph_log_likelihood(dist: FactoredGraphDistribution,
-                         gold: LabeledGraph) -> Tensor:
-    """Sum of log p(cell = gold label) over in-scope cells (a scalar <= 0).
-
-    The training loss is this value negated.
+    One flat gather reads every such cell's gold entry.  The training
+    loss is this value negated.
     """
-    if gold.n != dist.n:
-        raise DataError(f"graph has {gold.n} nodes but distribution covers {dist.n}")
-    mask = scope_mask(dist.n, dist.scope)
-    out_of_scope = (~mask) & (gold.labels != 0)
+    n_labels = dist.log_probs.shape[1]
+    if gold.n != dist.n or len(gold) * gold.n * gold.n != dist.log_probs.shape[0]:
+        raise DataError(f"{len(gold)} graphs of {gold.n} nodes, but the distribution "
+                        f"covers {dist.log_probs.shape[0] // (dist.n * dist.n)} of "
+                        f"{dist.n} nodes")
+    in_scope = scope_mask(gold.n, dist.scope) & gold.real_cells()
+    out_of_scope = ~in_scope & (gold.labels != 0)
     if np.any(out_of_scope):
-        i, j = np.argwhere(out_of_scope)[0]
-        raise DataError(f"no distribution for labeled cell ({i}, {j})")
-    pick = np.zeros((dist.n * dist.n, dist.n_labels))
-    flat_labels = gold.labels.reshape(-1)
-    flat_mask = mask.reshape(-1)
-    pick[np.arange(dist.n * dist.n)[flat_mask], flat_labels[flat_mask]] = 1.0
-    return tensor_sum(mul(dist.log_probs, Tensor(pick)))
+        b, i, j = np.argwhere(out_of_scope)[0]
+        raise DataError(f"graph {b + 1} of {len(gold)}: no distribution for "
+                        f"labeled cell ({i}, {j})")
+    cells = np.flatnonzero(in_scope) * n_labels + gold.labels[in_scope]
+    flat = reshape(dist.log_probs, (dist.log_probs.data.size,))
+    return tensor_sum(gather_rows(flat, cells))
 
 
 def refinement_loss(batch: Sequence[tuple], model, cfg: RefinementConfig) -> Tensor:
     """Summed negative log-likelihood over ``t_train`` refinement iterations.
 
-    Iteration t is conditioned on iteration t-1's decoded prediction
-    (G^0 comes from the initializer).  The discrete decode step carries
-    no gradient, so iterations do not backpropagate into each other.
+    ``batch`` holds (tokens, gold graph) pairs.  Iteration t scores the
+    whole batch in one pass, padded to its longest sentence, each sentence
+    conditioned on its own iteration t-1 prediction (G^0 is the empty
+    parse); padding nodes and cells add nothing to the loss.  The discrete
+    decode step carries no gradient, so iterations do not backpropagate
+    into each other.  Raises :class:`TrainingError` when an iteration's
+    loss is not finite, before its prediction is decoded.
     """
-    total: Optional[Tensor] = None
-    for tokens, gold in batch:
-        n = model.graph_size(tokens)
+    tokens = [t for t, _ in batch]
+    sizes = [model.graph_size(t) for t in tokens]
+    for k, ((_, gold), n) in enumerate(zip(batch, sizes), start=1):
         if gold.n != n:
-            raise DataError(f"gold graph has {gold.n} nodes, input needs {n}")
-        g = initial_graph(n, "empty")  # training always starts from the empty parse
-        for t in range(1, cfg.t_train + 1):
-            scores = model.score(tokens, g)
-            dist = FactoredGraphDistribution.from_scores(scores, model.scope)
-            loss_t = neg(graph_log_likelihood(dist, gold))
-            total = loss_t if total is None else total + loss_t
-            if t < cfg.t_train:
-                allowed = stage_mask(t, cfg.schedule, model.rel_vocab)
-                g = model.decode(scores, allowed=allowed)
-    if total is None:
-        raise DataError("empty batch")
+            raise DataError(f"sentence {k} of {len(batch)}: gold graph has {gold.n} "
+                            f"nodes, input needs {n}")
+    gold = GraphBatch([g for _, g in batch])
+    graphs = [initial_graph(n, "empty") for n in sizes]  # training starts empty
+    total: Optional[Tensor] = None
+    for t in range(1, cfg.t_train + 1):
+        scores = model.score_batch(tokens, graphs)
+        dist = FactoredGraphDistribution.from_scores(scores, model.scope)
+        loss_t = neg(graph_log_likelihood(dist, gold))
+        if not np.isfinite(loss_t.data):
+            raise TrainingError(f"iteration {t}: loss is {loss_t.item()}")
+        total = loss_t if total is None else total + loss_t
+        if t < cfg.t_train:
+            allowed = stage_mask(t, cfg.schedule, model.rel_vocab)
+            graphs = [model.decode(scores.sentence(b, n), allowed=allowed)
+                      for b, n in enumerate(sizes)]
     return total
 
 

@@ -13,7 +13,7 @@ import numpy as np
 from .conllu import Sentence, load_conllu
 from .checkpoint import checkpoint_save
 from .config import RunConfig
-from .errors import DataError
+from .errors import DataError, TrainingError
 from .graphs import DepTree, dep_tree_to_graph, graph_to_dep_tree
 from .model import DependencyParserModel, ModelConfig
 from .optim import Adam
@@ -122,9 +122,13 @@ def train(config: RunConfig) -> TrainResult:
     started = time.time()
     for epoch in range(1, config.epochs + 1):
         epoch_loss = 0.0
-        for batch in batches:
+        for k, batch in enumerate(batches, start=1):
             model.registry.zero_grad()
-            epoch_loss += train_refinement_step(batch, model, refinement)
+            try:
+                epoch_loss += train_refinement_step(batch, model, refinement)
+            except TrainingError as exc:
+                raise TrainingError(f"epoch {epoch}, batch {k} of {len(batches)}: "
+                                    f"{exc}") from exc
             optimizer.step()
         losses.append(epoch_loss)
         report = evaluate(parse_corpus(model, dev_sents, refinement)[0], gold_dev)

@@ -8,7 +8,7 @@ from g2gt.attention import (EncoderParams, G2GLayerConfig, LayerParams,
                             RelationEmbeddings, attention_scores,
                             attention_values, encode, init_encoder)
 from g2gt.autodiff import Tensor, mul, tensor_sum
-from g2gt.graphs import LabeledGraph, empty_graph, permute_graph
+from g2gt.graphs import GraphBatch, LabeledGraph, empty_graph, permute_graph
 from g2gt.optim import ParameterRegistry, grad_check
 
 from oracles import (graph_attention_scores_loop, graph_attention_values_loop,
@@ -307,3 +307,56 @@ class TestEncoder:
 
         report = grad_check(fn, registry, eps=1e-5)
         assert report.passed, report.max_errors
+
+
+class TestPaddedBatch:
+    def _batch(self, rng, lengths, d, n_labels):
+        graphs = [random_graph(rng, n, n_labels) for n in lengths]
+        # padding rows hold arbitrary values; they must not reach real rows
+        x = rng.normal(size=(len(lengths), max(lengths), d))
+        return graphs, x
+
+    @pytest.mark.parametrize("lengths", [(5, 2, 7), (3, 6), (4, 4)])
+    def test_real_rows_equal_encoding_alone(self, lengths):
+        cfg = G2GLayerConfig(d=8, heads=2, d_ff=16, n_layers=2)
+        registry, params = build_encoder(cfg, 5, seed=21)
+        rng = np.random.default_rng(sum(lengths))
+        for name in ("query", "key", "value"):
+            registry.get(f"encoder.rel.{name}").tensor.data[:] = rng.normal(size=(5, 8))
+        graphs, x = self._batch(rng, lengths, 8, 5)
+        z = encode(Tensor(x), GraphBatch(graphs), params, cfg).z.data
+        assert z.shape == x.shape
+        for b, (n, graph) in enumerate(zip(lengths, graphs)):
+            alone = encode(Tensor(x[b, :n]), graph, params, cfg).z.data
+            assert_allclose(z[b, :n], alone, rtol=0, atol=1e-12)
+
+    def test_padding_keys_get_exactly_zero_attention(self, monkeypatch):
+        import g2gt.attention as attention
+        weights = []
+
+        def recording_softmax(x):
+            out = attention_softmax(x)
+            weights.append(out.data)
+            return out
+
+        attention_softmax = attention.softmax_rows
+        monkeypatch.setattr(attention, "softmax_rows", recording_softmax)
+        cfg = G2GLayerConfig(d=8, heads=2, d_ff=16, n_layers=2)
+        _, params = build_encoder(cfg, 4, seed=5)
+        rng = np.random.default_rng(8)
+        lengths = (2, 6, 4)
+        graphs, x = self._batch(rng, lengths, 8, 4)
+        encode(Tensor(x), GraphBatch(graphs), params, cfg)
+        assert len(weights) == cfg.n_layers
+        for alpha in weights:
+            assert alpha.shape == (3, 2, 6, 6)
+            for b, n in enumerate(lengths):
+                assert np.all(alpha[b, :, :, n:] == 0.0)
+                assert_allclose(alpha[b].sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+
+    def test_batch_size_mismatch_rejected(self):
+        cfg = G2GLayerConfig(d=4, heads=1, d_ff=8, n_layers=1)
+        _, params = build_encoder(cfg, 3, seed=0)
+        graphs = [empty_graph(3), empty_graph(2)]
+        with pytest.raises(ValueError, match="do not match"):
+            encode(Tensor(np.ones((3, 3, 4))), GraphBatch(graphs), params, cfg)

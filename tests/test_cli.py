@@ -78,6 +78,16 @@ def test_gradcheck_command(capsys):
     assert "PASS" in out
 
 
+def test_non_finite_loss_exits_3(tmp_path, monkeypatch, capsys):
+    from g2gt import training
+    from test_pipeline import NanParserModel
+    monkeypatch.setattr(training, "DependencyParserModel", NanParserModel)
+    argv = ["train", "--train-file", str(FIXTURE), "--model-out",
+            str(tmp_path / "m.g2gt")] + SMALL_FLAGS
+    assert main(argv) == 3
+    assert "epoch 1, batch 1 of 4: iteration 1: loss is nan" in capsys.readouterr().err
+
+
 def test_usage_error_exits_1(capsys):
     assert main(["parse", "--checkpoint", "x"]) == 1  # missing required flags
     assert main(["no-such-command"]) == 1

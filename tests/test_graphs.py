@@ -2,13 +2,11 @@
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 from g2gt.errors import DataError
-from g2gt.graphs import (COREF_VOCAB, NONE_LABEL, UNK_LABEL, CorefLabelMatrix,
-                         DepTree, LabeledGraph, RelationVocab, dep_tree_to_graph,
-                         empty_graph, graph_equals, graph_to_dep_tree,
-                         onehot_relation, permute_graph)
+from g2gt.graphs import (NONE_LABEL, UNK_LABEL, DepTree, LabeledGraph, RelationVocab,
+                         dep_tree_to_graph, empty_graph, graph_equals,
+                         graph_to_dep_tree, permute_graph)
 
 from oracles import random_tree
 
@@ -51,12 +49,6 @@ class TestLabeledGraph:
         g = empty_graph(3)
         with pytest.raises(ValueError):
             g.labels[0, 1] = 2
-
-    def test_coref_matrix_rejects_upper_triangle(self):
-        labels = np.zeros((3, 3), dtype=int)
-        labels[0, 2] = 1
-        with pytest.raises(ValueError, match="upper"):
-            CorefLabelMatrix(labels)
 
 
 class TestTreeGraphConversion:
@@ -124,38 +116,6 @@ class TestGraphEquals:
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
             graph_equals(empty_graph(2), empty_graph(3))
-
-
-class TestOnehot:
-    def test_none_cell_is_first_basis_vector(self):
-        g = empty_graph(3)
-        v = onehot_relation(g, 0, 1, len(VOCAB))
-        assert v[0] == 1.0 and v.sum() == 1.0
-
-    def test_label_two_is_third_basis_vector(self):
-        labels = np.zeros((2, 2), dtype=int)
-        labels[1, 0] = 2
-        v = onehot_relation(LabeledGraph(labels), 1, 0, 4)
-        assert_allclose(v, [0, 0, 1, 0])
-
-    def test_exactly_one_hot_everywhere(self):
-        rng = np.random.default_rng(9)
-        for _ in range(20):
-            n = int(rng.integers(2, 7))
-            labels = rng.integers(0, 4, size=(n, n))
-            np.fill_diagonal(labels, 0)
-            g = LabeledGraph(labels)
-            total = 0.0
-            for i in range(n):
-                for j in range(n):
-                    v = onehot_relation(g, i, j, 4)
-                    assert v.sum() == 1.0
-                    total += v.sum()
-            assert total == n * n
-
-    def test_out_of_range_indices_rejected(self):
-        with pytest.raises(ValueError, match="out of range"):
-            onehot_relation(empty_graph(2), 2, 0, 3)
 
 
 class TestPermutation:

@@ -10,7 +10,8 @@ from numpy.testing import assert_allclose
 from g2gt.checkpoint import checkpoint_load, checkpoint_save
 from g2gt.config import RunConfig, load_config_file
 from g2gt.conllu import Sentence, load_conllu
-from g2gt.errors import CheckpointError, DataError, UsageError
+from g2gt import training
+from g2gt.errors import CheckpointError, DataError, TrainingError, UsageError
 from g2gt.graphs import DepTree, RelationVocab, empty_graph
 from g2gt.model import DependencyParserModel, ModelConfig
 from g2gt.refine import RefinementConfig
@@ -167,6 +168,14 @@ class TestRunConfig:
             config.validate_for_training()
 
 
+class NanParserModel(DependencyParserModel):
+    """A parser with one NaN parameter from the start."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.registry.get("encoder.layer0.ffn.b1").tensor.data[3] = np.nan
+
+
 class TestTrainPipeline:
     def _config(self, tmp_path, **kw):
         defaults = dict(train_file=str(FIXTURE), model_out=str(tmp_path / "m.g2gt"),
@@ -191,6 +200,16 @@ class TestTrainPipeline:
         for p1, p2 in zip(r1.model.registry, r2.model.registry):
             assert np.array_equal(p1.tensor.data, p2.tensor.data)
         assert (tmp_path / "a.g2gt").read_bytes() == (tmp_path / "b.g2gt").read_bytes()
+
+    @pytest.mark.parametrize("t_train", [1, 2])
+    def test_non_finite_loss_stops_training(self, tmp_path, monkeypatch, t_train):
+        # without the check, t_train=1 fails in the dev parse and t_train=2 in
+        # the t=1 decode, both as a DataError that blames the input
+        monkeypatch.setattr(training, "DependencyParserModel", NanParserModel)
+        with pytest.raises(TrainingError,
+                           match="epoch 1, batch 1 of 4: iteration 1: loss is nan"):
+            train(self._config(tmp_path, t_train=t_train))
+        assert not (tmp_path / "m.g2gt").exists()
 
     def test_parse_always_produces_valid_trees(self, tmp_path):
         # even an untrained model must emit well-formed single-root trees
