@@ -25,6 +25,7 @@ __all__ = [
     "active_record",
     "backward",
     "add",
+    "add_into",
     "mul",
     "neg",
     "scale",
@@ -189,15 +190,39 @@ def backward(loss: Tensor, record: Record) -> None:
 # operations
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data + b.data
-
+def _sum_backward(terms: Sequence[Tensor]) -> Callable[[np.ndarray], None]:
     def bwd(g: np.ndarray) -> None:
-        for t in (a, b):
+        for t in terms:
             if t.requires_grad:
                 _accumulate(t, _unbroadcast(g, t.data.shape))
 
-    return _make(out, (a, b), bwd)
+    return bwd
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    return _make(a.data + b.data, (a, b), _sum_backward((a, b)))
+
+
+def add_into(acc: Tensor, *terms: Tensor) -> Tensor:
+    """``acc`` plus each term in turn, broadcast to ``acc``'s shape: the same
+    IEEE sums as a chain of :func:`add`, recorded as one node.
+
+    With no active record the terms are added into ``acc``'s own array, so
+    ``acc`` must be an intermediate that nothing else reads; a tensor that
+    requires gradient is refused.  While recording, ``acc`` is left as it was.
+    """
+    shape = np.broadcast_shapes(acc.data.shape, *(t.data.shape for t in terms))
+    if shape != acc.data.shape:
+        raise ValueError(f"add_into: terms broadcast {acc.data.shape} to {shape}")
+    if active_record() is None:
+        if acc.requires_grad:
+            raise ValueError("add_into will not write into a tensor that requires gradient")
+        out = acc.data
+    else:
+        out = acc.data.copy()
+    for t in terms:
+        out += t.data
+    return _make(out, (acc, *terms), _sum_backward((acc, *terms)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -265,6 +290,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), bwd)
 
 
+def _view(a: Tensor, view: np.ndarray) -> np.ndarray:
+    """A reshaped or transposed view of ``a`` as an op's output: a copy
+    while recording; otherwise the view itself, read-only when ``a``
+    requires gradient, so that nothing writes through it into a parameter."""
+    if active_record() is not None:
+        return view.copy()
+    if a.requires_grad:
+        view.flags.writeable = False
+    return view
+
+
 def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
     """Permute the axes of ``a``; by default swap its last two axes."""
     if axes is None:
@@ -279,16 +315,14 @@ def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
     def bwd(g: np.ndarray) -> None:
         _accumulate(a, g.transpose(inverse))
 
-    return _make(a.data.transpose(axes).copy(), (a,), bwd)
+    return _make(_view(a, a.data.transpose(axes)), (a,), bwd)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    out = a.data.reshape(shape)
-
     def bwd(g: np.ndarray) -> None:
         _accumulate(a, g.reshape(a.data.shape))
 
-    return _make(out.copy(), (a,), bwd)
+    return _make(_view(a, a.data.reshape(shape)), (a,), bwd)
 
 
 def gather_rows(a: Tensor, indices) -> Tensor:

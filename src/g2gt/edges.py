@@ -5,9 +5,14 @@ biaffine classifier then scores all n*n node pairs for every label
 independently, so the whole graph can be decoded in one parallel pass.
 The L bilinear maps are stacked into one (L*d_e, d_e) parameter whose
 row block l is label l's map, so all labels are scored by two matrix
-products; the linear terms and the bias are added by broadcasting.  A
-padded batch of B sentences is scored in the same products, as
-(B, n_max, n_max, L) cells.
+products; the linear terms and the bias are then added by broadcasting,
+in place into the product when nothing is recorded.  A padded batch of B
+sentences is scored in the same products, as (B, n_max, n_max, L) cells.
+
+A tree is decoded from one (n, n, |up|) slab: the scores of the up
+("deprel↑") labels, copied once, with labels outside ``allowed`` set to
+-inf.  Its max over labels gives the head scores for the MST, and its
+argmax at each chosen arc gives that arc's label.
 """
 
 from __future__ import annotations
@@ -16,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, add, matmul, reshape, transpose
+from .autodiff import Tensor, add_into, matmul, reshape, transpose
 from .attention import EncoderState
 from .errors import DataError
-from .graphs import NONE_LABEL, DepTree, LabeledGraph, RelationVocab
+from .graphs import NONE_LABEL, LabeledGraph
 from .mst import is_arborescence
 from .optim import ParameterRegistry
 
@@ -29,6 +34,7 @@ __all__ = [
     "init_edge_scorer",
     "score_edges",
     "greedy_decode",
+    "up_label_slab",
     "pooled_head_scores",
     "label_edges",
 ]
@@ -110,19 +116,11 @@ def score_edges(state: EncoderState, params: EdgeScorerParams) -> EdgeScores:
     d_e = h.shape[-1]
     # row j*L + l of bt is t_j B_l', so (h bt')[i, j*L + l] = h_i B_l t_j'
     bt = reshape(matmul(t, transpose(params.bilinear)), (*lead, n * n_labels, d_e))
-    cells = reshape(matmul(h, transpose(bt)), (*lead, n, n, n_labels))
-    cells = add(cells, reshape(matmul(h, params.head_lin), (*lead, n, 1, n_labels)))
-    cells = add(cells, reshape(matmul(t, params.tail_lin), (*lead, 1, n, n_labels)))
-    cells = add(cells, params.bias)
+    cells = add_into(reshape(matmul(h, transpose(bt)), (*lead, n, n, n_labels)),
+                     reshape(matmul(h, params.head_lin), (*lead, n, 1, n_labels)),
+                     reshape(matmul(t, params.tail_lin), (*lead, 1, n, n_labels)),
+                     params.bias)
     return EdgeScores(reshape(cells, (cells.data.size // n_labels, n_labels)), n)
-
-
-def _masked_array(scores: EdgeScores, allowed) -> np.ndarray:
-    arr = scores.array()
-    if allowed is not None:
-        banned = [l for l in range(scores.n_labels) if l not in allowed]
-        arr[:, :, banned] = -np.inf
-    return arr
 
 
 def greedy_decode(scores: EdgeScores, allowed=None,
@@ -133,7 +131,9 @@ def greedy_decode(scores: EdgeScores, allowed=None,
     triangle is forced to NONE as well (span/link style graphs).
     ``allowed`` optionally restricts decoding to a subset of labels.
     """
-    arr = _masked_array(scores, allowed)
+    arr = scores.flat.data.reshape(scores.n, scores.n, scores.n_labels)
+    if allowed is not None:
+        arr = np.where(_allowed(np.arange(scores.n_labels), allowed), arr, -np.inf)
     labels = arr.argmax(axis=2)
     np.fill_diagonal(labels, NONE_LABEL)
     if lower_triangular:
@@ -141,27 +141,34 @@ def greedy_decode(scores: EdgeScores, allowed=None,
     return LabeledGraph(labels, n_labels=scores.n_labels)
 
 
-def pooled_head_scores(scores: EdgeScores, vocab: RelationVocab,
-                       allowed=None) -> np.ndarray:
-    """n x n head-selection scores: best up-relation score per (dependent, head)."""
-    arr = _masked_array(scores, allowed)
-    up = vocab.up_indices()
-    if not up:
+def _allowed(labels: np.ndarray, allowed) -> np.ndarray:
+    """Which of ``labels`` lie in the ``allowed`` set of label indices."""
+    return np.isin(labels, np.fromiter(allowed, dtype=np.intp, count=len(allowed)))
+
+
+def up_label_slab(scores: EdgeScores, up: np.ndarray, allowed=None) -> np.ndarray:
+    """(n, n, |up|) scores of the labels ``up``, a fresh array: label k of
+    cell (i, j) is the score of "j heads i with label up[k]", and reads -inf
+    when ``up[k]`` is not in ``allowed``."""
+    slab = scores.flat.data[:, up].reshape(scores.n, scores.n, len(up))
+    if allowed is not None:
+        slab[:, :, ~_allowed(up, allowed)] = -np.inf
+    return slab
+
+
+def pooled_head_scores(slab: np.ndarray) -> np.ndarray:
+    """n x n head-selection scores: best up-label score per (dependent, head)."""
+    if slab.shape[-1] == 0:
         raise ValueError("relation vocab has no up-relations to pool over")
-    return arr[:, :, up].max(axis=2)
+    return slab.max(axis=-1)
 
 
-def label_edges(heads, scores: EdgeScores, vocab: RelationVocab,
-                allowed=None) -> DepTree:
-    """Assign each arc of a decoded skeleton its best up-relation label."""
+def label_edges(heads, slab: np.ndarray) -> np.ndarray:
+    """Best up label of each arc of a decoded skeleton, as its position on
+    the slab's label axis: entry i-1 labels the arc from token i to
+    heads[i].  Ties go to the first position."""
     heads = np.asarray(heads, dtype=np.int64)
-    if heads.shape != (scores.n,) or not is_arborescence(heads, root=0):
+    n = slab.shape[0]
+    if heads.shape != (n,) or not is_arborescence(heads, root=0):
         raise DataError("skeleton is not a valid arborescence")
-    arr = _masked_array(scores, allowed)
-    up = vocab.up_indices()
-    deprels = []
-    for i in range(1, scores.n):
-        j = int(heads[i])
-        cell = arr[i, j, up]
-        deprels.append(vocab.deprel_of(up[int(np.argmax(cell))]))
-    return DepTree(heads[1:].tolist(), deprels)
+    return slab[np.arange(1, n), heads[1:]].argmax(axis=1)

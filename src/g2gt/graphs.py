@@ -58,6 +58,9 @@ class RelationVocab:
         self.labels = tuple(labels)
         self.scheme = scheme
         self._index = {label: i for i, label in enumerate(self.labels)}
+        up = [i for i, label in enumerate(self.labels) if label.endswith(UP)]
+        self._up = _frozen(up)
+        self._down_of_up = _frozen([self.down_index(self.labels[i][:-1]) for i in up])
 
     @classmethod
     def from_deprels(cls, deprels: Iterable[str]) -> "RelationVocab":
@@ -86,15 +89,26 @@ class RelationVocab:
     def down_index(self, deprel: str) -> int:
         return self._index.get(deprel + DOWN, UNK_LABEL)
 
-    def up_indices(self) -> list[int]:
-        """Indices of all "↑"-type labels, in vocab order."""
-        return [i for i, label in enumerate(self.labels) if label.endswith(UP)]
+    def up_indices(self) -> np.ndarray:
+        """Indices of all "↑"-type labels, in vocab order (read-only)."""
+        return self._up
+
+    def down_of_up(self) -> np.ndarray:
+        """The "↓" label index of each entry of :meth:`up_indices` (UNK when
+        the vocab has no matching "↓" label; read-only)."""
+        return self._down_of_up
 
     def deprel_of(self, label_index: int) -> str:
         label = self.labels[label_index]
         if not label.endswith(UP):
             raise ValueError(f"label {label!r} is not an up-relation")
         return label[:-1]
+
+
+def _frozen(indices: list[int]) -> np.ndarray:
+    out = np.array(indices, dtype=np.intp)
+    out.setflags(write=False)
+    return out
 
 
 COREF_VOCAB = RelationVocab(["NONE", "MENTION", "COREF"], scheme="plain")
@@ -235,18 +249,15 @@ def graph_to_dep_tree(graph: LabeledGraph, vocab: RelationVocab) -> DepTree:
     """Invert :func:`dep_tree_to_graph`; rejects graphs that are not trees."""
     if vocab.scheme != "bidirectional":
         raise ValueError("graph_to_dep_tree needs a bidirectional relation vocab")
-    up = set(vocab.up_indices())
-    heads: list[Optional[int]] = []
-    deprels: list[Optional[str]] = []
-    for i in range(1, graph.n):
-        found = [j for j in range(graph.n) if graph.labels[i, j] in up]
-        if len(found) != 1:
-            raise DataError(
-                f"token {i} has {len(found)} head attachments; graph is not a tree")
-        j = found[0]
-        heads.append(j)
-        deprels.append(vocab.deprel_of(graph.label(i, j)))
-    tree = DepTree(heads, deprels)
+    is_up = np.isin(graph.labels[1:], vocab.up_indices())
+    found = is_up.sum(axis=1)
+    if np.any(found != 1):
+        k = int(np.flatnonzero(found != 1)[0])
+        raise DataError(
+            f"token {k + 1} has {found[k]} head attachments; graph is not a tree")
+    heads = is_up.argmax(axis=1)
+    up_labels = graph.labels[np.arange(1, graph.n), heads]
+    tree = DepTree(heads.tolist(), [vocab.deprel_of(label) for label in up_labels])
     tree.validate(single_root=False)
     return tree
 

@@ -17,10 +17,9 @@ import numpy as np
 from .attention import EncoderParams, G2GLayerConfig, encode, init_encoder
 from .autodiff import Tensor, add, gather_rows
 from .edges import (EdgeScorerParams, EdgeScores, greedy_decode, init_edge_scorer,
-                    label_edges, pooled_head_scores, score_edges)
+                    label_edges, pooled_head_scores, score_edges, up_label_slab)
 from .errors import DataError, UsageError
-from .graphs import (COREF_VOCAB, DepTree, GraphBatch, LabeledGraph, RelationVocab,
-                     dep_tree_to_graph)
+from .graphs import COREF_VOCAB, GraphBatch, LabeledGraph, RelationVocab
 from .mst import mst_decode
 from .optim import ParameterRegistry
 from .vocab import Vocab
@@ -133,13 +132,27 @@ class DependencyParserModel(SentenceEncoderModel):
     def ids(self, forms: Sequence[str]) -> list[int]:
         return self.token_vocab.encode_with_root(forms)
 
-    def decode_tree(self, scores: EdgeScores, allowed=None) -> DepTree:
-        pooled = pooled_head_scores(scores, self.rel_vocab, allowed=allowed)
-        heads = mst_decode(pooled, root=0, single_root=self.cfg.single_root)
-        return label_edges(heads, scores, self.rel_vocab, allowed=allowed)
+    def decode_tree(self, scores: EdgeScores,
+                    allowed=None) -> tuple[np.ndarray, np.ndarray]:
+        """The best tree's heads (-1 for the root) and, for each token, the
+        position of its arc's label in ``rel_vocab.up_indices()``.
+
+        Both come from one (n, n, |up|) slab of up-label scores with the
+        labels outside ``allowed`` at -inf: its max over labels is the MST's
+        head score, and its argmax at each chosen arc is that arc's label.
+        """
+        slab = up_label_slab(scores, self.rel_vocab.up_indices(), allowed)
+        heads = mst_decode(pooled_head_scores(slab), root=0,
+                           single_root=self.cfg.single_root)
+        return heads, label_edges(heads, slab)
 
     def decode(self, scores: EdgeScores, allowed=None) -> LabeledGraph:
-        return dep_tree_to_graph(self.decode_tree(scores, allowed), self.rel_vocab)
+        heads, up = self.decode_tree(scores, allowed)
+        tokens = np.arange(1, scores.n)
+        labels = np.zeros((scores.n, scores.n), dtype=np.int64)
+        labels[tokens, heads[1:]] = self.rel_vocab.up_indices()[up]
+        labels[heads[1:], tokens] = self.rel_vocab.down_of_up()[up]
+        return LabeledGraph(labels, n_labels=len(self.rel_vocab))
 
 
 class MentionCorefModel(SentenceEncoderModel):

@@ -159,6 +159,54 @@ def biaffine_score_loop(z, head_proj, tail_proj, bilinear, head_lin, tail_lin,
 
 
 # ---------------------------------------------------------------------------
+# tree decoding from label scores
+
+
+def up_down_pairs(labels) -> list[tuple[int, int]]:
+    """(up index, down index) for every "deprel↑" label, in label order; the
+    down index is that of "deprel↓", or 1 (UNK) when there is none."""
+    index = {label: i for i, label in enumerate(labels)}
+    return [(i, index.get(label[:-1] + "↓", 1))
+            for i, label in enumerate(labels) if label.endswith("↑")]
+
+
+def _up_label_score(scores, i, j, label, allowed) -> float:
+    if allowed is not None and label not in allowed:
+        return -math.inf
+    return float(scores[i, j, label])
+
+
+def pool_up_labels_loop(scores: np.ndarray, pairs, allowed=None) -> np.ndarray:
+    """Cell by cell: the best up-label score of each (dependent, head) pair,
+    labels outside ``allowed`` counting as -inf."""
+    n = scores.shape[0]
+    pooled = np.empty((n, n))
+    for i in range(n):
+        for j in range(n):
+            pooled[i, j] = max(_up_label_score(scores, i, j, up, allowed)
+                               for up, _ in pairs)
+    return pooled
+
+
+def label_tree_loop(scores: np.ndarray, heads, pairs, allowed=None) -> np.ndarray:
+    """The labeled graph of a decoded tree, token by token: the arc from
+    token i to heads[i] gets the first up label of best score (labels
+    outside ``allowed`` counting as -inf), its reverse cell that label's
+    down label, and every other cell NONE (0)."""
+    n = scores.shape[0]
+    labels = np.zeros((n, n), dtype=np.int64)
+    for i in range(1, n):
+        j = int(heads[i])
+        best = 0
+        for k in range(1, len(pairs)):
+            if (_up_label_score(scores, i, j, pairs[k][0], allowed)
+                    > _up_label_score(scores, i, j, pairs[best][0], allowed)):
+                best = k
+        labels[i, j], labels[j, i] = pairs[best]
+    return labels
+
+
+# ---------------------------------------------------------------------------
 # trees and arborescences
 
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from g2gt.autodiff import (Record, Tensor, add, backward, gather_rows, layer_norm,
+from g2gt.autodiff import (Record, Tensor, add, add_into, backward, gather_rows,
+                           layer_norm,
                            log_softmax_rows, matmul, mul, neg, recording, relu,
                            reshape, scale, scatter_sum, softmax_rows, tensor_sum,
                            transpose)
@@ -63,6 +64,71 @@ class TestTranspose:
     def test_axes_not_a_permutation_rejected(self, axes):
         with pytest.raises(ValueError, match="permutation"):
             transpose(Tensor(np.ones((2, 3, 4))), axes)
+
+
+class TestUntrackedViews:
+    def test_reshape_and_transpose_of_a_parameter_are_read_only_views(self):
+        p = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        for view in (reshape(p, (3, 2)), transpose(p)):
+            assert np.shares_memory(view.data, p.data)
+            with pytest.raises(ValueError, match="read-only"):
+                add_into(view, Tensor(np.ones(view.shape)))
+        assert np.array_equal(p.data, np.arange(6.0).reshape(2, 3))
+
+    def test_recorded_reshape_and_transpose_copy(self):
+        p = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        with recording(Record()):
+            for out in (reshape(p, (3, 2)), transpose(p)):
+                assert not np.shares_memory(out.data, p.data)
+
+
+class TestAddInto:
+    def _operands(self, seed):
+        rng = np.random.default_rng(seed)
+        return (rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 1, 4)),
+                rng.normal(size=(1, 3, 4)), rng.normal(size=(1, 4)))
+
+    def test_untracked_sums_in_place_like_a_chain_of_adds(self):
+        acc, *terms = self._operands(0)
+        chain = Tensor(acc)
+        for t in terms:
+            chain = add(chain, Tensor(t))
+        target = Tensor(acc.copy())
+        out = add_into(target, *map(Tensor, terms))
+        assert np.shares_memory(out.data, target.data)
+        assert out.data.tobytes() == chain.data.tobytes()
+
+    def test_recorded_is_one_node_with_the_chains_gradients(self):
+        acc, *terms = self._operands(1)
+        weights = Tensor(np.random.default_rng(2).normal(size=acc.shape))
+        grads = []
+        for fused in (False, True):
+            params = [Tensor(x.copy(), requires_grad=True) for x in (acc, *terms)]
+            record = Record()
+            with recording(record):
+                if fused:
+                    out = add_into(*params)
+                else:
+                    out = params[0]
+                    for t in params[1:]:
+                        out = add(out, t)
+                nodes = len(record)
+                loss = tensor_sum(mul(out, weights))
+            backward(loss, record)
+            assert np.array_equal(params[0].data, acc)     # acc left as it was
+            grads.append((nodes, out.data.tobytes(), [p.grad.tobytes() for p in params]))
+        assert grads[1][0] == 1 and grads[0][0] == 3
+        assert grads[1][1:] == grads[0][1:]
+
+    def test_tensor_requiring_gradient_refused(self):
+        p = Tensor(np.zeros((2, 2)), requires_grad=True)
+        with pytest.raises(ValueError, match="requires gradient"):
+            add_into(p, Tensor(np.ones((2, 2))))
+        assert np.all(p.data == 0.0)
+
+    def test_terms_must_not_grow_the_shape(self):
+        with pytest.raises(ValueError, match="broadcast"):
+            add_into(Tensor(np.zeros((1, 3))), Tensor(np.zeros((2, 3))))
 
 
 class TestScatterSum:

@@ -1,18 +1,26 @@
 """Biaffine edge scoring and per-cell decoding."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from g2gt.attention import EncoderState
-from g2gt.autodiff import Tensor, mul, tensor_sum
+from g2gt.autodiff import Record, Tensor, mul, recording, tensor_sum
 from g2gt.edges import (EdgeScores, greedy_decode, init_edge_scorer, label_edges,
-                        pooled_head_scores, score_edges)
+                        pooled_head_scores, score_edges, up_label_slab)
 from g2gt.errors import DataError
-from g2gt.graphs import NONE_LABEL, RelationVocab
+from g2gt.graphs import NONE_LABEL, DepTree, RelationVocab
+from g2gt.model import DependencyParserModel, ModelConfig
+from g2gt.mst import mst_decode
 from g2gt.optim import ParameterRegistry, grad_check
+from g2gt.vocab import Vocab
 
-from oracles import biaffine_score_loop, rescale_parameters
+from oracles import (biaffine_score_loop, label_tree_loop, pool_up_labels_loop,
+                     rescale_parameters, up_down_pairs)
 
 VOCAB = RelationVocab.from_deprels(["det", "root"])
 
@@ -77,6 +85,39 @@ class TestScoreEdges:
         with pytest.raises(ValueError, match="d_e"):
             init_edge_scorer(registry, 4, 8, 2, rng)
 
+    def test_tracked_and_untracked_scores_bit_identical(self):
+        # untracked, reshape and transpose return views and the linear terms
+        # are added in place; the arithmetic must be the recorded path's
+        for n, d, d_e, n_labels, lead in [(4, 6, 3, 5, ()), (26, 64, 32, 76, (1,)),
+                                          (101, 64, 32, 76, (1,)), (7, 8, 4, 6, (3,))]:
+            registry, params = build_scorer(d, d_e, n_labels, seed=n)
+            state = EncoderState(z=Tensor(np.random.default_rng(n).normal(
+                size=(*lead, n, d))))
+            untracked = score_edges(state, params).flat.data
+            with recording(Record()):
+                tracked = score_edges(state, params).flat.data
+            assert untracked.tobytes() == tracked.tobytes()
+
+    def test_untracked_peak_memory_and_tracked_tape_budget(self):
+        # at the ud-parse size, untracked scoring holds the (n, n, L) product
+        # and the (n*L, d_e) right factor, and nothing else of that order
+        n, d, d_e, n_labels = 101, 64, 32, 76
+        registry, params = build_scorer(d, d_e, n_labels, seed=0)
+        state = EncoderState(z=Tensor(np.random.default_rng(1).normal(size=(n, d))))
+        score_edges(state, params)
+        tracemalloc.start()
+        try:
+            scores = score_edges(state, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert scores.flat.shape == (n * n, n_labels)
+        assert peak <= 1.5 * n * n * n_labels * 8
+        record = Record()
+        with recording(record):
+            score_edges(state, params)
+        assert len(record) <= 14     # the three broadcast terms are one node
+
     def test_gradients_end_to_end(self):
         registry, params = build_scorer(8, 4, 4, seed=4)
         rescale_parameters(registry, 0.5)
@@ -94,6 +135,13 @@ class TestScoreEdges:
 def make_scores(arr):
     n = arr.shape[0]
     return EdgeScores(Tensor(arr.reshape(n * n, arr.shape[2])), n)
+
+
+def label_tree(heads, arr, vocab):
+    """The tree that ``label_edges`` labels, read back as deprels."""
+    up = vocab.up_indices()
+    positions = label_edges(heads, up_label_slab(make_scores(arr), up))
+    return DepTree(list(heads[1:]), [vocab.deprel_of(up[k]) for k in positions])
 
 
 class TestGreedyDecode:
@@ -154,14 +202,14 @@ class TestLabelEdges:
     def test_single_candidate_label(self):
         vocab = RelationVocab.from_deprels(["only"])
         arr = np.zeros((2, 2, len(vocab)))
-        tree = label_edges([-1, 0], make_scores(arr), vocab)
+        tree = label_tree([-1, 0], arr, vocab)
         assert tree.deprels == ["only"]
 
     def test_clear_max_label_selected(self):
         arr = np.zeros((3, 3, len(VOCAB)))
         arr[1, 0, VOCAB.up_index("root")] = 4.0
         arr[2, 1, VOCAB.up_index("det")] = 4.0
-        tree = label_edges([-1, 0, 1], make_scores(arr), VOCAB)
+        tree = label_tree([-1, 0, 1], arr, VOCAB)
         assert tree.heads == [0, 1]
         assert tree.deprels == ["root", "det"]
 
@@ -170,7 +218,7 @@ class TestLabelEdges:
         for seed in range(30):
             rng = np.random.default_rng(seed)
             arr = rng.normal(size=(3, 3, len(VOCAB)))
-            tree = label_edges([-1, 0, 0], make_scores(arr), VOCAB)
+            tree = label_tree([-1, 0, 0], arr, VOCAB)
             for k, j in enumerate(tree.heads):
                 cell = arr[k + 1, j, up]
                 assert tree.deprels[k] == VOCAB.deprel_of(up[int(np.argmax(cell))])
@@ -178,13 +226,67 @@ class TestLabelEdges:
     def test_invalid_skeleton_rejected(self):
         arr = np.zeros((3, 3, len(VOCAB)))
         with pytest.raises(DataError, match="arborescence"):
-            label_edges([-1, 2, 1], make_scores(arr), VOCAB)  # 1<->2 cycle
+            label_tree([-1, 2, 1], arr, VOCAB)  # 1<->2 cycle
 
 
 class TestPooledHeadScores:
     def test_pool_is_max_over_up_labels(self):
         rng = np.random.default_rng(1)
         arr = rng.normal(size=(3, 3, len(VOCAB)))
-        pooled = pooled_head_scores(make_scores(arr), VOCAB)
         up = VOCAB.up_indices()
+        pooled = pooled_head_scores(up_label_slab(make_scores(arr), up))
         assert_allclose(pooled, arr[:, :, up].max(axis=2))
+
+
+def small_parser(deprels):
+    vocab = Vocab.from_forms(["w"])
+    cfg = ModelConfig(d=8, heads=2, d_ff=8, layers=1, d_edge=4, max_len=16)
+    return DependencyParserModel(cfg, vocab, RelationVocab.from_deprels(deprels))
+
+
+# parsers with 1 to 3 deprels, so 4, 6 or 8 relation labels
+PARSERS = [small_parser(["root", "det", "obj"][:k]) for k in (1, 2, 3)]
+
+
+@st.composite
+def _decode_cases(draw):
+    """Small-integer label scores (many ties) with -inf cells, and a label
+    subset that may allow no up label at all."""
+    model = draw(st.sampled_from(PARSERS))
+    n_labels = len(model.rel_vocab)
+    n = draw(st.integers(2, 12))
+    scores = draw(arrays(np.float64, (n, n, n_labels),
+                         elements=st.sampled_from([-np.inf, 0.0, 1.0, 2.0])))
+    allowed = draw(st.none() | st.frozensets(st.integers(0, n_labels - 1)))
+    return model, scores, allowed
+
+
+class TestParserDecode:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_decode_cases())
+    def test_matches_per_token_oracle(self, case):
+        model, scores, allowed = case
+        pairs = up_down_pairs(model.rel_vocab.labels)
+        heads = mst_decode(pool_up_labels_loop(scores, pairs, allowed),
+                           single_root=model.cfg.single_root)
+        graph = model.decode(make_scores(scores), allowed=allowed)
+        assert np.array_equal(graph.labels,
+                              label_tree_loop(scores, heads, pairs, allowed))
+
+    def test_no_up_label_allowed(self):
+        # every head score is -inf: each token hangs off the root and takes
+        # the first up label, as the per-token loop did
+        model = PARSERS[2]
+        scores = np.random.default_rng(0).normal(size=(5, 5, len(model.rel_vocab)))
+        graph = model.decode(make_scores(scores), allowed=frozenset({0, 1}))
+        up, down = up_down_pairs(model.rel_vocab.labels)[0]
+        assert np.all(graph.labels[1:, 0] == up)
+        assert np.all(graph.labels[0, 1:] == down)
+
+    def test_decode_leaves_scores_unchanged(self):
+        model = PARSERS[1]
+        scores = make_scores(np.random.default_rng(1).normal(
+            size=(6, 6, len(model.rel_vocab))))
+        before = scores.flat.data.tobytes()
+        model.decode(scores, allowed=frozenset({0, 2}))
+        assert scores.flat.data.tobytes() == before

@@ -211,6 +211,25 @@ class TestTrainPipeline:
             train(self._config(tmp_path, t_train=t_train))
         assert not (tmp_path / "m.g2gt").exists()
 
+    def test_parse_leaves_parameters_and_scores_untouched(self, tmp_path):
+        # untracked scoring returns views and sums in place; none of that may
+        # reach a parameter or the scores a decode reads
+        model = checkpoint_load(train(self._config(tmp_path, epochs=1)).checkpoint_path)
+        before = [p.tensor.data.tobytes() for p in model.registry]
+        decode = model.decode
+        unchanged = []
+
+        def checked_decode(scores, allowed=None):
+            flat = scores.flat.data.tobytes()
+            graph = decode(scores, allowed)
+            unchanged.append(scores.flat.data.tobytes() == flat)
+            return graph
+
+        model.decode = checked_decode
+        parse_corpus(model, load_conllu(FIXTURE), RefinementConfig())
+        assert unchanged and all(unchanged)
+        assert [p.tensor.data.tobytes() for p in model.registry] == before
+
     def test_parse_always_produces_valid_trees(self, tmp_path):
         # even an untrained model must emit well-formed single-root trees
         result = train(self._config(tmp_path, epochs=0))
