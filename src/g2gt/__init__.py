@@ -25,8 +25,8 @@ from .mst import is_arborescence, mst_decode
 from .optim import (Adam, GradCheckReport, Parameter, ParameterRegistry,
                     adam_step, grad_check)
 from .refine import (FactoredGraphDistribution, RefinementConfig, RefinementTrace,
-                     graph_log_likelihood, initial_graph, refine, refinement_loss,
-                     stage_mask, train_refinement_step)
+                     graph_log_likelihood, refine, refinement_loss, stage_mask,
+                     train_refinement_step)
 from .training import EvalReport, evaluate, parse_corpus, train
 from .vocab import Vocab, build_vocabs
 

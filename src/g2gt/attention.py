@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (Tensor, add, gather_rows, layer_norm, matmul, mul, relu,
+from .autodiff import (Tensor, add, gather_rows, layer_norm, matmul, relu,
                        reshape, scale, scatter_sum, softmax_rows, transpose)
 from .graphs import GraphBatch, LabeledGraph
 from .optim import ParameterRegistry
@@ -67,43 +67,21 @@ class G2GLayerConfig:
 
 
 class RelationEmbeddings:
-    """Three |L| x d embedding matrices: query-side, key-side, value-side.
+    """Three |L| x d embedding matrices: query-side, key-side, value-side."""
 
-    With ``freeze_none`` the NONE row (index 0) is pinned to zero by
-    masking, so an all-NONE graph reproduces plain attention exactly.
-    """
-
-    def __init__(self, query_rel: Tensor, key_rel: Tensor, value_rel: Tensor,
-                 freeze_none: bool = False):
+    def __init__(self, query_rel: Tensor, key_rel: Tensor, value_rel: Tensor):
         shapes = {query_rel.shape, key_rel.shape, value_rel.shape}
         if len(shapes) != 1:
             raise ValueError(f"relation matrices disagree on shape: {shapes}")
         self.query_rel = query_rel
         self.key_rel = key_rel
         self.value_rel = value_rel
-        self.freeze_none = freeze_none
-        if freeze_none:
-            mask = np.ones(query_rel.shape[0])
-            mask[0] = 0.0
-            self._mask = Tensor(mask.reshape(-1, 1))
-        else:
-            self._mask = None
 
     @classmethod
     def create(cls, registry: ParameterRegistry, n_labels: int, d: int,
-               rng: np.random.Generator, freeze_none: bool = False,
-               prefix: str = "rel") -> "RelationEmbeddings":
-        q = registry.parameter(f"{prefix}.query", (n_labels, d), rng)
-        k = registry.parameter(f"{prefix}.key", (n_labels, d), rng)
-        v = registry.parameter(f"{prefix}.value", (n_labels, d), rng)
-        return cls(q, k, v, freeze_none=freeze_none)
-
-    def effective(self) -> tuple[Tensor, Tensor, Tensor]:
-        if self._mask is None:
-            return self.query_rel, self.key_rel, self.value_rel
-        return (mul(self.query_rel, self._mask),
-                mul(self.key_rel, self._mask),
-                mul(self.value_rel, self._mask))
+               rng: np.random.Generator) -> "RelationEmbeddings":
+        return cls(*(registry.parameter(f"encoder.rel.{role}", (n_labels, d), rng)
+                     for role in ("query", "key", "value")))
 
 
 @dataclass
@@ -196,9 +174,8 @@ def attention_scores(x: Tensor, w_q: Tensor, w_k: Tensor, graph: LabeledGraph,
     q = matmul(x, w_q)
     k = matmul(x, w_k)
     d_head = q.shape[1]
-    rel_q, rel_k, _ = rel.effective()
-    rel_q_h = _head_slice(rel_q, head, d_head, _split_table_heads)
-    rel_k_h = (_head_slice(rel_k, head, d_head, _split_table_heads)
+    rel_q_h = _head_slice(rel.query_rel, head, d_head, _split_table_heads)
+    rel_k_h = (_head_slice(rel.key_rel, head, d_head, _split_table_heads)
                if cfg.use_key_term else None)
     e = _scores(reshape(q, (1, n, d_head)), reshape(k, (1, n, d_head)),
                 graph.labels, rel_q_h, rel_k_h)
@@ -219,8 +196,8 @@ def attention_values(alpha: Tensor, x: Tensor, w_v: Tensor, graph: LabeledGraph,
         raise ValueError("alpha rows must sum to 1")
     v = matmul(x, w_v)
     d_head = v.shape[1]
-    _, _, rel_v = rel.effective()
-    rel_v_h = _head_slice(rel_v, head, d_head, _split_heads) if cfg.use_value_term else None
+    rel_v_h = (_head_slice(rel.value_rel, head, d_head, _split_heads)
+               if cfg.use_value_term else None)
     z = _values(reshape(alpha, (1, n, n)), reshape(v, (1, n, d_head)),
                 graph.labels, rel_v_h)
     return reshape(z, (n, d_head))
@@ -249,13 +226,11 @@ class EncoderParams:
 
 
 def init_encoder(registry: ParameterRegistry, cfg: G2GLayerConfig, n_labels: int,
-                 rng: np.random.Generator, freeze_none: bool = False,
-                 prefix: str = "encoder") -> EncoderParams:
-    rel = RelationEmbeddings.create(registry, n_labels, cfg.d, rng,
-                                    freeze_none=freeze_none, prefix=f"{prefix}.rel")
+                 rng: np.random.Generator) -> EncoderParams:
+    rel = RelationEmbeddings.create(registry, n_labels, cfg.d, rng)
     layers = []
     for layer in range(cfg.n_layers):
-        p = f"{prefix}.layer{layer}"
+        p = f"encoder.layer{layer}"
         layers.append(LayerParams(
             w_q=registry.parameter(f"{p}.attn.wq", (cfg.d, cfg.d), rng),
             w_k=registry.parameter(f"{p}.attn.wk", (cfg.d, cfg.d), rng),
@@ -290,10 +265,10 @@ def encode(x: Tensor, graph: LabeledGraph | GraphBatch, params: EncoderParams,
                          f"{x.shape}")
     labels = np.expand_dims(graph.labels, -3)       # broadcast over heads
     padding = graph.key_mask() if isinstance(graph, GraphBatch) else None
-    rel_q, rel_k, rel_v = params.rel.effective()
-    rel_q = _split_table_heads(rel_q, cfg.heads)
-    rel_k = _split_table_heads(rel_k, cfg.heads) if cfg.use_key_term else None
-    rel_v = _split_heads(rel_v, cfg.heads) if cfg.use_value_term else None
+    rel = params.rel
+    rel_q = _split_table_heads(rel.query_rel, cfg.heads)
+    rel_k = _split_table_heads(rel.key_rel, cfg.heads) if cfg.use_key_term else None
+    rel_v = _split_heads(rel.value_rel, cfg.heads) if cfg.use_value_term else None
     r = len(lead)
     merge = (*range(r), r + 1, r, r + 2)
 

@@ -3,16 +3,20 @@
 Layout (all integers little-endian):
 
     bytes 0..7    magic  b"G2GTCKPT"
-    bytes 8..11   format version (u32); this module writes version 2
+    bytes 8..11   format version (u32); this module writes version 3
     bytes 12..19  header length H (u64)
     bytes 20..20+H-1  header, UTF-8 JSON
     remainder     parameter payload: raw little-endian float64 buffers,
                   C (row-major) order, concatenated in header order
 
-The header carries the model configuration, the token and relation
-vocabularies, and for each named parameter its shape, byte offset into
-the payload and byte length.  Raw float64 bytes round-trip exactly, so a
-loaded model computes bit-identical forward passes.
+The header carries the model configuration (architecture settings only),
+the token and relation vocabularies, and for each named parameter its
+shape, byte offset into the payload and byte length.  Parameters are
+listed in the model's registry order and stored back to back, so a
+loader accepts exactly that layout.  Raw float64 bytes round-trip
+exactly, so a loaded model computes bit-identical forward passes.
+Version 3 dropped a ModelConfig key; files of earlier versions are
+rejected.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CheckpointError
+from .errors import CheckpointError, UsageError
 from .graphs import RelationVocab
 from .model import DependencyParserModel, ModelConfig
 from .vocab import Vocab
@@ -30,30 +34,29 @@ from .vocab import Vocab
 __all__ = ["checkpoint_save", "checkpoint_load", "FORMAT_VERSION"]
 
 MAGIC = b"G2GTCKPT"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
+
+
+def _layout(registry) -> list[dict]:
+    """The header's parameter table: each parameter's name, shape, and byte
+    offset and length in the payload, back to back in registry order."""
+    entries, offset = [], 0
+    for param in registry:
+        nbytes = 8 * param.tensor.data.size
+        entries.append({"name": param.name, "shape": list(param.tensor.shape),
+                        "offset": offset, "nbytes": nbytes})
+        offset += nbytes
+    return entries
 
 
 def checkpoint_save(model: DependencyParserModel, path) -> None:
     path = Path(path)
-    entries = []
-    buffers = []
-    offset = 0
-    for param in model.registry:
-        raw = np.ascontiguousarray(param.tensor.data, dtype="<f8").tobytes()
-        entries.append({
-            "name": param.name,
-            "shape": list(param.tensor.shape),
-            "offset": offset,
-            "nbytes": len(raw),
-        })
-        buffers.append(raw)
-        offset += len(raw)
     header = {
         "model_config": model.cfg.to_dict(),
         "token_vocab": list(model.token_vocab.tokens),
         "relation_labels": list(model.rel_vocab.labels),
         "relation_scheme": model.rel_vocab.scheme,
-        "params": entries,
+        "params": _layout(model.registry),
     }
     header_bytes = json.dumps(header, ensure_ascii=True).encode("utf-8")
     with open(path, "wb") as fh:
@@ -61,8 +64,8 @@ def checkpoint_save(model: DependencyParserModel, path) -> None:
         fh.write(FORMAT_VERSION.to_bytes(4, "little"))
         fh.write(len(header_bytes).to_bytes(8, "little"))
         fh.write(header_bytes)
-        for raw in buffers:
-            fh.write(raw)
+        for param in model.registry:
+            fh.write(np.ascontiguousarray(param.tensor.data, dtype="<f8").tobytes())
 
 
 def checkpoint_load(path) -> DependencyParserModel:
@@ -91,31 +94,21 @@ def checkpoint_load(path) -> DependencyParserModel:
         token_vocab = Vocab(header["token_vocab"])
         rel_vocab = RelationVocab(header["relation_labels"],
                                   scheme=header["relation_scheme"])
-        entries = header["params"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"{path}: invalid header contents: {exc}") from exc
-
-    model = DependencyParserModel(cfg, token_vocab, rel_vocab, seed=0)
-    by_name = {e["name"]: e for e in entries}
-    expected = set(model.registry.names())
-    if set(by_name) != expected:
-        missing = expected - set(by_name)
-        extra = set(by_name) - expected
-        raise CheckpointError(
-            f"{path}: parameter names disagree with the configuration "
-            f"(missing {sorted(missing)}, unexpected {sorted(extra)})")
+        model = DependencyParserModel(cfg, token_vocab, rel_vocab, seed=0)
+        layout = _layout(model.registry)
+        if header["params"] != layout:
+            raise CheckpointError(f"{path}: the parameter table disagrees with the "
+                                  f"configuration's parameters and shapes")
+    except (KeyError, TypeError, ValueError, AttributeError, UsageError) as exc:
+        raise CheckpointError(f"{path}: invalid header contents: {exc!r}") from exc
     payload_start = 20 + header_len
-    for param in model.registry:
-        entry = by_name[param.name]
-        shape = tuple(entry["shape"])
-        start = payload_start + entry["offset"]
-        stop = start + entry["nbytes"]
-        if stop > len(blob):
-            raise CheckpointError(f"{path}: truncated payload at {param.name!r}")
-        arr = np.frombuffer(blob[start:stop], dtype="<f8").copy().reshape(shape)
-        if arr.shape != param.tensor.data.shape:
-            raise CheckpointError(
-                f"{path}: shape mismatch for {param.name!r}: "
-                f"{arr.shape} vs {param.tensor.data.shape}")
-        param.tensor.data = arr.astype(np.float64, copy=False)
+    have = len(blob) - payload_start
+    needed = sum(entry["nbytes"] for entry in layout)
+    if have != needed:
+        raise CheckpointError(f"{path}: {'truncated' if have < needed else 'oversized'} "
+                              f"payload of {have} bytes; the parameters take {needed}")
+    for param, entry in zip(model.registry, layout):
+        data = np.frombuffer(blob, dtype="<f8", count=entry["nbytes"] // 8,
+                             offset=payload_start + entry["offset"])
+        param.tensor.data = data.reshape(entry["shape"]).astype(np.float64)
     return model

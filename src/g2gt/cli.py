@@ -51,12 +51,11 @@ def _add_override_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _overrides_from(args: argparse.Namespace) -> dict:
-    keys = ("train_file", "dev_file", "model_out", "seed", "epochs", "batch_size",
-            "lr", "stop_at_las", "t_max", "t_train")
-    overrides = {k: getattr(args, k, None) for k in keys}
-    if getattr(args, "ablate_key_term", False):
+    keys = RunConfig.field_names()
+    overrides = {k: v for k, v in vars(args).items() if k in keys}
+    if args.ablate_key_term:
         overrides["use_key_term"] = False
-    if getattr(args, "ablate_value_term", False):
+    if args.ablate_value_term:
         overrides["use_value_term"] = False
     return overrides
 
@@ -75,7 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_parse.add_argument("--checkpoint", required=True)
     p_parse.add_argument("--input", required=True)
     p_parse.add_argument("--output", required=True)
-    p_parse.add_argument("--t-max", type=int, dest="t_max", default=3)
+    p_parse.add_argument("--t-max", type=int, dest="t_max",
+                         default=RefinementConfig.t_max)
 
     p_eval = sub.add_parser("eval", help="score predictions against gold")
     p_eval.add_argument("--gold", required=True)
@@ -89,7 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gc.add_argument("--tokens", type=int, default=4)
     p_gc.add_argument("--seed", type=int, default=0)
     p_gc.add_argument("--eps", type=float, default=1e-5)
-    p_gc.add_argument("--t-train", type=int, dest="t_train", default=2)
+    p_gc.add_argument("--t-train", type=int, dest="t_train",
+                      default=RefinementConfig.t_train)
     p_gc.add_argument("--scale", type=float, default=0.5,
                       help="parameter scale; training-time init (0.02) leaves "
                            "some gradients below the finite-difference noise "
@@ -101,7 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("--input", required=True)
     p_demo.add_argument("--index", type=int, default=0,
                         help="sentence index within the file")
-    p_demo.add_argument("--t-max", type=int, dest="t_max", default=3)
+    p_demo.add_argument("--t-max", type=int, dest="t_max",
+                        default=RefinementConfig.t_max)
     return parser
 
 

@@ -2,7 +2,7 @@
 
 Resolution order for every setting: command-line flag, then config file,
 then (for the seed only) the ``G2GT_SEED`` environment variable, then the
-built-in default.  Unknown keys are rejected.
+built-in default.  Unknown keys and values of the wrong type are rejected.
 """
 
 from __future__ import annotations
@@ -23,8 +23,11 @@ __all__ = ["RunConfig", "load_config_file"]
 SEED_ENV_VAR = "G2GT_SEED"
 
 
-@dataclass
-class RunConfig:
+@dataclass(frozen=True)
+class RunConfig(ModelConfig):
+    """The architecture settings of :class:`ModelConfig` plus the settings
+    of one run.  Every field is a config-file key."""
+
     # data and artifacts
     train_file: Optional[str] = None
     dev_file: Optional[str] = None
@@ -35,27 +38,16 @@ class RunConfig:
     batch_size: int = 4
     lr: float = 1e-3
     stop_at_las: Optional[float] = None
-    # architecture
-    d: int = 64
-    heads: int = 4
-    d_ff: int = 128
-    layers: int = 2
-    d_edge: int = 32
-    max_len: int = 128
-    use_key_term: bool = True
-    use_value_term: bool = True
-    single_root: bool = True
     # refinement
-    t_train: int = 2
-    t_max: int = 3
+    t_train: int = RefinementConfig.t_train
+    t_max: int = RefinementConfig.t_max
+
+    def __post_init__(self):
+        # the architecture's dimension checks run in validate_for_training
+        self.check_types()
 
     def model_config(self) -> ModelConfig:
-        return ModelConfig(d=self.d, heads=self.heads, d_ff=self.d_ff,
-                           layers=self.layers, d_edge=self.d_edge,
-                           max_len=self.max_len,
-                           use_key_term=self.use_key_term,
-                           use_value_term=self.use_value_term,
-                           single_root=self.single_root)
+        return ModelConfig(**self.to_dict())
 
     def refinement_config(self) -> RefinementConfig:
         return RefinementConfig(t_max=self.t_max, t_train=self.t_train)
@@ -101,22 +93,7 @@ class RunConfig:
                     raise UsageError(
                         f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}"
                     ) from None
-        config = cls(**merged)
-        _check_types(config)
-        return config
-
-
-def _check_types(config: RunConfig) -> None:
-    for name in ("seed", "epochs", "batch_size", "d", "heads", "d_ff", "layers",
-                 "d_edge", "max_len", "t_train", "t_max"):
-        value = getattr(config, name)
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise UsageError(f"{name} must be an integer, got {value!r}")
-    for name in ("use_key_term", "use_value_term", "single_root"):
-        if not isinstance(getattr(config, name), bool):
-            raise UsageError(f"{name} must be a boolean")
-    if not isinstance(config.lr, (int, float)) or isinstance(config.lr, bool):
-        raise UsageError(f"lr must be a number, got {config.lr!r}")
+        return cls(**merged)
 
 
 def load_config_file(path) -> dict:

@@ -60,18 +60,18 @@ class EdgeScorerParams:
 
 
 def init_edge_scorer(registry: ParameterRegistry, d: int, d_e: int, n_labels: int,
-                     rng: np.random.Generator, prefix: str = "edge") -> EdgeScorerParams:
+                     rng: np.random.Generator) -> EdgeScorerParams:
     if d_e > d:
         raise ValueError(f"edge width d_e={d_e} must not exceed d={d}")
     # drawn first, as one block: the same draws as L consecutive (d_e, d_e) maps
-    bilinear = registry.parameter(f"{prefix}.bilinear", (n_labels * d_e, d_e), rng)
+    bilinear = registry.parameter("edge.bilinear", (n_labels * d_e, d_e), rng)
     return EdgeScorerParams(
-        head_proj=registry.parameter(f"{prefix}.head_proj", (d, d_e), rng),
-        tail_proj=registry.parameter(f"{prefix}.tail_proj", (d, d_e), rng),
+        head_proj=registry.parameter("edge.head_proj", (d, d_e), rng),
+        tail_proj=registry.parameter("edge.tail_proj", (d, d_e), rng),
         bilinear=bilinear,
-        head_lin=registry.parameter(f"{prefix}.head_lin", (d_e, n_labels), rng),
-        tail_lin=registry.parameter(f"{prefix}.tail_lin", (d_e, n_labels), rng),
-        bias=registry.parameter(f"{prefix}.bias", (1, n_labels), rng),
+        head_lin=registry.parameter("edge.head_lin", (d_e, n_labels), rng),
+        tail_lin=registry.parameter("edge.tail_lin", (d_e, n_labels), rng),
+        bias=registry.parameter("edge.bias", (1, n_labels), rng),
     )
 
 

@@ -9,8 +9,9 @@ sentence is the batch of one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass, fields
+from functools import cache
+from typing import Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -38,10 +39,10 @@ class ModelConfig:
     max_len: int = 128
     use_key_term: bool = True
     use_value_term: bool = True
-    freeze_none_relation: bool = False
     single_root: bool = True
 
     def __post_init__(self):
+        self.check_types()
         try:
             self.layer_config()
         except ValueError as exc:
@@ -57,8 +58,30 @@ class ModelConfig:
                               use_key_term=self.use_key_term,
                               use_value_term=self.use_value_term)
 
+    def check_types(self) -> None:
+        """Raise UsageError unless every field holds its annotated type:
+        ``Optional[X]`` also takes None, ``float`` also takes an int, and a
+        bool is never taken as a number."""
+        hints = _type_hints(type(self))
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _is_instance(value, hints[f.name]):
+                raise UsageError(f"{f.name} must be {f.type}, got {value!r}")
+
     def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
+        """The architecture settings alone, also of a subclass instance."""
+        return {f.name: getattr(self, f.name) for f in fields(ModelConfig)}
+
+
+_type_hints = cache(get_type_hints)
+
+
+def _is_instance(value, hint) -> bool:
+    if get_origin(hint) is Union:
+        return any(_is_instance(value, h) for h in get_args(hint))
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
 
 
 class SentenceEncoderModel:
@@ -74,8 +97,7 @@ class SentenceEncoderModel:
         self.token_emb = self.registry.parameter("embed.token", (n_embeddings, cfg.d), rng)
         self.pos_emb = self.registry.parameter("embed.position", (cfg.max_len, cfg.d), rng)
         self.encoder: EncoderParams = init_encoder(
-            self.registry, self.layer_cfg, len(rel_vocab), rng,
-            freeze_none=cfg.freeze_none_relation)
+            self.registry, self.layer_cfg, len(rel_vocab), rng)
         self.edge_params: EdgeScorerParams = init_edge_scorer(
             self.registry, cfg.d, cfg.d_edge, len(rel_vocab), rng)
 

@@ -18,6 +18,9 @@ __all__ = [
     "GradCheckReport",
 ]
 
+# Adam's moment decay rates and denominator guard
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 class Parameter:
     """A named trainable tensor plus its per-parameter optimizer state."""
@@ -40,8 +43,7 @@ class ParameterRegistry:
         self._params: dict[str, Parameter] = {}
 
     def parameter(self, name: str, shape: tuple[int, ...], rng: np.random.Generator,
-                  init: str = "normal", std: float = 0.02,
-                  trainable: bool = True) -> Tensor:
+                  init: str = "normal", std: float = 0.02) -> Tensor:
         """Create, register and return a fresh parameter tensor."""
         if name in self._params:
             raise ValueError(f"duplicate parameter name: {name!r}")
@@ -53,7 +55,7 @@ class ParameterRegistry:
             data = np.ones(shape)
         else:
             raise ValueError(f"unknown init {init!r}")
-        t = Tensor(data, requires_grad=trainable)
+        t = Tensor(data, requires_grad=True)
         self._params[name] = Parameter(name, t)
         return t
 
@@ -77,14 +79,10 @@ class ParameterRegistry:
             p.tensor.grad = np.zeros_like(p.tensor.data)
 
 
-def adam_step(params: Iterable[Parameter], lr: float = 1e-3,
-              betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8) -> None:
+def adam_step(params: Iterable[Parameter], lr: float = 1e-3) -> None:
     """One Adam update with bias correction over all given parameters."""
-    beta1, beta2 = betas
     for p in params:
         t = p.tensor
-        if not t.requires_grad:
-            continue
         if t.grad is None:
             raise ValueError(f"parameter {p.name!r} has no gradient; run backward first")
         state = p.state
@@ -95,27 +93,24 @@ def adam_step(params: Iterable[Parameter], lr: float = 1e-3,
         state["step"] += 1
         m, v, step = state["m"], state["v"], state["step"]
         g = t.grad
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1 ** step)
-        v_hat = v / (1.0 - beta2 ** step)
-        t.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        m_hat = m / (1.0 - BETA1 ** step)
+        v_hat = v / (1.0 - BETA2 ** step)
+        t.data -= lr * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 class Adam:
     """Thin stateful wrapper around :func:`adam_step`."""
 
-    def __init__(self, registry: ParameterRegistry, lr: float = 1e-3,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
+    def __init__(self, registry: ParameterRegistry, lr: float = 1e-3):
         self.registry = registry
         self.lr = lr
-        self.betas = betas
-        self.eps = eps
 
     def step(self) -> None:
-        adam_step(self.registry, lr=self.lr, betas=self.betas, eps=self.eps)
+        adam_step(self.registry, lr=self.lr)
 
 
 @dataclass

@@ -31,7 +31,6 @@ __all__ = [
     "RefinementConfig",
     "TraceStep",
     "RefinementTrace",
-    "initial_graph",
     "stage_mask",
     "refine",
     "FactoredGraphDistribution",
@@ -55,7 +54,6 @@ class RefinementConfig:
     t_max: int = 3
     t_train: int = 2
     schedule: str = "full-graph"          # or "mention-first"
-    initializer: str = "empty"            # or "external"
     stop_on_convergence: bool = True
 
     def __post_init__(self):
@@ -65,8 +63,6 @@ class RefinementConfig:
             raise UsageError(f"t_train must be >= 1, got {self.t_train}")
         if self.schedule not in ("full-graph", "mention-first"):
             raise UsageError(f"unknown stage schedule {self.schedule!r}")
-        if self.initializer not in ("empty", "external"):
-            raise UsageError(f"unknown initializer {self.initializer!r}")
 
 
 @dataclass(frozen=True)
@@ -95,21 +91,6 @@ class RefinementTrace:
         return self.steps[-1].t
 
 
-def initial_graph(n: int, mode: str,
-                  external: Optional[LabeledGraph] = None) -> LabeledGraph:
-    """G^0 for the refinement loop: the empty parse, or a supplied graph."""
-    if mode == "empty":
-        return empty_graph(n)
-    if mode == "external":
-        if external is None:
-            raise DataError("external initializer needs a graph")
-        if external.n != n:
-            raise DataError(
-                f"external graph has {external.n} nodes but the input has {n}")
-        return external
-    raise UsageError(f"unknown initializer {mode!r}")
-
-
 def stage_mask(t: int, schedule: str, vocab: RelationVocab) -> Optional[frozenset]:
     """Label subset permitted at iteration t, or None when unrestricted.
 
@@ -128,10 +109,10 @@ def stage_mask(t: int, schedule: str, vocab: RelationVocab) -> Optional[frozense
     raise UsageError(f"unknown stage schedule {schedule!r}")
 
 
-def refine(tokens: Sequence, model, cfg: RefinementConfig,
-           external_graph: Optional[LabeledGraph] = None
-           ) -> tuple[LabeledGraph, RefinementTrace]:
-    """Iteratively re-encode and re-predict a graph over ``tokens``.
+def refine(tokens: Sequence, model,
+           cfg: RefinementConfig) -> tuple[LabeledGraph, RefinementTrace]:
+    """Iteratively re-encode and re-predict a graph over ``tokens``,
+    starting from the empty parse.
 
     The model must expose ``graph_size(tokens)``, ``score(tokens, graph)``
     returning :class:`EdgeScores`, ``decode(scores, allowed)`` and a
@@ -139,8 +120,7 @@ def refine(tokens: Sequence, model, cfg: RefinementConfig,
     """
     if len(tokens) == 0:
         raise DataError("cannot refine an empty token sequence")
-    n = model.graph_size(tokens)
-    g = initial_graph(n, cfg.initializer, external_graph)
+    g = empty_graph(model.graph_size(tokens))
     trace = RefinementTrace([TraceStep(0, g, False)])
     for t in range(1, cfg.t_max + 1):
         allowed = stage_mask(t, cfg.schedule, model.rel_vocab)
@@ -228,7 +208,7 @@ def refinement_loss(batch: Sequence[tuple], model, cfg: RefinementConfig) -> Ten
             raise DataError(f"sentence {k} of {len(batch)}: gold graph has {gold.n} "
                             f"nodes, input needs {n}")
     gold = GraphBatch([g for _, g in batch])
-    graphs = [initial_graph(n, "empty") for n in sizes]  # training starts empty
+    graphs = [empty_graph(n) for n in sizes]
     total: Optional[Tensor] = None
     for t in range(1, cfg.t_train + 1):
         scores = model.score_batch(tokens, graphs)

@@ -21,15 +21,17 @@ def random_graph(rng, n, n_labels):
     return LabeledGraph(labels)
 
 
-def make_rel(rng, n_labels, d, freeze_none=False, zero=False):
+def make_rel(rng, n_labels, d, zero_none=False, zero=False):
     if zero:
         data = [np.zeros((n_labels, d)) for _ in range(3)]
     else:
         data = [rng.normal(size=(n_labels, d)) for _ in range(3)]
+    if zero_none:
+        for matrix in data:
+            matrix[0] = 0.0
     return RelationEmbeddings(Tensor(data[0], requires_grad=True),
                               Tensor(data[1], requires_grad=True),
-                              Tensor(data[2], requires_grad=True),
-                              freeze_none=freeze_none)
+                              Tensor(data[2], requires_grad=True))
 
 
 def encoder_as_numpy_layers(params: EncoderParams):
@@ -79,7 +81,7 @@ class TestAttentionScores:
             x = rng.normal(size=(4, 6))
             w_q = rng.normal(size=(6, 6))
             w_k = rng.normal(size=(6, 6))
-            rel = make_rel(rng, 4, 6, freeze_none=True)
+            rel = make_rel(rng, 4, 6, zero_none=True)
             e = attention_scores(Tensor(x), Tensor(w_q), Tensor(w_k),
                                  empty_graph(4), rel, cfg)
             vanilla = (x @ w_q) @ (x @ w_k).T / np.sqrt(6)
@@ -185,10 +187,10 @@ class TestAttentionValues:
                              make_rel(rng, 2, 2), cfg)
 
 
-def build_encoder(cfg, n_labels, seed, freeze_none=False):
+def build_encoder(cfg, n_labels, seed):
     registry = ParameterRegistry()
     rng = np.random.default_rng(seed)
-    params = init_encoder(registry, cfg, n_labels, rng, freeze_none=freeze_none)
+    params = init_encoder(registry, cfg, n_labels, rng)
     return registry, params
 
 

@@ -3,6 +3,7 @@
 from pathlib import Path
 
 import pytest
+import yaml
 
 from g2gt.cli import main
 from g2gt.conllu import Sentence, load_conllu, write_conllu
@@ -97,6 +98,22 @@ def test_unknown_config_key_exits_1(tmp_path):
     config = tmp_path / "bad.yaml"
     config.write_text("definitely_not_a_key: 1\n")
     assert main(["train", "--config", str(config)]) == 1
+
+
+@pytest.mark.parametrize("key, value", [
+    ("stop_at_las", "high"), ("model_out", 7), ("dev_file", 3), ("train_file", 5)])
+def test_wrong_type_config_value_exits_1_before_training(tmp_path, monkeypatch,
+                                                          capsys, key, value):
+    monkeypatch.chdir(tmp_path)    # a model_out of 7 would be written here
+    values = {"train_file": str(FIXTURE), "model_out": str(tmp_path / "m.g2gt"),
+              "epochs": 2, "batch_size": 4, "seed": 7,
+              "d": 16, "heads": 2, "d_ff": 32, "layers": 1, "d_edge": 8}
+    values[key] = value
+    config = tmp_path / "run.yaml"
+    config.write_text(yaml.safe_dump(values))
+    assert main(["train", "--config", str(config)]) == 1
+    assert key in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [config]
 
 
 def test_data_error_exits_2(tmp_path):

@@ -45,6 +45,11 @@ class TestLabeledGraph:
         with pytest.raises(ValueError, match="out of range"):
             LabeledGraph(labels, n_labels=3)
 
+    def test_empty_graph_is_all_none(self):
+        # G^0 of every refinement loop
+        g = empty_graph(5)
+        assert g.n == 5 and np.all(g.labels == 0)
+
     def test_immutable_after_construction(self):
         g = empty_graph(3)
         with pytest.raises(ValueError):

@@ -1,10 +1,13 @@
 """Vocabulary, evaluation, checkpointing, config, and the training pipeline."""
 
+import json
 import os
+from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from g2gt.checkpoint import checkpoint_load, checkpoint_save
@@ -92,6 +95,64 @@ def small_model(seed=0):
     return DependencyParserModel(SMALL, vocab, rel, seed=seed)
 
 
+def read_header(path) -> dict:
+    blob = Path(path).read_bytes()
+    return json.loads(blob[20:20 + int.from_bytes(blob[12:20], "little")])
+
+
+def rewrite_header(path, header: dict) -> None:
+    """Replace a checkpoint's header, keeping its version and payload."""
+    blob = Path(path).read_bytes()
+    payload = blob[20 + int.from_bytes(blob[12:20], "little"):]
+    raw = json.dumps(header).encode("utf-8")
+    Path(path).write_bytes(blob[:12] + len(raw).to_bytes(8, "little") + raw + payload)
+
+
+# values a header edit may put in place of a field: wrong types, and small
+# numbers, so that no edit asks for a large model
+_EDIT_VALUES = st.sampled_from([None, "x", True, False, -1, 0, 1, 2, 3, 8, 16, 1.5,
+                                16.0, [], [2], [16, 16], [16.0], {}])
+
+
+@st.composite
+def _header_edits(draw):
+    """A list of structural edits of a header's params and model_config."""
+    edits = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["config_set", "config_drop", "config_add",
+                                     "param_set", "param_drop_key", "param_drop",
+                                     "param_duplicate", "param_swap"]))
+        edits.append((kind, draw(st.integers(0, 40)), draw(st.integers(0, 40)),
+                      draw(st.sampled_from(["name", "shape", "offset", "nbytes"])),
+                      draw(_EDIT_VALUES)))
+    return edits
+
+
+def _apply(header: dict, edits) -> None:
+    config, params = header["model_config"], header["params"]
+    for kind, i, j, key, value in edits:
+        names = sorted(config)
+        if kind == "config_set":
+            config[names[i % len(names)]] = value
+        elif kind == "config_drop" and names:
+            del config[names[i % len(names)]]
+        elif kind == "config_add":
+            config["extra"] = value
+        elif not params:
+            continue
+        elif kind == "param_set":
+            params[i % len(params)][key] = value
+        elif kind == "param_drop_key":
+            params[i % len(params)].pop(key, None)
+        elif kind == "param_drop":
+            del params[i % len(params)]
+        elif kind == "param_duplicate":
+            params.insert(j % len(params), dict(params[i % len(params)]))
+        elif kind == "param_swap":
+            a, b = i % len(params), j % len(params)
+            params[a], params[b] = params[b], params[a]
+
+
 class TestCheckpoint:
     def test_save_load_bit_identical_forward(self, tmp_path):
         model = small_model(seed=5)
@@ -113,9 +174,10 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="truncated"):
             checkpoint_load(path)
 
-    @pytest.mark.parametrize("version", [99, 1])
+    @pytest.mark.parametrize("version", [99, 1, 2])
     def test_version_bump_rejected(self, tmp_path, version):
-        # version 1 stored one edge.bilinear.<l> parameter per label
+        # version 1 stored one edge.bilinear.<l> parameter per label, and
+        # version 2 a ModelConfig key that version 3 dropped
         model = small_model()
         path = tmp_path / "model.g2gt"
         checkpoint_save(model, path)
@@ -130,6 +192,58 @@ class TestCheckpoint:
         path.write_bytes(b"definitely not a checkpoint")
         with pytest.raises(CheckpointError, match="magic"):
             checkpoint_load(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda entry: entry.pop("offset"),
+        lambda entry: entry.pop("name"),
+        lambda entry: entry.update(shape="x"),
+        lambda entry: entry.update(nbytes=entry["nbytes"] - 8),
+    ], ids=["missing-offset", "missing-name", "string-shape", "small-nbytes"])
+    def test_bad_param_entry_rejected(self, tmp_path, edit):
+        path = tmp_path / "model.g2gt"
+        checkpoint_save(small_model(), path)
+        header = read_header(path)
+        edit(header["params"][3])
+        rewrite_header(path, header)
+        with pytest.raises(CheckpointError):
+            checkpoint_load(path)
+
+    def test_param_entry_of_equal_float_values_loads_identically(self, tmp_path):
+        model = small_model(seed=4)
+        path = tmp_path / "model.g2gt"
+        checkpoint_save(model, path)
+        header = read_header(path)
+        entry = header["params"][3]
+        entry.update(shape=[float(s) for s in entry["shape"]],
+                     nbytes=float(entry["nbytes"]))
+        rewrite_header(path, header)
+        loaded = checkpoint_load(path)
+        for p, q in zip(model.registry, loaded.registry):
+            assert np.array_equal(p.tensor.data, q.tensor.data)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "model.g2gt"
+        checkpoint_save(small_model(), path)
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(CheckpointError, match="oversized payload of"):
+            checkpoint_load(path)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(edits=_header_edits())
+    def test_header_edits_rejected_or_harmless(self, tmp_path_factory, edits):
+        path = tmp_path_factory.mktemp("edit") / "model.g2gt"
+        model = small_model(seed=3)
+        checkpoint_save(model, path)
+        header = read_header(path)
+        _apply(header, edits)
+        rewrite_header(path, header)
+        try:
+            loaded = checkpoint_load(path)
+        except CheckpointError:
+            return
+        assert loaded.registry.names() == model.registry.names()
+        for p, q in zip(model.registry, loaded.registry):
+            assert np.array_equal(p.tensor.data, q.tensor.data)
 
 
 class TestRunConfig:
@@ -167,6 +281,42 @@ class TestRunConfig:
         with pytest.raises(DataError, match="not found"):
             config.validate_for_training()
 
+    def test_keys_are_the_model_fields_plus_run_settings(self):
+        assert RunConfig.field_names() == {
+            "train_file", "dev_file", "model_out", "seed", "epochs", "batch_size",
+            "lr", "stop_at_las", "d", "heads", "d_ff", "layers", "d_edge",
+            "max_len", "use_key_term", "use_value_term", "single_root",
+            "t_train", "t_max"}
+        assert {f.name for f in fields(ModelConfig)} <= RunConfig.field_names()
+
+    def test_model_config_carries_every_architecture_setting(self):
+        values = dict(d=16, heads=2, d_ff=32, layers=1, d_edge=8, max_len=32,
+                      use_key_term=False, use_value_term=False, single_root=False)
+        assert set(values) == {f.name for f in fields(ModelConfig)}
+        assert all(values[k] != v for k, v in ModelConfig().to_dict().items())
+        config = RunConfig.from_sources(values, {"epochs": 3, "seed": 5})
+        model_cfg = config.model_config()
+        assert type(model_cfg) is ModelConfig
+        assert model_cfg == ModelConfig(**values)
+
+    @pytest.mark.parametrize("key, value", [
+        ("seed", True), ("epochs", 2.0), ("d", "16"), ("use_key_term", 1),
+        ("lr", "0.1"), ("lr", False), ("stop_at_las", "high"), ("model_out", None),
+        ("model_out", 7), ("dev_file", 3), ("train_file", 5)])
+    def test_wrong_type_rejected(self, key, value):
+        with pytest.raises(UsageError, match=key):
+            RunConfig(**{key: value})
+
+    @pytest.mark.parametrize("key, value", [
+        ("lr", 1), ("stop_at_las", 90), ("stop_at_las", None), ("dev_file", None),
+        ("use_value_term", False)])
+    def test_right_type_accepted(self, key, value):
+        assert getattr(RunConfig(**{key: value}), key) == value
+
+    def test_frozen(self):
+        with pytest.raises(FrozenInstanceError):
+            RunConfig().epochs = 3
+
 
 class NanParserModel(DependencyParserModel):
     """A parser with one NaN parameter from the start."""
@@ -183,6 +333,12 @@ class TestTrainPipeline:
                         d=16, heads=2, d_ff=32, layers=1, d_edge=8, max_len=32)
         defaults.update(kw)
         return RunConfig(**defaults)
+
+    def test_checkpoint_header_holds_architecture_settings_only(self, tmp_path):
+        config = self._config(tmp_path, epochs=0)
+        header = read_header(train(config).checkpoint_path)
+        assert header["model_config"] == config.model_config().to_dict()
+        assert set(header["model_config"]) == {f.name for f in fields(ModelConfig)}
 
     def test_zero_epochs_saves_initialized_model_and_evaluates(self, tmp_path):
         result = train(self._config(tmp_path, epochs=0))

@@ -14,8 +14,8 @@ from g2gt.graphs import (COREF_VOCAB, DepTree, GraphBatch, LabeledGraph,
 from g2gt.model import DependencyParserModel, MentionCorefModel, ModelConfig
 from g2gt.optim import Adam, grad_check
 from g2gt.refine import (FactoredGraphDistribution, RefinementConfig,
-                         graph_log_likelihood, initial_graph, refine,
-                         refinement_loss, stage_mask, train_refinement_step)
+                         graph_log_likelihood, refine, refinement_loss, stage_mask,
+                         train_refinement_step)
 from g2gt.conllu import load_conllu
 from g2gt.vocab import Vocab, build_vocabs
 
@@ -111,25 +111,6 @@ class TestRefineLoop:
                                  stop_on_convergence=False))
             assert graph_equals(forced_trace.steps[trace.iterations].graph, final)
             assert graph_equals(forced, final)
-
-
-class TestInitialGraph:
-    def test_empty_mode(self):
-        g = initial_graph(5, "empty")
-        assert g.n == 5 and np.all(g.labels == 0)
-
-    def test_external_passthrough(self):
-        tree = dep_tree_to_graph(DepTree([0], ["root"]),
-                                 RelationVocab.from_deprels(["root"]))
-        assert initial_graph(2, "external", tree) is tree
-
-    def test_external_wrong_size_rejected(self):
-        with pytest.raises(DataError, match="nodes"):
-            initial_graph(3, "external", empty_graph(2))
-
-    def test_external_missing_graph_rejected(self):
-        with pytest.raises(DataError):
-            initial_graph(3, "external")
 
 
 class TestStageMask:
