@@ -8,6 +8,7 @@ built-in default.  Unknown keys and values of the wrong type are rejected.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
@@ -96,12 +97,24 @@ class RunConfig(ModelConfig):
         return cls(**merged)
 
 
+class _Loader(yaml.SafeLoader):
+    """PyYAML's safe loader, but a plain scalar with an exponent, such as
+    ``1e-3``, ``2E5`` or ``1.0e3``, is a float as in YAML 1.2; YAML 1.1 reads
+    it as a string.  A quoted ``'1e-3'`` stays a string."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"))
+
+
 def load_config_file(path) -> dict:
     path = Path(path)
     if not path.is_file():
         raise DataError(f"config file not found: {path}")
     try:
-        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
+        raw = yaml.load(path.read_text(encoding="utf-8"), Loader=_Loader)
     except yaml.YAMLError as exc:
         raise UsageError(f"cannot parse config {path}: {exc}") from exc
     if raw is None:

@@ -2,9 +2,9 @@
 
 Score matrices are dependent-major: ``scores[i][j]`` is the score of
 "node j is the head of node i".  Node ``root`` never receives a head.
-Decoding is deterministic: a greedy head is the lowest-index best score,
-and the best arc into or out of a contracted cycle is the first best in
-cycle order.
+Decoding is deterministic: a (super)node's source is the lowest-index
+original node among its best incoming arcs, and a contracted cycle hands
+its source to the first best member in cycle order.
 """
 
 from __future__ import annotations
@@ -18,75 +18,76 @@ __all__ = ["mst_decode", "is_arborescence"]
 NEG_INF = float("-inf")
 
 
-def _find_cycle(heads: list[int], root: int) -> list[int] | None:
-    """Return one cycle in the head graph, or None if every node reaches root.
+def _chu_liu_edmonds(rows: np.ndarray, root: int, charged: bool) -> np.ndarray:
+    """Best arborescence over the n arc-score rows at the top of ``rows``.
 
-    Every node but ``root`` must have a head in [0, n).
+    ``rows`` is (2n-1) x n, with -inf on the diagonal and in the root row.
+    Tarjan's contraction: every (super)node keeps one row of incoming
+    scores by original source node, and ``label`` maps an original node to
+    the live node holding it.  A walk follows each node's chosen source; a
+    cycle on its path becomes a new node numbered after every existing one,
+    whose row is the max of its members' rows, each lowered by the
+    member's chosen arc, and the walk goes on from it.  With
+    ``charged``, when no cycle is left and the root heads more than one
+    live node, the root arcs are lowered, the nodes that chose the root
+    choose again, and the walk resumes from them.  Expansion runs newest
+    node first: the member whose lowered row gave the node's best score
+    takes the node's source, and the other members keep their own.
     """
-    state = [0] * len(heads)  # 0 unseen, 1 on the current path, 2 reaches root
+    n = rows.shape[1]
+    src = rows[:n].argmax(axis=1)
+    weight = rows[np.arange(n), src]
+    src[weight == NEG_INF] = root  # a node no arc can reach hangs off the root
+    src, weight = src.tolist() + [root] * (n - 1), weight.tolist() + [0.0] * (n - 1)
+    label, members, cycles = np.arange(n), [], []  # members of nodes n, n+1, ...
+    state = [0] * (2 * n - 1)  # 0 unseen, 1 on the path or merged, 2 reaches root
     state[root] = 2
-    for start in range(len(heads)):
-        path = []
-        node = start
-        while state[node] == 0:
-            state[node] = 1
-            path.append(node)
-            node = heads[node]
-        if state[node] == 1:
-            return path[path.index(node):]
-        for v in path:
-            state[v] = 2
-    return None
 
+    def choose(v):  # the lowest-index best source, or the root if none is finite
+        u = int(rows[v].argmax())
+        src[v] = u if rows[v, u] > NEG_INF else root
+        weight[v] = float(rows[v, src[v]])
 
-def _greedy_heads(s: np.ndarray, root: int) -> np.ndarray:
-    """Best head of every row, lowest index first; -1 for the root."""
-    heads = s.argmax(axis=1)
-    if root:  # argmax of an all -inf row is node 0; hang such nodes off the root
-        heads[s.max(axis=1) == NEG_INF] = root
-    heads[root] = -1
-    return heads
+    def walk(starts):
+        for v in starts:
+            path = []
+            while state[v] == 0:
+                state[v] = 1
+                path.append(v)
+                v = label.item(src[v])
+                if state[v] == 1:  # contract the cycle into a new node v
+                    cycle = path[path.index(v):]
+                    del path[-len(cycle):]
+                    v = n + len(cycles)
+                    cycles.append(cycle)
+                    row = rows[v]
+                    row.fill(NEG_INF)
+                    for c in cycle:
+                        np.maximum(row, rows[c] - weight[c], out=row)
+                    inside = np.concatenate(
+                        [members[c - n] if c >= n else [c] for c in cycle])
+                    members.append(inside)
+                    label[inside] = v
+                    row[inside] = NEG_INF
+                    choose(v)
+            for u in path:
+                state[u] = 2
 
-
-def _chu_liu_edmonds(s: np.ndarray, n: int, root: int) -> np.ndarray:
-    """Best arborescence over the first ``n`` nodes of the working matrix.
-
-    ``s`` is (2n-1) x (2n-1) and -inf outside the n x n arc scores, on the
-    diagonal and in the root row.  Each cycle of greedy heads is contracted
-    into a new node numbered after every existing one; the cycle's rows and
-    columns become -inf.
-    """
-    contractions = []
-    while True:
-        m = n + len(contractions)
-        heads = _greedy_heads(s[:m], root)
-        cycle = _find_cycle(heads.tolist(), root)
-        if cycle is None:
-            break
-        cycle = np.array(cycle)
-        cycle_heads = heads[cycle]
-        cycle_arcs = s[cycle, cycle_heads]
-        cycle_score = sum(cycle_arcs.tolist())
-        # leave[i, c]: node i headed by cycle node c; enter[c, j]: cycle
-        # node c re-headed by node j, which breaks the cycle at c
-        leave = s[:m, cycle]
-        enter = s[cycle, :m] + cycle_score - cycle_arcs[:, None]
-        leave_from = leave.argmax(axis=1)
-        enter_at = enter.argmax(axis=0)
-        s[:m, m] = leave.max(axis=1)
-        s[m, :m] = enter.max(axis=0)
-        s[cycle] = NEG_INF
-        s[:, cycle] = NEG_INF
-        contractions.append((m, cycle, cycle_heads, leave_from, enter_at))
-
-    # Expand the newest node first: its children take their best head in the
-    # cycle, and the cycle keeps its greedy heads but for the node re-headed.
-    for m, cycle, cycle_heads, leave_from, enter_at in reversed(contractions):
-        children = np.flatnonzero(heads[:m] == m)
-        heads[children] = cycle[leave_from[children]]
-        heads[cycle] = cycle_heads
-        heads[cycle[enter_at[heads[m]]]] = heads[m]
-    return heads[:n]
+    walk(range(n))
+    live = [v for v in range(n + len(cycles)) if state[v] == 2 and v != root]
+    kids = [v for v in live if src[v] == root]
+    if charged and len(kids) > 1:
+        finite = rows[:n][rows[:n] > NEG_INF]
+        rows[:n + len(cycles), root] -= 1.0 + n * (finite.max() - finite.min())
+        for v in live:
+            state[v] = 0
+            if src[v] == root:
+                choose(v)
+        walk(kids)
+    for v in range(n + len(cycles) - 1, n - 1, -1):
+        src[max(cycles[v - n], key=lambda c: rows[c, src[v]] - weight[c])] = src[v]
+    src[root] = -1
+    return np.array(src[:n])
 
 
 def is_arborescence(heads: np.ndarray | list, root: int = 0,
@@ -99,12 +100,15 @@ def is_arborescence(heads: np.ndarray | list, root: int = 0,
     n = heads.shape[0]
     if not 0 <= root < n:
         return False
-    h = heads[np.arange(n) != root]  # a self-head is a cycle, found by the walk
-    if ((h < 0) | (h >= n)).any():
+    reach = heads.copy()  # after k squarings, the node 2**k heads up
+    reach[root] = root  # a self-head elsewhere is a cycle, never reaching root
+    if ((reach < 0) | (reach >= n)).any():
         return False
-    if single_root and np.count_nonzero(h == root) != 1:
+    if single_root and np.count_nonzero(reach == root) != 2:  # root and one child
         return False
-    return _find_cycle(heads.tolist(), root) is None
+    for _ in range(n.bit_length()):
+        reach = reach[reach]
+    return bool((reach == root).all())
 
 
 def mst_decode(head_scores: np.ndarray, root: int = 0,
@@ -114,15 +118,17 @@ def mst_decode(head_scores: np.ndarray, root: int = 0,
     Returns the head index per node (-1 for the root itself).  With
     ``single_root`` the root gets exactly one child whenever some tree of
     finite score has one.  This costs no second decode (Zmigrod, Vieira &
-    Cotterell, 2020): every arc from the root is charged
-    ``1 + n * (max - min)`` over the finite arc scores.  Two trees' totals
-    differ by at most ``(n - 1) * (max - min)``, so the charged optimum has
-    as few root children as a finite tree can have, and among those trees
-    the charge is the same.  The charge is skipped when the greedy heads
-    already form a tree with one root child: that tree is the best one
-    either way, and a charged decode would contract about n cycles to find
-    it again.  Without ``single_root`` the same decode runs uncharged.
-    Scores of arcs a tree can use must not be NaN or +inf.
+    Cotterell, 2020).  The decode first runs uncharged; only if the root
+    then heads more than one live (super)node is every arc from the root
+    charged ``1 + n * (max - min)`` over the finite arc scores, and the
+    decode resumes where it stopped.  The resumed decode is exact: the
+    charge lowers only root arcs, which no cycle holds, so every cycle
+    contracted uncharged is a cycle of the charged greedy graph too.  Two
+    trees' totals differ by at most ``(n - 1) * (max - min)``, so the
+    charged optimum has as few root children as a finite tree can have,
+    and among those trees the charge is the same.  Without ``single_root``
+    no charge applies.  Scores of arcs a tree can use must not be NaN or
+    +inf.
     """
     scores = np.asarray(head_scores, dtype=np.float64)
     if scores.ndim != 2 or scores.shape[0] != scores.shape[1]:
@@ -132,14 +138,11 @@ def mst_decode(head_scores: np.ndarray, root: int = 0,
         raise DataError("cannot decode a tree over zero nodes")
     if not (0 <= root < n):
         raise DataError(f"root index {root} out of range for n={n}")
-    s = np.full((2 * n - 1, 2 * n - 1), NEG_INF)
-    s[:n, :n] = scores
-    np.fill_diagonal(s, NEG_INF)
-    s[root] = NEG_INF
-    hi = s.max()
+    rows = np.empty((2 * n - 1, n))  # rows past n are written as cycles form
+    rows[:n] = scores
+    np.fill_diagonal(rows, NEG_INF)  # only the top n x n block has a diagonal
+    rows[root] = NEG_INF
+    hi = rows[:n].max()
     if not hi < np.inf:
         raise DataError("head scores contain NaN or +inf")
-    if single_root and hi > NEG_INF and not is_arborescence(
-            _greedy_heads(s[:n], root), root, single_root=True):
-        s[:n, root] -= 1.0 + n * (hi - s[s > NEG_INF].min())
-    return _chu_liu_edmonds(s, n, root)
+    return _chu_liu_edmonds(rows, root, single_root and hi > NEG_INF)

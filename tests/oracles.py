@@ -265,6 +265,92 @@ def brute_force_best_tree(scores: np.ndarray, root: int = 0,
     return best, best_heads
 
 
+def _reference_find_cycle(heads: list[int], root: int) -> list[int] | None:
+    """Return one cycle in the head graph, or None if every node reaches root."""
+    state = [0] * len(heads)  # 0 unseen, 1 on the current path, 2 reaches root
+    state[root] = 2
+    for start in range(len(heads)):
+        path = []
+        node = start
+        while state[node] == 0:
+            state[node] = 1
+            path.append(node)
+            node = heads[node]
+        if state[node] == 1:
+            return path[path.index(node):]
+        for v in path:
+            state[v] = 2
+    return None
+
+
+def _reference_greedy_heads(s: np.ndarray, root: int) -> np.ndarray:
+    """Best head of every row, lowest index first; -1 for the root."""
+    heads = s.argmax(axis=1)
+    if root:  # argmax of an all -inf row is node 0; hang such nodes off the root
+        heads[s.max(axis=1) == -np.inf] = root
+    heads[root] = -1
+    return heads
+
+
+def _reference_chu_liu_edmonds(s: np.ndarray, n: int, root: int) -> np.ndarray:
+    """Chu-Liu/Edmonds over a (2n-1)² working matrix, one cycle per pass.
+
+    Each pass re-picks every greedy head and rescans for a cycle; a cycle
+    becomes a new node numbered after every existing one, and its rows and
+    columns become -inf.
+    """
+    contractions = []
+    while True:
+        m = n + len(contractions)
+        heads = _reference_greedy_heads(s[:m], root)
+        cycle = _reference_find_cycle(heads.tolist(), root)
+        if cycle is None:
+            break
+        cycle = np.array(cycle)
+        cycle_heads = heads[cycle]
+        cycle_arcs = s[cycle, cycle_heads]
+        cycle_score = sum(cycle_arcs.tolist())
+        leave = s[:m, cycle]
+        enter = s[cycle, :m] + cycle_score - cycle_arcs[:, None]
+        leave_from = leave.argmax(axis=1)
+        enter_at = enter.argmax(axis=0)
+        s[:m, m] = leave.max(axis=1)
+        s[m, :m] = enter.max(axis=0)
+        s[cycle] = -np.inf
+        s[:, cycle] = -np.inf
+        contractions.append((m, cycle, cycle_heads, leave_from, enter_at))
+    for m, cycle, cycle_heads, leave_from, enter_at in reversed(contractions):
+        children = np.flatnonzero(heads[:m] == m)
+        heads[children] = cycle[leave_from[children]]
+        heads[cycle] = cycle_heads
+        heads[cycle[enter_at[heads[m]]]] = heads[m]
+    return heads[:n]
+
+
+def reference_mst_decode(head_scores: np.ndarray, root: int = 0,
+                         single_root: bool = True) -> np.ndarray:
+    """The decoder ``g2gt.mst.mst_decode`` replaced, kept as a differential oracle.
+
+    Every root arc is charged ``1 + n * (max - min)`` up front, unless the
+    greedy heads already form a tree with one root child, and the charged
+    matrix is decoded by ``_reference_chu_liu_edmonds``.  Inputs must be
+    valid: square, n >= 1, root in range, no NaN or +inf.
+    """
+    scores = np.asarray(head_scores, dtype=np.float64)
+    n = scores.shape[0]
+    s = np.full((2 * n - 1, 2 * n - 1), -np.inf)
+    s[:n, :n] = scores
+    np.fill_diagonal(s, -np.inf)
+    s[root] = -np.inf
+    hi = s.max()
+    if single_root and hi > -np.inf:
+        greedy = _reference_greedy_heads(s[:n], root)
+        if (np.count_nonzero(greedy == root) != 1
+                or _reference_find_cycle(greedy.tolist(), root) is not None):
+            s[:n, root] -= 1.0 + n * (hi - s[s > -np.inf].min())
+    return _reference_chu_liu_edmonds(s, n, root)
+
+
 def rescale_parameters(registry, std: float) -> None:
     """Rescale normally initialised parameters for finite-difference tests.
 

@@ -116,6 +116,18 @@ def test_wrong_type_config_value_exits_1_before_training(tmp_path, monkeypatch,
     assert list(tmp_path.iterdir()) == [config]
 
 
+@pytest.mark.parametrize("lr, code", [("1e-3", 0), ("'1e-3'", 1)])
+def test_exponent_lr_in_config(tmp_path, capsys, lr, code):
+    out = tmp_path / "m.g2gt"
+    config = tmp_path / "run.yaml"
+    config.write_text(f"train_file: {FIXTURE}\nmodel_out: {out}\nepochs: 0\nlr: {lr}\n"
+                      "d: 16\nheads: 2\nd_ff: 32\nlayers: 1\nd_edge: 8\nmax_len: 32\n")
+    assert main(["train", "--config", str(config)]) == code
+    assert out.is_file() == (code == 0)
+    if code:
+        assert "lr" in capsys.readouterr().err
+
+
 def test_data_error_exits_2(tmp_path):
     missing = tmp_path / "missing.conllu"
     assert main(["train", "--train-file", str(missing),

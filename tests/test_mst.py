@@ -4,12 +4,12 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from g2gt.errors import DataError
 from g2gt.mst import is_arborescence, mst_decode
 
-from oracles import all_arborescences, brute_force_best_tree
+from oracles import all_arborescences, brute_force_best_tree, reference_mst_decode
 
 
 def _total(scores, heads, root=0):
@@ -17,14 +17,38 @@ def _total(scores, heads, root=0):
 
 
 @st.composite
-def _masked_integer_scores(draw):
+def _masked_integer_scores(draw, min_n=2):
     """Small-integer scores (so trees tie) with a random -inf mask, and a root."""
-    n = draw(st.integers(2, 6))
+    n = draw(st.integers(min_n, 6))
     values = draw(st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n))
     masked = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
     scores = np.array(values, dtype=np.float64).reshape(n, n)
     scores[np.array(masked).reshape(n, n)] = -np.inf
     return scores, draw(st.integers(0, n - 1))
+
+
+@st.composite
+def _root_heavy_scores(draw):
+    """Scores whose uncharged optimum has two or more root children after a
+    contraction: two non-root nodes prefer each other, and every other
+    node prefers the root.  Small integers, a random -inf mask, any root."""
+    scores, root = draw(_masked_integer_scores(min_n=4))
+    n = len(scores)
+    a, b = draw(st.lists(st.sampled_from([v for v in range(n) if v != root]),
+                         min_size=2, max_size=2, unique=True))
+    others = [v for v in range(n) if v not in (a, b)]
+    scores[others, root] = draw(st.integers(4, 8))
+    scores[a, b] = scores[b, a] = 10.0
+    return scores, root
+
+
+def _peaked_root_heavy(rng, n, root):
+    """Near-equal rows with one shared preference per head and a raised root
+    column, the shape of untrained parser scores: the charged decode then
+    contracts about one cycle per node."""
+    scores = rng.normal(size=(n, n)) * 0.1 + rng.normal(size=n) * 2.0
+    scores[:, root] += 3.0
+    return scores
 
 
 class TestSmallCases:
@@ -155,3 +179,45 @@ class TestStructuralValidity:
         heads_constrained = mst_decode(scores, single_root=True)
         assert int(np.sum(heads_constrained == 0)) == 1
         assert is_arborescence(heads_constrained, single_root=True)
+
+
+class TestResumedCharge:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=_root_heavy_scores())
+    def test_finds_the_single_root_optimum(self, case):
+        scores, root = case
+        unconstrained, _ = brute_force_best_tree(scores, root=root)
+        best, _ = brute_force_best_tree(scores, root=root, single_root=True)
+        assume(best < unconstrained)  # every uncharged optimum has 2+ root children
+        heads = mst_decode(scores, root=root, single_root=True)
+        assert is_arborescence(heads, root=root)
+        if np.isfinite(best):
+            assert _total(scores, heads, root) == pytest.approx(best, rel=1e-12, abs=1e-9)
+            assert is_arborescence(heads, root=root, single_root=True)
+
+
+class TestAgainstReference:
+    """Heads identical to `reference_mst_decode`, the decoder this one
+    replaced, on scores without ties."""
+
+    @pytest.mark.parametrize("single_root", [False, True])
+    def test_normal_matrices(self, single_root):
+        for seed in range(500):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(2, 30))
+            scores = rng.normal(size=(n, n))
+            heads = mst_decode(scores, single_root=single_root)
+            expected = reference_mst_decode(scores, single_root=single_root)
+            assert np.array_equal(heads, expected), f"n={n} seed={seed}"
+
+    @pytest.mark.parametrize("n", [11, 26, 51, 101])
+    @pytest.mark.parametrize("root", [0, 5])
+    def test_peaked_root_heavy_matrices(self, n, root):
+        rng = np.random.default_rng(1000 * n + root)
+        for trial in range(5):
+            scores = _peaked_root_heavy(rng, n, root)
+            for single_root in (True, False):
+                assert np.array_equal(
+                    mst_decode(scores, root=root, single_root=single_root),
+                    reference_mst_decode(scores, root=root, single_root=single_root)), \
+                    f"trial={trial} single_root={single_root}"

@@ -256,6 +256,22 @@ class TestRunConfig:
         assert config.lr == 0.01       # file value kept
         assert config.seed == 3
 
+    @pytest.mark.parametrize("text, lr", [("1e-3", 1e-3), ("2E5", 2e5), ("1.0e3", 1e3)])
+    def test_exponent_without_dot_or_sign_is_a_float(self, tmp_path, text, lr):
+        cfg_file = tmp_path / "run.yaml"
+        cfg_file.write_text(f"lr: {text}\nepochs: 10\n")
+        values = load_config_file(cfg_file)
+        assert values == {"lr": lr, "epochs": 10}
+        assert type(values["epochs"]) is int
+        assert RunConfig.from_sources(values, {}).lr == lr
+
+    def test_quoted_exponent_stays_a_string(self, tmp_path):
+        cfg_file = tmp_path / "run.yaml"
+        cfg_file.write_text("lr: '1e-3'\n")
+        assert load_config_file(cfg_file) == {"lr": "1e-3"}
+        with pytest.raises(UsageError, match="lr"):
+            RunConfig.from_sources(load_config_file(cfg_file), {})
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "bad.yaml"
         cfg_file.write_text("learning_rate: 0.1\n")
