@@ -11,6 +11,12 @@ One kernel runs all heads at once, for the encoder and for the single-head
 views.  It builds no n*n copies of vectors: the score terms are read from
 the per-node H x n x |L| tables q R1' and k R2', and the value term is the
 H x n x |L| histogram of each query's attention weight per label times R3.
+The graph reaches a layer only through those reads, so
+:func:`layer_terms` computes the rest of what attention reads of the
+layer's input in one place: the values v, the dot products q k' and the
+two tables.  ``encode`` calls it for every layer, unless the caller
+passes layer 0's terms: the embedding does not depend on the graph, so a
+refinement loop computes them once per sentence.
 Leading axes ride along: ``encode`` takes one sentence (n, d) with a
 :class:`LabeledGraph`, or a padded batch (B, n_max, d) with a
 :class:`GraphBatch`, and every relation matrix applies to every sentence.
@@ -22,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -34,11 +41,14 @@ __all__ = [
     "G2GLayerConfig",
     "RelationEmbeddings",
     "EncoderState",
+    "RelationHeads",
+    "LayerTerms",
     "LayerParams",
     "EncoderParams",
     "init_encoder",
     "attention_scores",
     "attention_values",
+    "layer_terms",
     "encode",
 ]
 
@@ -82,6 +92,52 @@ class RelationEmbeddings:
                rng: np.random.Generator) -> "RelationEmbeddings":
         return cls(*(registry.parameter(f"encoder.rel.{role}", (n_labels, d), rng)
                      for role in ("query", "key", "value")))
+
+    def heads(self, cfg: G2GLayerConfig) -> "RelationHeads":
+        """The matrices split per head; an ablated role is None."""
+        return RelationHeads(
+            query=_split_table_heads(self.query_rel, cfg.heads),
+            key=_split_table_heads(self.key_rel, cfg.heads) if cfg.use_key_term else None,
+            value=_split_heads(self.value_rel, cfg.heads) if cfg.use_value_term else None)
+
+
+class RelationHeads(NamedTuple):
+    """Relation matrices split per head: query and key as (H, d_h, L) tables
+    that turn (..., H, n, d_h) projections into per-node label tables, value
+    as (H, L, d_h)."""
+
+    query: Tensor
+    key: Optional[Tensor]
+    value: Optional[Tensor]
+
+
+@dataclass
+class LayerTerms:
+    """What one layer's attention reads of its input apart from the graph,
+    per head: the dot products q k' (..., H, n, n), the label tables q R1'
+    and k R2' (..., H, n, L), the latter None without the key term, and the
+    values v (..., H, n, d_h), None where only the scores are read."""
+
+    qk: Tensor
+    q_table: Tensor
+    k_table: Optional[Tensor]
+    v: Optional[Tensor]
+
+
+def _layer_terms(q: Tensor, k: Tensor, v: Optional[Tensor], rel_q: Tensor,
+                 rel_k: Optional[Tensor]) -> LayerTerms:
+    return LayerTerms(qk=matmul(q, transpose(k)), q_table=matmul(q, rel_q),
+                      k_table=None if rel_k is None else matmul(k, rel_k), v=v)
+
+
+def layer_terms(x: Tensor, layer: "LayerParams", rel: RelationHeads,
+                heads: int) -> LayerTerms:
+    """The graph-independent attention terms of ``layer`` on input ``x``,
+    (n, d) or (B, n, d)."""
+    q = _split_heads(matmul(x, layer.w_q), heads)
+    k = _split_heads(matmul(x, layer.w_k), heads)
+    v = _split_heads(matmul(x, layer.w_v), heads)
+    return _layer_terms(q, k, v, rel.query, rel.key)
 
 
 @dataclass
@@ -128,26 +184,23 @@ def _node_rows(labels: np.ndarray, stack: Tensor, n_labels: int) -> np.ndarray:
     return np.arange(math.prod(stack.shape[:-1])).reshape(stack.shape[:-1] + (1,)) * n_labels
 
 
-def _table_cells(x: Tensor, rel_t: Tensor, cells: np.ndarray) -> Tensor:
-    table = matmul(x, rel_t)
+def _table_cells(table: Tensor, cells: np.ndarray) -> Tensor:
     return gather_rows(reshape(table, (table.data.size,)), cells)
 
 
-def _scores(q: Tensor, k: Tensor, labels: np.ndarray,
-            rel_q: Tensor, rel_k: Tensor | None) -> Tensor:
-    """Scaled scores of every head, (..., H, n, n), from (..., H, n, d_h)
-    projections, the (..., 1, n, n) labels and (H, d_h, L) relation matrices.
+def _scores(terms: LayerTerms, labels: np.ndarray, d_head: int) -> Tensor:
+    """Scaled scores of every head, (..., H, n, n), from a layer's terms and
+    the (..., 1, n, n) labels.
 
     The relation terms are read from the per-node tables q R1' and k R2':
     q_i.r1_ij is entry (h, i, label_ij) of the first, r2_ij.k_j entry
     (h, j, label_ij) of the second.
     """
-    rows = _node_rows(labels, q, rel_q.shape[-1])
-    e = matmul(q, transpose(k))
-    e = add(e, _table_cells(q, rel_q, rows + labels))
-    if rel_k is not None:
-        e = add(e, _table_cells(k, rel_k, np.swapaxes(rows, -1, -2) + labels))
-    return scale(e, 1.0 / math.sqrt(q.shape[-1]))
+    rows = _node_rows(labels, terms.q_table, terms.q_table.shape[-1])
+    e = add(terms.qk, _table_cells(terms.q_table, rows + labels))
+    if terms.k_table is not None:
+        e = add(e, _table_cells(terms.k_table, np.swapaxes(rows, -1, -2) + labels))
+    return scale(e, 1.0 / math.sqrt(d_head))
 
 
 def _values(alpha: Tensor, v: Tensor, labels: np.ndarray,
@@ -177,9 +230,9 @@ def attention_scores(x: Tensor, w_q: Tensor, w_k: Tensor, graph: LabeledGraph,
     rel_q_h = _head_slice(rel.query_rel, head, d_head, _split_table_heads)
     rel_k_h = (_head_slice(rel.key_rel, head, d_head, _split_table_heads)
                if cfg.use_key_term else None)
-    e = _scores(reshape(q, (1, n, d_head)), reshape(k, (1, n, d_head)),
-                graph.labels, rel_q_h, rel_k_h)
-    return reshape(e, (n, n))
+    terms = _layer_terms(reshape(q, (1, n, d_head)), reshape(k, (1, n, d_head)),
+                         None, rel_q_h, rel_k_h)
+    return reshape(_scores(terms, graph.labels, d_head), (n, n))
 
 
 def attention_values(alpha: Tensor, x: Tensor, w_v: Tensor, graph: LabeledGraph,
@@ -249,7 +302,7 @@ def init_encoder(registry: ParameterRegistry, cfg: G2GLayerConfig, n_labels: int
 
 
 def encode(x: Tensor, graph: LabeledGraph | GraphBatch, params: EncoderParams,
-           cfg: G2GLayerConfig) -> EncoderState:
+           cfg: G2GLayerConfig, first: Optional[LayerTerms] = None) -> EncoderState:
     """Run the stacked graph-conditioned encoder over an embedded sequence.
 
     ``x`` is one sentence (n, d) conditioned on a :class:`LabeledGraph`, or
@@ -257,7 +310,9 @@ def encode(x: Tensor, graph: LabeledGraph | GraphBatch, params: EncoderParams,
     Each layer applies multi-head graph-conditioned attention, then a
     residual + layer norm, then a feed-forward block with its own
     residual + layer norm (post-norm arrangement).  The rows of padding
-    nodes come out finite and meaningless.
+    nodes come out finite and meaningless.  ``first``, when given, must be
+    ``layer_terms`` of layer 0 on this ``x``; it is used instead of
+    computing them again.
     """
     *lead, n, _ = x.shape
     if graph.labels.shape[:-2] != tuple(lead):
@@ -265,22 +320,21 @@ def encode(x: Tensor, graph: LabeledGraph | GraphBatch, params: EncoderParams,
                          f"{x.shape}")
     labels = np.expand_dims(graph.labels, -3)       # broadcast over heads
     padding = graph.key_mask() if isinstance(graph, GraphBatch) else None
-    rel = params.rel
-    rel_q = _split_table_heads(rel.query_rel, cfg.heads)
-    rel_k = _split_table_heads(rel.key_rel, cfg.heads) if cfg.use_key_term else None
-    rel_v = _split_heads(rel.value_rel, cfg.heads) if cfg.use_value_term else None
+    rel = params.rel.heads(cfg)
+    d_head = cfg.d // cfg.heads
     r = len(lead)
     merge = (*range(r), r + 1, r, r + 2)
 
-    for layer in params.layers:
-        q = _split_heads(matmul(x, layer.w_q), cfg.heads)
-        k = _split_heads(matmul(x, layer.w_k), cfg.heads)
-        v = _split_heads(matmul(x, layer.w_v), cfg.heads)
-        e = _scores(q, k, labels, rel_q, rel_k)
+    for index, layer in enumerate(params.layers):
+        if index == 0 and first is not None:
+            terms = first
+        else:
+            terms = layer_terms(x, layer, rel, cfg.heads)
+        e = _scores(terms, labels, d_head)
         if padding is not None:
             e = add(e, Tensor(padding))
         alpha = softmax_rows(e)
-        heads = _values(alpha, v, labels, rel_v)
+        heads = _values(alpha, terms.v, labels, rel.value)
         attn = matmul(reshape(transpose(heads, merge), (*lead, n, cfg.d)), layer.w_o)
         x = layer_norm(add(x, attn), layer.attn_gain, layer.attn_bias)
         hidden = relu(add(matmul(x, layer.ffn_w1), layer.ffn_b1))

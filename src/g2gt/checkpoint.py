@@ -13,8 +13,12 @@ The header carries the model configuration (architecture settings only),
 the token and relation vocabularies, and for each named parameter its
 shape, byte offset into the payload and byte length.  Parameters are
 listed in the model's registry order and stored back to back, so a
-loader accepts exactly that layout.  Raw float64 bytes round-trip
-exactly, so a loaded model computes bit-identical forward passes.
+loader accepts exactly that layout.  The loader builds the model from
+the payload rather than from a random draw, one parameter at a time, and
+checks each one's table entry and extent before it reads it, so that a
+header cannot make it allocate more than the file holds.  Raw float64
+bytes round-trip exactly, so a loaded model computes bit-identical
+forward passes.
 Version 3 dropped a ModelConfig key; files of earlier versions are
 rejected.
 """
@@ -22,6 +26,7 @@ rejected.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -89,26 +94,38 @@ def checkpoint_load(path) -> DependencyParserModel:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt header: {exc}") from exc
 
+    payload_start = 20 + header_len
+    have = len(blob) - payload_start
+    read = []           # the entries taken so far
+
+    def take(name: str, shape: tuple[int, ...]) -> np.ndarray:
+        offset = sum(entry["nbytes"] for entry in read)
+        entry = {"name": name, "shape": list(shape), "offset": offset,
+                 "nbytes": 8 * math.prod(shape)}
+        if len(read) >= len(table) or table[len(read)] != entry:
+            raise CheckpointError(f"{path}: the parameter table disagrees with the "
+                                  f"configuration's parameters and shapes")
+        if offset + entry["nbytes"] > have:
+            raise CheckpointError(f"{path}: truncated payload of {have} bytes; "
+                                  f"{name} ends at byte {offset + entry['nbytes']}")
+        read.append(entry)
+        return np.frombuffer(blob, dtype="<f8", count=entry["nbytes"] // 8,
+                             offset=payload_start + offset).reshape(shape).astype(np.float64)
+
     try:
         cfg = ModelConfig(**header["model_config"])
         token_vocab = Vocab(header["token_vocab"])
         rel_vocab = RelationVocab(header["relation_labels"],
                                   scheme=header["relation_scheme"])
-        model = DependencyParserModel(cfg, token_vocab, rel_vocab, seed=0)
-        layout = _layout(model.registry)
-        if header["params"] != layout:
-            raise CheckpointError(f"{path}: the parameter table disagrees with the "
-                                  f"configuration's parameters and shapes")
+        table = list(header["params"])
+        model = DependencyParserModel(cfg, token_vocab, rel_vocab, source=take)
     except (KeyError, TypeError, ValueError, AttributeError, UsageError) as exc:
         raise CheckpointError(f"{path}: invalid header contents: {exc!r}") from exc
-    payload_start = 20 + header_len
-    have = len(blob) - payload_start
-    needed = sum(entry["nbytes"] for entry in layout)
+    if len(read) != len(table):
+        raise CheckpointError(f"{path}: the parameter table disagrees with the "
+                              f"configuration's parameters and shapes")
+    needed = sum(entry["nbytes"] for entry in read)
     if have != needed:
-        raise CheckpointError(f"{path}: {'truncated' if have < needed else 'oversized'} "
-                              f"payload of {have} bytes; the parameters take {needed}")
-    for param, entry in zip(model.registry, layout):
-        data = np.frombuffer(blob, dtype="<f8", count=entry["nbytes"] // 8,
-                             offset=payload_start + entry["offset"])
-        param.tensor.data = data.reshape(entry["shape"]).astype(np.float64)
+        raise CheckpointError(f"{path}: oversized payload of {have} bytes; the "
+                              f"parameters take {needed}")
     return model

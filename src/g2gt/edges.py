@@ -9,10 +9,15 @@ products; the linear terms and the bias are then added by broadcasting,
 in place into the product when nothing is recorded.  A padded batch of B
 sentences is scored in the same products, as (B, n_max, n_max, L) cells.
 
-A tree is decoded from one (n, n, |up|) slab: the scores of the up
-("deprel↑") labels, copied once, with labels outside ``allowed`` set to
--inf.  Its max over labels gives the head scores for the MST, and its
-argmax at each chosen arc gives that arc's label.
+Decoding reads only some labels (a tree only the up, "deprel↑", ones),
+so inference scores only those: :meth:`EdgeScorerParams.for_labels`
+takes their rows of the scorer once per sentence, and the scores' column
+k is then label k of that subset.  Training scores every label for the
+loss, and :meth:`EdgeScores.sentence` takes the decoded columns out.  A
+tree is decoded from the (n, n, |up|) slab of those scores, a view with
+no label masked, else a copy with the labels outside ``allowed`` at -inf.
+Its max over labels gives the head scores for the MST, and its argmax at
+each chosen arc gives that arc's label.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ __all__ = [
     "init_edge_scorer",
     "score_edges",
     "greedy_decode",
-    "up_label_slab",
+    "label_slab",
     "pooled_head_scores",
     "label_edges",
 ]
@@ -57,6 +62,21 @@ class EdgeScorerParams:
     @property
     def n_labels(self) -> int:
         return self.bias.shape[1]
+
+    def for_labels(self, labels: np.ndarray) -> "EdgeScorerParams":
+        """The scorer of ``labels`` alone, untracked, for decoding: its label
+        k is ``labels[k]``.  Its arrays are row-major, as the full ones are."""
+        d_e = self.bilinear.shape[1]
+        maps = self.bilinear.data.reshape(self.n_labels, d_e, d_e)[labels]
+
+        def columns(param: Tensor) -> Tensor:
+            return Tensor(np.ascontiguousarray(param.data[:, labels]))
+
+        return EdgeScorerParams(
+            head_proj=self.head_proj, tail_proj=self.tail_proj,
+            bilinear=Tensor(maps.reshape(len(labels) * d_e, d_e)),
+            head_lin=columns(self.head_lin), tail_lin=columns(self.tail_lin),
+            bias=columns(self.bias))
 
 
 def init_edge_scorer(registry: ParameterRegistry, d: int, d_e: int, n_labels: int,
@@ -97,10 +117,11 @@ class EdgeScores:
         """One sentence's scores as an (n, n, L) array (a copy; safe to mutate)."""
         return self.flat.data.reshape(self.n, self.n, self.n_labels).copy()
 
-    def sentence(self, b: int, n: int) -> "EdgeScores":
-        """Sentence b's scores over its first n nodes, untracked, for decoding."""
+    def sentence(self, b: int, n: int, labels: np.ndarray) -> "EdgeScores":
+        """Sentence b's scores over its first n nodes and the columns
+        ``labels``, untracked, for decoding."""
         cells = self.flat.data.reshape(-1, self.n, self.n, self.n_labels)[b, :n, :n]
-        return EdgeScores(Tensor(cells.reshape(n * n, self.n_labels)), n)
+        return EdgeScores(Tensor(cells[:, :, labels].reshape(n * n, len(labels))), n)
 
 
 def score_edges(state: EncoderState, params: EdgeScorerParams) -> EdgeScores:
@@ -131,9 +152,7 @@ def greedy_decode(scores: EdgeScores, allowed=None,
     triangle is forced to NONE as well (span/link style graphs).
     ``allowed`` optionally restricts decoding to a subset of labels.
     """
-    arr = scores.flat.data.reshape(scores.n, scores.n, scores.n_labels)
-    if allowed is not None:
-        arr = np.where(_allowed(np.arange(scores.n_labels), allowed), arr, -np.inf)
+    arr = label_slab(scores, np.arange(scores.n_labels), allowed)
     labels = arr.argmax(axis=2)
     np.fill_diagonal(labels, NONE_LABEL)
     if lower_triangular:
@@ -141,19 +160,19 @@ def greedy_decode(scores: EdgeScores, allowed=None,
     return LabeledGraph(labels, n_labels=scores.n_labels)
 
 
-def _allowed(labels: np.ndarray, allowed) -> np.ndarray:
-    """Which of ``labels`` lie in the ``allowed`` set of label indices."""
-    return np.isin(labels, np.fromiter(allowed, dtype=np.intp, count=len(allowed)))
-
-
-def up_label_slab(scores: EdgeScores, up: np.ndarray, allowed=None) -> np.ndarray:
-    """(n, n, |up|) scores of the labels ``up``, a fresh array: label k of
-    cell (i, j) is the score of "j heads i with label up[k]", and reads -inf
-    when ``up[k]`` is not in ``allowed``."""
-    slab = scores.flat.data[:, up].reshape(scores.n, scores.n, len(up))
-    if allowed is not None:
-        slab[:, :, ~_allowed(up, allowed)] = -np.inf
-    return slab
+def label_slab(scores: EdgeScores, labels: np.ndarray, allowed=None) -> np.ndarray:
+    """The scores as an (n, n, |labels|) array whose column k scores label
+    ``labels[k]``: a read-only view, or with ``allowed`` a copy in which
+    the labels outside that set read -inf."""
+    if scores.n_labels != len(labels):
+        raise ValueError(f"scores have {scores.n_labels} columns for {len(labels)} labels")
+    slab = scores.flat.data.reshape(scores.n, scores.n, len(labels))
+    if allowed is None:
+        slab = slab.view()
+        slab.flags.writeable = False
+        return slab
+    keep = np.isin(labels, np.fromiter(allowed, dtype=np.intp, count=len(allowed)))
+    return np.where(keep, slab, -np.inf)
 
 
 def pooled_head_scores(slab: np.ndarray) -> np.ndarray:

@@ -2,9 +2,13 @@
 
 Two decode styles share the same trunk: the dependency parser decodes a
 spanning arborescence over a virtual root, while the mention/coreference
-style model decodes every lower-triangular cell independently.  The trunk
-scores a batch of sentences in one pass, padded to the longest; one
-sentence is the batch of one.
+style model decodes every lower-triangular cell independently.  For
+training, the trunk scores a batch of sentences over every label in one
+pass, padded to the longest.  For inference, a :class:`SentenceScorer`
+scores one sentence under graph after graph: it computes once what no
+graph changes (the embedding, layer 0's graph-independent attention
+terms, the scorer's rows for the labels the model decodes), and each
+call runs the rest and scores only those labels.
 """
 
 from __future__ import annotations
@@ -15,18 +19,19 @@ from typing import Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .attention import EncoderParams, G2GLayerConfig, encode, init_encoder
+from .attention import (EncoderParams, G2GLayerConfig, encode, init_encoder,
+                        layer_terms)
 from .autodiff import Tensor, add, gather_rows
 from .edges import (EdgeScorerParams, EdgeScores, greedy_decode, init_edge_scorer,
-                    label_edges, pooled_head_scores, score_edges, up_label_slab)
+                    label_edges, label_slab, pooled_head_scores, score_edges)
 from .errors import DataError, UsageError
 from .graphs import COREF_VOCAB, GraphBatch, LabeledGraph, RelationVocab
 from .mst import mst_decode
 from .optim import ParameterRegistry
 from .vocab import Vocab
 
-__all__ = ["ModelConfig", "SentenceEncoderModel", "DependencyParserModel",
-           "MentionCorefModel"]
+__all__ = ["ModelConfig", "SentenceEncoderModel", "SentenceScorer",
+           "DependencyParserModel", "MentionCorefModel"]
 
 
 @dataclass(frozen=True)
@@ -88,11 +93,13 @@ class SentenceEncoderModel:
     """Shared trunk working on integer token id sequences."""
 
     def __init__(self, cfg: ModelConfig, n_embeddings: int, rel_vocab: RelationVocab,
-                 seed: int = 0):
+                 seed: int = 0, source=None):
+        """Parameters are drawn from ``seed``, or taken from ``source`` as a
+        :class:`ParameterRegistry` takes them."""
         self.cfg = cfg
         self.layer_cfg = cfg.layer_config()
         self.rel_vocab = rel_vocab
-        self.registry = ParameterRegistry()
+        self.registry = ParameterRegistry(source)
         rng = np.random.default_rng(seed)
         self.token_emb = self.registry.parameter("embed.token", (n_embeddings, cfg.d), rng)
         self.pos_emb = self.registry.parameter("embed.position", (cfg.max_len, cfg.d), rng)
@@ -102,7 +109,8 @@ class SentenceEncoderModel:
             self.registry, cfg.d, cfg.d_edge, len(rel_vocab), rng)
 
     def embed(self, ids: np.ndarray) -> Tensor:
-        """Token plus position embeddings of padded ids: (B, n_max) -> (B, n_max, d)."""
+        """Token plus position embeddings: ids (n,) -> (n, d), or padded ids
+        (B, n_max) -> (B, n_max, d)."""
         ids = np.asarray(ids, dtype=np.intp)
         n = ids.shape[-1]
         if n > self.cfg.max_len:
@@ -118,9 +126,13 @@ class SentenceEncoderModel:
     def graph_size(self, tokens: Sequence) -> int:
         return len(self.ids(tokens))
 
-    def score(self, tokens: Sequence, graph: LabeledGraph) -> EdgeScores:
-        """One sentence's edge scores, conditioned on ``graph``."""
-        return self.score_batch([tokens], [graph])
+    @property
+    def decode_labels(self) -> np.ndarray:
+        """The labels that ``decode`` reads, in the order of its score columns."""
+        return np.arange(len(self.rel_vocab))
+
+    def sentence_scorer(self, tokens: Sequence) -> "SentenceScorer":
+        return SentenceScorer(self, tokens)
 
     def score_batch(self, batch: Sequence[Sequence],
                     graphs: Sequence[LabeledGraph]) -> EdgeScores:
@@ -139,36 +151,69 @@ class SentenceEncoderModel:
         return score_edges(state, self.edge_params)
 
 
+class SentenceScorer:
+    """One sentence's edge scores over its model's ``decode_labels``,
+    conditioned on any graph, for inference.
+
+    Made once per sentence, it holds the embedding, layer 0's
+    graph-independent attention terms and the edge scorer of the decode
+    labels; a call runs the graph-dependent rest of the encoder and scores.
+    """
+
+    def __init__(self, model: SentenceEncoderModel, tokens: Sequence):
+        ids = model.ids(tokens)
+        self.n = len(ids)
+        self._model = model
+        self._x = model.embed(ids)
+        encoder, cfg = model.encoder, model.layer_cfg
+        self._first = layer_terms(self._x, encoder.layers[0], encoder.rel.heads(cfg),
+                                  cfg.heads)
+        self._edge_params = model.edge_params.for_labels(model.decode_labels)
+
+    def __call__(self, graph: LabeledGraph) -> EdgeScores:
+        if graph.n != self.n:
+            raise DataError(f"conditioning graph has {graph.n} nodes for {self.n} tokens")
+        model = self._model
+        state = encode(self._x, graph, model.encoder, model.layer_cfg, first=self._first)
+        return score_edges(state, self._edge_params)
+
+
 class DependencyParserModel(SentenceEncoderModel):
     """Parser over surface forms with a virtual root and tree decoding."""
 
     scope = "full"
 
     def __init__(self, cfg: ModelConfig, token_vocab: Vocab,
-                 rel_vocab: RelationVocab, seed: int = 0):
+                 rel_vocab: RelationVocab, seed: int = 0, source=None):
         if rel_vocab.scheme != "bidirectional":
             raise UsageError("dependency parsing needs a bidirectional relation vocab")
-        super().__init__(cfg, len(token_vocab), rel_vocab, seed=seed)
+        super().__init__(cfg, len(token_vocab), rel_vocab, seed=seed, source=source)
         self.token_vocab = token_vocab
 
     def ids(self, forms: Sequence[str]) -> list[int]:
         return self.token_vocab.encode_with_root(forms)
 
+    @property
+    def decode_labels(self) -> np.ndarray:
+        return self.rel_vocab.up_indices()
+
     def decode_tree(self, scores: EdgeScores,
                     allowed=None) -> tuple[np.ndarray, np.ndarray]:
         """The best tree's heads (-1 for the root) and, for each token, the
-        position of its arc's label in ``rel_vocab.up_indices()``.
+        position of its arc's label in ``decode_labels``, the up labels,
+        over which ``scores`` run.
 
-        Both come from one (n, n, |up|) slab of up-label scores with the
-        labels outside ``allowed`` at -inf: its max over labels is the MST's
-        head score, and its argmax at each chosen arc is that arc's label.
+        Both come from one (n, n, |up|) slab of those scores with the labels
+        outside ``allowed`` at -inf: its max over labels is the MST's head
+        score, and its argmax at each chosen arc is that arc's label.
         """
-        slab = up_label_slab(scores, self.rel_vocab.up_indices(), allowed)
+        slab = label_slab(scores, self.decode_labels, allowed)
         heads = mst_decode(pooled_head_scores(slab), root=0,
                            single_root=self.cfg.single_root)
         return heads, label_edges(heads, slab)
 
     def decode(self, scores: EdgeScores, allowed=None) -> LabeledGraph:
+        """The next graph from scores over ``decode_labels``."""
         heads, up = self.decode_tree(scores, allowed)
         tokens = np.arange(1, scores.n)
         labels = np.zeros((scores.n, scores.n), dtype=np.int64)

@@ -37,17 +37,24 @@ class Parameter:
 
 
 class ParameterRegistry:
-    """Insertion-ordered set of uniquely named parameters."""
+    """Insertion-ordered set of uniquely named parameters.
 
-    def __init__(self):
+    ``source``, when given, supplies each parameter's values as
+    ``source(name, shape)`` in place of its initial draw.
+    """
+
+    def __init__(self, source: Callable[[str, tuple[int, ...]], np.ndarray] | None = None):
         self._params: dict[str, Parameter] = {}
+        self._source = source
 
     def parameter(self, name: str, shape: tuple[int, ...], rng: np.random.Generator,
                   init: str = "normal", std: float = 0.02) -> Tensor:
         """Create, register and return a fresh parameter tensor."""
         if name in self._params:
             raise ValueError(f"duplicate parameter name: {name!r}")
-        if init == "normal":
+        if self._source is not None:
+            data = self._source(name, shape)
+        elif init == "normal":
             data = rng.normal(0.0, std, size=shape)
         elif init == "zeros":
             data = np.zeros(shape)

@@ -2,15 +2,20 @@
 
 Each iteration re-encodes the sequence conditioned on the previously
 predicted graph and re-predicts every edge in parallel; the loop stops
-early once the graph stops changing, or at the iteration cap.  Training
-runs a fixed number of iterations, conditioning each one on the previous
-(detached, discrete) prediction and summing the per-iteration losses.
+early once the graph stops changing, or at the iteration cap.  Inference
+asks the model once per sentence for a scorer, which computes once what
+the graph cannot change, so an iteration runs only the graph-dependent
+part of the encoder and scores only the labels the decoder reads.
+Training runs a fixed number of iterations, conditioning each one on the
+previous (detached, discrete) prediction and summing the per-iteration
+losses.
 
 Training takes a batch in one pass per iteration: its sentences are
 padded to the longest, encoded and scored together, and the loss gathers
 the gold label's log-probability at every real, in-scope cell of every
 sentence.  Padding cells carry NONE and fall outside that gather; only
-the discrete decode between iterations runs sentence by sentence.
+the discrete decode between iterations runs sentence by sentence, on
+each sentence's columns of the labels its model decodes.
 """
 
 from __future__ import annotations
@@ -114,17 +119,19 @@ def refine(tokens: Sequence, model,
     """Iteratively re-encode and re-predict a graph over ``tokens``,
     starting from the empty parse.
 
-    The model must expose ``graph_size(tokens)``, ``score(tokens, graph)``
-    returning :class:`EdgeScores`, ``decode(scores, allowed)`` and a
-    ``rel_vocab``.  Returns the last graph and the full trace.
+    The model must expose ``sentence_scorer(tokens)``, a callable with the
+    sentence's node count ``n`` that maps a graph to :class:`EdgeScores`,
+    ``decode(scores, allowed)`` and a ``rel_vocab``.  Returns the last
+    graph and the full trace.
     """
     if len(tokens) == 0:
         raise DataError("cannot refine an empty token sequence")
-    g = empty_graph(model.graph_size(tokens))
+    score = model.sentence_scorer(tokens)
+    g = empty_graph(score.n)
     trace = RefinementTrace([TraceStep(0, g, False)])
     for t in range(1, cfg.t_max + 1):
         allowed = stage_mask(t, cfg.schedule, model.rel_vocab)
-        scores = model.score(tokens, g)
+        scores = score(g)
         new_graph = model.decode(scores, allowed=allowed)
         converged = graph_equals(new_graph, g)
         trace.steps.append(TraceStep(t, new_graph, converged))
@@ -219,7 +226,8 @@ def refinement_loss(batch: Sequence[tuple], model, cfg: RefinementConfig) -> Ten
         total = loss_t if total is None else total + loss_t
         if t < cfg.t_train:
             allowed = stage_mask(t, cfg.schedule, model.rel_vocab)
-            graphs = [model.decode(scores.sentence(b, n), allowed=allowed)
+            graphs = [model.decode(scores.sentence(b, n, model.decode_labels),
+                                   allowed=allowed)
                       for b, n in enumerate(sizes)]
     return total
 

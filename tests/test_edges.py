@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 from g2gt.attention import EncoderState
 from g2gt.autodiff import Record, Tensor, mul, recording, tensor_sum
 from g2gt.edges import (EdgeScores, greedy_decode, init_edge_scorer, label_edges,
-                        pooled_head_scores, score_edges, up_label_slab)
+                        label_slab, pooled_head_scores, score_edges)
 from g2gt.errors import DataError
 from g2gt.graphs import NONE_LABEL, DepTree, RelationVocab
 from g2gt.model import DependencyParserModel, ModelConfig
@@ -140,7 +140,7 @@ def make_scores(arr):
 def label_tree(heads, arr, vocab):
     """The tree that ``label_edges`` labels, read back as deprels."""
     up = vocab.up_indices()
-    positions = label_edges(heads, up_label_slab(make_scores(arr), up))
+    positions = label_edges(heads, label_slab(make_scores(arr[:, :, up]), up))
     return DepTree(list(heads[1:]), [vocab.deprel_of(up[k]) for k in positions])
 
 
@@ -229,12 +229,24 @@ class TestLabelEdges:
             label_tree([-1, 2, 1], arr, VOCAB)  # 1<->2 cycle
 
 
+class TestLabelSlab:
+    def test_unmasked_slab_is_a_read_only_view(self):
+        scores = make_scores(np.zeros((2, 2, 3)))
+        slab = label_slab(scores, np.array([2, 4, 6]))
+        assert np.shares_memory(slab, scores.flat.data)
+        assert not slab.flags.writeable and scores.flat.data.flags.writeable
+
+    def test_column_count_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="3 columns for 2 labels"):
+            label_slab(make_scores(np.zeros((2, 2, 3))), np.array([2, 4]))
+
+
 class TestPooledHeadScores:
     def test_pool_is_max_over_up_labels(self):
         rng = np.random.default_rng(1)
         arr = rng.normal(size=(3, 3, len(VOCAB)))
         up = VOCAB.up_indices()
-        pooled = pooled_head_scores(up_label_slab(make_scores(arr), up))
+        pooled = pooled_head_scores(label_slab(make_scores(arr[:, :, up]), up))
         assert_allclose(pooled, arr[:, :, up].max(axis=2))
 
 
@@ -269,7 +281,8 @@ class TestParserDecode:
         pairs = up_down_pairs(model.rel_vocab.labels)
         heads = mst_decode(pool_up_labels_loop(scores, pairs, allowed),
                            single_root=model.cfg.single_root)
-        graph = model.decode(make_scores(scores), allowed=allowed)
+        graph = model.decode(make_scores(scores[:, :, model.decode_labels]),
+                             allowed=allowed)
         assert np.array_equal(graph.labels,
                               label_tree_loop(scores, heads, pairs, allowed))
 
@@ -278,7 +291,8 @@ class TestParserDecode:
         # the first up label, as the per-token loop did
         model = PARSERS[2]
         scores = np.random.default_rng(0).normal(size=(5, 5, len(model.rel_vocab)))
-        graph = model.decode(make_scores(scores), allowed=frozenset({0, 1}))
+        graph = model.decode(make_scores(scores[:, :, model.decode_labels]),
+                             allowed=frozenset({0, 1}))
         up, down = up_down_pairs(model.rel_vocab.labels)[0]
         assert np.all(graph.labels[1:, 0] == up)
         assert np.all(graph.labels[0, 1:] == down)
@@ -286,7 +300,7 @@ class TestParserDecode:
     def test_decode_leaves_scores_unchanged(self):
         model = PARSERS[1]
         scores = make_scores(np.random.default_rng(1).normal(
-            size=(6, 6, len(model.rel_vocab))))
+            size=(6, 6, len(model.decode_labels))))
         before = scores.flat.data.tobytes()
         model.decode(scores, allowed=frozenset({0, 2}))
         assert scores.flat.data.tobytes() == before

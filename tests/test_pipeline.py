@@ -2,6 +2,7 @@
 
 import json
 import os
+import tracemalloc
 from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
 
@@ -161,8 +162,8 @@ class TestCheckpoint:
         loaded = checkpoint_load(path)
         forms = ["the", "dog", "barks"]
         g = empty_graph(4)
-        before = model.score(forms, g).flat.data
-        after = loaded.score(forms, g).flat.data
+        before = model.score_batch([forms], [g]).flat.data
+        after = loaded.score_batch([forms], [g]).flat.data
         assert np.array_equal(before, after)  # bitwise
 
     def test_truncated_file_rejected(self, tmp_path):
@@ -220,6 +221,34 @@ class TestCheckpoint:
         loaded = checkpoint_load(path)
         for p, q in zip(model.registry, loaded.registry):
             assert np.array_equal(p.tensor.data, q.tensor.data)
+
+    @pytest.mark.parametrize("max_len, table_too", [
+        (10**12, False), (10**12, True), (10**5, False), (10**5, True)])
+    def test_config_larger_than_payload_rejected_before_allocating(
+            self, tmp_path, max_len, table_too):
+        # 10**12 positions would be 128 TB of embedding, 10**5 about 13 MB
+        path = tmp_path / "model.g2gt"
+        checkpoint_save(small_model(), path)
+        header = read_header(path)
+        header["model_config"]["max_len"] = max_len
+        if table_too:   # the table agrees with the config, offsets and all
+            offset = 0
+            for entry in header["params"]:
+                if entry["name"] == "embed.position":
+                    entry["shape"][0] = max_len
+                    entry["nbytes"] = 8 * max_len * entry["shape"][1]
+                entry["offset"] = offset
+                offset += entry["nbytes"]
+        rewrite_header(path, header)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError,
+                               match="truncated payload" if table_too else "disagrees"):
+                checkpoint_load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "model.g2gt"

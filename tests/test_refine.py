@@ -42,12 +42,41 @@ class ConstantModel:
     def graph_size(self, tokens):
         return self.graph.n
 
-    def score(self, tokens, graph):
+    def sentence_scorer(self, tokens):
         n = self.graph.n
-        return EdgeScores(Tensor(np.zeros((n * n, 3))), n)
+
+        def score(graph):
+            return EdgeScores(Tensor(np.zeros((n * n, 3))), n)
+
+        score.n = n
+        return score
 
     def decode(self, scores, allowed=None):
         return self.graph
+
+
+def reference_refine(tokens, model, cfg):
+    """The refinement loop without a per-sentence scorer: every iteration
+    embeds the sentence again, scores every label through ``score_batch``
+    and decodes the decoder's columns of those scores."""
+    g = empty_graph(model.graph_size(tokens))
+    steps = [(0, g, False)]
+    for t in range(1, cfg.t_max + 1):
+        allowed = stage_mask(t, cfg.schedule, model.rel_vocab)
+        scores = model.score_batch([tokens], [g]).sentence(0, g.n, model.decode_labels)
+        new_graph = model.decode(scores, allowed=allowed)
+        converged = graph_equals(new_graph, g)
+        steps.append((t, new_graph, converged))
+        g = new_graph
+        if converged and cfg.stop_on_convergence:
+            break
+    return g, steps
+
+
+def assert_same_trace(trace, steps):
+    assert [(s.t, s.converged) for s in trace.steps] == [(t, c) for t, _, c in steps]
+    for step, (_, graph, _) in zip(trace.steps, steps):
+        assert np.array_equal(step.graph.labels, graph.labels)
 
 
 class TestRefineLoop:
@@ -70,19 +99,10 @@ class TestRefineLoop:
         model = parser_fixture(seed=3)
         forms = ["the", "dog", "barks"]
         cfg = RefinementConfig(t_max=3)
-        _, trace = refine(forms, model, cfg)
-
-        g = empty_graph(4)
-        expected = [g]
-        for _ in range(cfg.t_max):
-            g_new = model.decode(model.score(forms, g))
-            expected.append(g_new)
-            if graph_equals(g_new, g):
-                break
-            g = g_new
-        assert len(trace.steps) == len(expected)
-        for step, graph in zip(trace.steps, expected):
-            assert graph_equals(step.graph, graph)
+        final, trace = refine(forms, model, cfg)
+        expected_final, steps = reference_refine(forms, model, cfg)
+        assert_same_trace(trace, steps)
+        assert graph_equals(final, expected_final)
 
     def test_empty_input_rejected(self):
         with pytest.raises(DataError, match="empty"):
@@ -231,7 +251,7 @@ class TestTrainingStep:
         loss_refined = refinement_loss(batch, model, RefinementConfig(t_train=1))
         manual = 0.0
         for forms, gold in batch:
-            scores = model.score(forms, empty_graph(gold.n))
+            scores = model.score_batch([forms], [empty_graph(gold.n)])
             dist = FactoredGraphDistribution.from_scores(scores, "full")
             manual -= graph_log_likelihood(dist, GraphBatch([gold])).item()
         assert loss_refined.item() == pytest.approx(manual, rel=1e-12)
@@ -363,9 +383,10 @@ class TestPaddedBatch:
         batch = self._parser_batch(model)
         graphs = [empty_graph(len(forms) + 1) for forms, _ in batch]
         scores = model.score_batch([forms for forms, _ in batch], graphs)
+        every_label = np.arange(len(model.rel_vocab))
         for b, ((forms, _), graph) in enumerate(zip(batch, graphs)):
-            alone = model.score(forms, graph).array()
-            assert_allclose(scores.sentence(b, graph.n).array(), alone,
+            alone = model.score_batch([forms], [graph]).array()
+            assert_allclose(scores.sentence(b, graph.n, every_label).array(), alone,
                             rtol=0, atol=1e-12)
 
     def test_tape_budget(self):
@@ -378,7 +399,7 @@ class TestPaddedBatch:
             tokens, relations, seed=42)
         record = Record()
         with recording(record):
-            model.score(corpus[0].forms, empty_graph(corpus[0].n + 1))
+            model.score_batch([corpus[0].forms], [empty_graph(corpus[0].n + 1)])
         assert len(record) <= 108
         batch = [(s.forms, dep_tree_to_graph(s.tree, relations)) for s in corpus[4:6]]
         assert batch[0][1].n != batch[1][1].n      # padded, so the masks count
@@ -386,3 +407,111 @@ class TestPaddedBatch:
         with recording(record):
             refinement_loss(batch, model, RefinementConfig(t_train=2))
         assert len(record) <= 240
+
+
+FIXTURE = Path(__file__).parent / "fixtures" / "toy_treebank.conllu"
+GATE = ModelConfig(d=64, heads=4, d_ff=128, layers=2, d_edge=32, max_len=64)
+
+
+def fixture_parser():
+    """The gate configuration over the toy treebank's vocabularies."""
+    tokens, relations = build_vocabs(load_conllu(FIXTURE))
+    return DependencyParserModel(GATE, tokens, relations, seed=42)
+
+
+def ud_parser():
+    """37 deprels, so 76 relation labels, as in a UD treebank."""
+    vocab = Vocab.from_forms([f"w{i}" for i in range(40)])
+    relations = RelationVocab.from_deprels([f"dep{i}" for i in range(37)])
+    return DependencyParserModel(GATE, vocab, relations, seed=7)
+
+
+def random_forms(model, count, rng):
+    forms = list(model.token_vocab.tokens)
+    return [forms[i] for i in rng.integers(0, len(forms), size=count)]
+
+
+def random_graph(model, n, rng):
+    labels = rng.integers(0, len(model.rel_vocab), size=(n, n))
+    np.fill_diagonal(labels, 0)
+    return LabeledGraph(labels)
+
+
+class TestSentenceScorer:
+    @pytest.mark.parametrize("n", [2, 11, 51])
+    @pytest.mark.parametrize("make", [fixture_parser, ud_parser])
+    def test_scores_are_the_decode_columns_of_the_full_scores(self, make, n):
+        # The products run over fewer columns than score_batch's, and BLAS
+        # may round a product's last columns differently with its column
+        # count: a cell may differ by a few units in the last place of the
+        # largest score, never by more.
+        model = make()
+        rng = np.random.default_rng(n)
+        forms = random_forms(model, n - 1, rng)
+        score = model.sentence_scorer(forms)
+        assert score.n == n
+        for graph in (empty_graph(n), random_graph(model, n, rng)):
+            full = model.score_batch([forms], [graph]).flat.data[:, model.decode_labels]
+            got = score(graph).flat.data
+            assert got.shape == (n * n, len(model.rel_vocab.up_indices()))
+            assert_allclose(got, full, rtol=0, atol=1e-15 * np.abs(full).max())
+
+    def test_coref_model_scores_every_label(self):
+        model = coref_fixture(seed=1)
+        tokens = [3, 1, 4, 1, 5]
+        graph = coref_gold(np.random.default_rng(2), 5)
+        full = model.score_batch([tokens], [graph]).flat.data
+        assert np.array_equal(model.sentence_scorer(tokens)(graph).flat.data, full)
+
+    def test_graph_size_mismatch_rejected(self):
+        model = parser_fixture()
+        score = model.sentence_scorer(["the", "dog"])
+        with pytest.raises(DataError, match="conditioning graph has 4 nodes for 3"):
+            score(empty_graph(4))
+
+    def test_too_long_sentence_rejected(self):
+        with pytest.raises(DataError, match="exceeds max_len"):
+            parser_fixture().sentence_scorer(["the"] * SMALL.max_len)
+
+
+class TestRefineAgainstReference:
+    @pytest.mark.parametrize("stop", [True, False])
+    def test_parser(self, stop):
+        model = ud_parser()
+        rescale_parameters(model.registry, 0.3)   # so the graph moves the scores
+        cfg = RefinementConfig(t_max=4, stop_on_convergence=stop)
+        rng = np.random.default_rng(11)
+        changed = 0
+        # equal lengths in a row: one sentence's terms must not serve the next
+        for n in (4, 4, 11, 11, 26):
+            forms = random_forms(model, n, rng)
+            final, trace = refine(forms, model, cfg)
+            expected, steps = reference_refine(forms, model, cfg)
+            assert_same_trace(trace, steps)
+            assert graph_equals(final, expected)
+            changed += sum(not graph_equals(a.graph, b.graph)
+                           for a, b in zip(trace.steps[1:], trace.steps[2:]))
+        assert changed > 0      # some iteration conditioned on a new graph
+
+    def test_coref_mention_first(self):
+        model = coref_fixture(seed=3)
+        cfg = RefinementConfig(t_max=3, schedule="mention-first",
+                               stop_on_convergence=False)
+        rng = np.random.default_rng(5)
+        for n in (6, 6, 9):
+            tokens = list(rng.integers(0, 12, size=n))
+            _, trace = refine(tokens, model, cfg)
+            _, steps = reference_refine(tokens, model, cfg)
+            assert_same_trace(trace, steps)
+            assert not np.any(trace.steps[1].graph.labels == 2)
+
+    def test_repeated_calls_give_identical_traces(self):
+        model = ud_parser()
+        rescale_parameters(model.registry, 0.3)
+        rng = np.random.default_rng(2)
+        first, other = random_forms(model, 11, rng), random_forms(model, 11, rng)
+        cfg = RefinementConfig(t_max=3)
+        _, before = refine(first, model, cfg)
+        refine(other, model, cfg)
+        _, after = refine(first, model, cfg)
+        assert_same_trace(after, [(s.t, s.graph, s.converged) for s in before.steps])
