@@ -9,8 +9,8 @@ back in until it stops changing.
 from .autodiff import (Record, Tensor, backward, layer_norm, matmul, recording,
                        softmax_rows)
 from .attention import (EncoderState, G2GLayerConfig, RelationEmbeddings,
-                        attention_scores, attention_values, encode, init_encoder,
-                        layer_terms)
+                        attention_scores, attention_values, encode, first_layer,
+                        init_encoder)
 from .checkpoint import checkpoint_load, checkpoint_save
 from .conllu import Sentence, load_conllu, write_conllu
 from .config import RunConfig, load_config_file
@@ -20,8 +20,8 @@ from .errors import CheckpointError, DataError, G2GTError, TrainingError, UsageE
 from .graphs import (COREF_VOCAB, DepTree, GraphBatch, LabeledGraph, RelationVocab,
                      dep_tree_to_graph, empty_graph, graph_equals, graph_to_dep_tree,
                      permute_graph)
-from .model import (DependencyParserModel, MentionCorefModel, ModelConfig,
-                    SentenceEncoderModel, SentenceScorer)
+from .model import (BatchScorer, DependencyParserModel, MentionCorefModel,
+                    ModelConfig, SentenceEncoderModel)
 from .mst import is_arborescence, mst_decode
 from .optim import (Adam, GradCheckReport, Parameter, ParameterRegistry,
                     adam_step, grad_check)

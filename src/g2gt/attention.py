@@ -14,9 +14,12 @@ H x n x |L| histogram of each query's attention weight per label times R3.
 The graph reaches a layer only through those reads, so
 :func:`layer_terms` computes the rest of what attention reads of the
 layer's input in one place: the values v, the dot products q k' and the
-two tables.  ``encode`` calls it for every layer, unless the caller
-passes layer 0's terms: the embedding does not depend on the graph, so a
-refinement loop computes them once per sentence.
+two tables.  The input of layer 0 is the embedding, which no graph
+changes, so :func:`first_layer` holds its terms together with the
+relation matrices split per head; a caller that encodes the same input
+under several graphs computes it once and passes it to every ``encode``.
+The cells' offsets into the tables and the label-range check are also
+computed once per ``encode`` call, not per layer.
 Leading axes ride along: ``encode`` takes one sentence (n, d) with a
 :class:`LabeledGraph`, or a padded batch (B, n_max, d) with a
 :class:`GraphBatch`, and every relation matrix applies to every sentence.
@@ -43,12 +46,14 @@ __all__ = [
     "EncoderState",
     "RelationHeads",
     "LayerTerms",
+    "FirstLayer",
     "LayerParams",
     "EncoderParams",
     "init_encoder",
     "attention_scores",
     "attention_values",
     "layer_terms",
+    "first_layer",
     "encode",
 ]
 
@@ -140,6 +145,21 @@ def layer_terms(x: Tensor, layer: "LayerParams", rel: RelationHeads,
     return _layer_terms(q, k, v, rel.query, rel.key)
 
 
+class FirstLayer(NamedTuple):
+    """What ``encode`` reads that no graph changes: the relation matrices
+    split per head, and layer 0's terms on the embedding."""
+
+    rel: RelationHeads
+    terms: LayerTerms
+
+
+def first_layer(x: Tensor, params: "EncoderParams", cfg: G2GLayerConfig) -> FirstLayer:
+    """The relation-head split and layer 0's terms on input ``x``, (n, d)
+    or (B, n, d); the relation terms of every layer read this split."""
+    rel = params.rel.heads(cfg)
+    return FirstLayer(rel, layer_terms(x, params.layers[0], rel, cfg.heads))
+
+
 @dataclass
 class EncoderState:
     """Set-of-vectors embedding produced by the encoder."""
@@ -188,32 +208,32 @@ def _table_cells(table: Tensor, cells: np.ndarray) -> Tensor:
     return gather_rows(reshape(table, (table.data.size,)), cells)
 
 
-def _scores(terms: LayerTerms, labels: np.ndarray, d_head: int) -> Tensor:
-    """Scaled scores of every head, (..., H, n, n), from a layer's terms and
-    the (..., 1, n, n) labels.
+def _scores(terms: LayerTerms, labels: np.ndarray, rows: np.ndarray,
+            d_head: int) -> Tensor:
+    """Scaled scores of every head, (..., H, n, n), from a layer's terms,
+    the (..., 1, n, n) labels and their tables' ``_node_rows``.
 
     The relation terms are read from the per-node tables q R1' and k R2':
     q_i.r1_ij is entry (h, i, label_ij) of the first, r2_ij.k_j entry
     (h, j, label_ij) of the second.
     """
-    rows = _node_rows(labels, terms.q_table, terms.q_table.shape[-1])
     e = add(terms.qk, _table_cells(terms.q_table, rows + labels))
     if terms.k_table is not None:
         e = add(e, _table_cells(terms.k_table, np.swapaxes(rows, -1, -2) + labels))
     return scale(e, 1.0 / math.sqrt(d_head))
 
 
-def _values(alpha: Tensor, v: Tensor, labels: np.ndarray,
+def _values(alpha: Tensor, v: Tensor, labels: np.ndarray, rows: np.ndarray,
             rel_v: Tensor | None) -> Tensor:
     """alpha v plus, per cell, alpha_ij r3_ij, for every head: (..., H, n, d_h).
 
     The relation term is the (..., H, n, L) histogram of each query's
-    weights over the labels of its cells, times the (H, L, d_h) R3.
+    weights over the labels of its cells, times the (H, L, d_h) R3;
+    ``rows`` are that histogram's ``_node_rows``.
     """
     out = matmul(alpha, v)
     if rel_v is not None:
         n_labels = rel_v.shape[-2]
-        rows = _node_rows(labels, v, n_labels)
         histogram = scatter_sum(alpha, rows + labels, rows.size * n_labels)
         out = add(out, matmul(reshape(histogram, rows.shape[:-1] + (n_labels,)), rel_v))
     return out
@@ -232,7 +252,8 @@ def attention_scores(x: Tensor, w_q: Tensor, w_k: Tensor, graph: LabeledGraph,
                if cfg.use_key_term else None)
     terms = _layer_terms(reshape(q, (1, n, d_head)), reshape(k, (1, n, d_head)),
                          None, rel_q_h, rel_k_h)
-    return reshape(_scores(terms, graph.labels, d_head), (n, n))
+    rows = _node_rows(graph.labels, terms.q_table, terms.q_table.shape[-1])
+    return reshape(_scores(terms, graph.labels, rows, d_head), (n, n))
 
 
 def attention_values(alpha: Tensor, x: Tensor, w_v: Tensor, graph: LabeledGraph,
@@ -251,8 +272,9 @@ def attention_values(alpha: Tensor, x: Tensor, w_v: Tensor, graph: LabeledGraph,
     d_head = v.shape[1]
     rel_v_h = (_head_slice(rel.value_rel, head, d_head, _split_heads)
                if cfg.use_value_term else None)
-    z = _values(reshape(alpha, (1, n, n)), reshape(v, (1, n, d_head)),
-                graph.labels, rel_v_h)
+    v = reshape(v, (1, n, d_head))
+    rows = None if rel_v_h is None else _node_rows(graph.labels, v, rel_v_h.shape[-2])
+    z = _values(reshape(alpha, (1, n, n)), v, graph.labels, rows, rel_v_h)
     return reshape(z, (n, d_head))
 
 
@@ -302,7 +324,7 @@ def init_encoder(registry: ParameterRegistry, cfg: G2GLayerConfig, n_labels: int
 
 
 def encode(x: Tensor, graph: LabeledGraph | GraphBatch, params: EncoderParams,
-           cfg: G2GLayerConfig, first: Optional[LayerTerms] = None) -> EncoderState:
+           cfg: G2GLayerConfig, first: Optional[FirstLayer] = None) -> EncoderState:
     """Run the stacked graph-conditioned encoder over an embedded sequence.
 
     ``x`` is one sentence (n, d) conditioned on a :class:`LabeledGraph`, or
@@ -311,8 +333,8 @@ def encode(x: Tensor, graph: LabeledGraph | GraphBatch, params: EncoderParams,
     residual + layer norm, then a feed-forward block with its own
     residual + layer norm (post-norm arrangement).  The rows of padding
     nodes come out finite and meaningless.  ``first``, when given, must be
-    ``layer_terms`` of layer 0 on this ``x``; it is used instead of
-    computing them again.
+    ``first_layer`` of this ``x``; it is used instead of computing it
+    again.
     """
     *lead, n, _ = x.shape
     if graph.labels.shape[:-2] != tuple(lead):
@@ -320,21 +342,22 @@ def encode(x: Tensor, graph: LabeledGraph | GraphBatch, params: EncoderParams,
                          f"{x.shape}")
     labels = np.expand_dims(graph.labels, -3)       # broadcast over heads
     padding = graph.key_mask() if isinstance(graph, GraphBatch) else None
-    rel = params.rel.heads(cfg)
+    if first is None:
+        first = first_layer(x, params, cfg)
+    rel, terms = first
+    rows = _node_rows(labels, terms.q_table, terms.q_table.shape[-1])
     d_head = cfg.d // cfg.heads
     r = len(lead)
     merge = (*range(r), r + 1, r, r + 2)
 
     for index, layer in enumerate(params.layers):
-        if index == 0 and first is not None:
-            terms = first
-        else:
+        if index > 0:
             terms = layer_terms(x, layer, rel, cfg.heads)
-        e = _scores(terms, labels, d_head)
+        e = _scores(terms, labels, rows, d_head)
         if padding is not None:
             e = add(e, Tensor(padding))
         alpha = softmax_rows(e)
-        heads = _values(alpha, terms.v, labels, rel.value)
+        heads = _values(alpha, terms.v, labels, rows, rel.value)
         attn = matmul(reshape(transpose(heads, merge), (*lead, n, cfg.d)), layer.w_o)
         x = layer_norm(add(x, attn), layer.attn_gain, layer.attn_bias)
         hidden = relu(add(matmul(x, layer.ffn_w1), layer.ffn_b1))

@@ -11,10 +11,10 @@ sentences is scored in the same products, as (B, n_max, n_max, L) cells.
 
 Decoding reads only some labels (a tree only the up, "deprel↑", ones),
 so inference scores only those: :meth:`EdgeScorerParams.for_labels`
-takes their rows of the scorer once per sentence, and the scores' column
-k is then label k of that subset.  Training scores every label for the
-loss, and :meth:`EdgeScores.sentence` takes the decoded columns out.  A
-tree is decoded from the (n, n, |up|) slab of those scores, a view with
+takes their rows of the scorer once per scorer the model builds, and the
+scores' column k is then label k of that subset.  Training scores every
+label for the loss, and :meth:`EdgeScores.sentence` takes each
+sentence's decoded columns out.  A tree is decoded from the (n, n, |up|) slab of those scores, a view with
 no label masked, else a copy with the labels outside ``allowed`` at -inf.
 Its max over labels gives the head scores for the MST, and its argmax at
 each chosen arc gives that arc's label.

@@ -2,25 +2,27 @@
 
 Two decode styles share the same trunk: the dependency parser decodes a
 spanning arborescence over a virtual root, while the mention/coreference
-style model decodes every lower-triangular cell independently.  For
-training, the trunk scores a batch of sentences over every label in one
-pass, padded to the longest.  For inference, a :class:`SentenceScorer`
-scores one sentence under graph after graph: it computes once what no
-graph changes (the embedding, layer 0's graph-independent attention
-terms, the scorer's rows for the labels the model decodes), and each
-call runs the rest and scores only those labels.
+style model decodes every lower-triangular cell independently.  Training
+and inference score through one :class:`BatchScorer`, which a model
+builds for a batch of sentences.  It computes once what no graph changes
+(the padded embedding, the relation matrices split per head and layer
+0's graph-independent attention terms), and each call encodes the batch
+under one graph per sentence and scores it.  Training builds one per
+batch, tracked, over every label, and calls it at each refinement
+iteration; inference builds one per sentence over the labels the model
+decodes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cache
-from typing import Sequence, Union, get_args, get_origin, get_type_hints
+from typing import Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .attention import (EncoderParams, G2GLayerConfig, encode, init_encoder,
-                        layer_terms)
+from .attention import (EncoderParams, G2GLayerConfig, encode, first_layer,
+                        init_encoder)
 from .autodiff import Tensor, add, gather_rows
 from .edges import (EdgeScorerParams, EdgeScores, greedy_decode, init_edge_scorer,
                     label_edges, label_slab, pooled_head_scores, score_edges)
@@ -30,7 +32,7 @@ from .mst import mst_decode
 from .optim import ParameterRegistry
 from .vocab import Vocab
 
-__all__ = ["ModelConfig", "SentenceEncoderModel", "SentenceScorer",
+__all__ = ["ModelConfig", "SentenceEncoderModel", "BatchScorer",
            "DependencyParserModel", "MentionCorefModel"]
 
 
@@ -123,58 +125,49 @@ class SentenceEncoderModel:
         """Embedding row of each graph node of a sentence."""
         raise NotImplementedError
 
-    def graph_size(self, tokens: Sequence) -> int:
-        return len(self.ids(tokens))
-
     @property
     def decode_labels(self) -> np.ndarray:
         """The labels that ``decode`` reads, in the order of its score columns."""
         return np.arange(len(self.rel_vocab))
 
-    def sentence_scorer(self, tokens: Sequence) -> "SentenceScorer":
-        return SentenceScorer(self, tokens)
-
-    def score_batch(self, batch: Sequence[Sequence],
-                    graphs: Sequence[LabeledGraph]) -> EdgeScores:
-        """Edge scores of B sentences, each conditioned on its own graph, in
-        one pass over the batch padded to its longest sentence."""
-        id_lists = [self.ids(tokens) for tokens in batch]
-        for ids, graph in zip(id_lists, graphs, strict=True):
-            if graph.n != len(ids):
-                raise DataError(
-                    f"conditioning graph has {graph.n} nodes for {len(ids)} tokens")
-        graph_batch = GraphBatch(graphs)
-        padded = np.zeros(graph_batch.labels.shape[:2], dtype=np.intp)
-        for b, ids in enumerate(id_lists):
-            padded[b, :len(ids)] = ids
-        state = encode(self.embed(padded), graph_batch, self.encoder, self.layer_cfg)
-        return score_edges(state, self.edge_params)
+    def scorer(self, batch: Sequence[Sequence],
+               labels: Optional[np.ndarray] = None) -> "BatchScorer":
+        return BatchScorer(self, batch, labels)
 
 
-class SentenceScorer:
-    """One sentence's edge scores over its model's ``decode_labels``,
-    conditioned on any graph, for inference.
+class BatchScorer:
+    """Edge scores of B sentences, each conditioned on its own graph, in
+    one pass over the batch padded to its longest sentence.
 
-    Made once per sentence, it holds the embedding, layer 0's
-    graph-independent attention terms and the edge scorer of the decode
-    labels; a call runs the graph-dependent rest of the encoder and scores.
+    Made once per batch, it holds the padded embedding, the relation
+    matrices split per head with layer 0's attention terms, and each
+    sentence's node count, ``sizes``.  With ``labels`` None it scores every
+    label through the model's (tracked) scorer, else only ``labels``,
+    untracked, whose column k is then label ``labels[k]``.
     """
 
-    def __init__(self, model: SentenceEncoderModel, tokens: Sequence):
-        ids = model.ids(tokens)
-        self.n = len(ids)
+    def __init__(self, model: SentenceEncoderModel, batch: Sequence[Sequence],
+                 labels: Optional[np.ndarray] = None):
+        if not batch:
+            raise DataError("empty batch")
+        id_lists = [model.ids(tokens) for tokens in batch]
+        self.sizes = [len(ids) for ids in id_lists]
+        padded = np.zeros((len(batch), max(self.sizes)), dtype=np.intp)
+        for b, ids in enumerate(id_lists):
+            padded[b, :len(ids)] = ids
         self._model = model
-        self._x = model.embed(ids)
-        encoder, cfg = model.encoder, model.layer_cfg
-        self._first = layer_terms(self._x, encoder.layers[0], encoder.rel.heads(cfg),
-                                  cfg.heads)
-        self._edge_params = model.edge_params.for_labels(model.decode_labels)
+        self._x = model.embed(padded)
+        self._first = first_layer(self._x, model.encoder, model.layer_cfg)
+        self._edge_params = (model.edge_params if labels is None
+                             else model.edge_params.for_labels(labels))
 
-    def __call__(self, graph: LabeledGraph) -> EdgeScores:
-        if graph.n != self.n:
-            raise DataError(f"conditioning graph has {graph.n} nodes for {self.n} tokens")
+    def __call__(self, graphs: Sequence[LabeledGraph]) -> EdgeScores:
+        for graph, n in zip(graphs, self.sizes, strict=True):
+            if graph.n != n:
+                raise DataError(f"conditioning graph has {graph.n} nodes for {n} tokens")
         model = self._model
-        state = encode(self._x, graph, model.encoder, model.layer_cfg, first=self._first)
+        state = encode(self._x, GraphBatch(graphs), model.encoder, model.layer_cfg,
+                       self._first)
         return score_edges(state, self._edge_params)
 
 

@@ -2,13 +2,14 @@
 
 Each iteration re-encodes the sequence conditioned on the previously
 predicted graph and re-predicts every edge in parallel; the loop stops
-early once the graph stops changing, or at the iteration cap.  Inference
-asks the model once per sentence for a scorer, which computes once what
-the graph cannot change, so an iteration runs only the graph-dependent
-part of the encoder and scores only the labels the decoder reads.
-Training runs a fixed number of iterations, conditioning each one on the
-previous (detached, discrete) prediction and summing the per-iteration
-losses.
+early once the graph stops changing, or at the iteration cap.  Both
+inference and training ask the model once for a scorer (see
+:class:`g2gt.model.BatchScorer`), which computes once what the graph
+cannot change, so an iteration runs only the graph-dependent part of the
+encoder.  Inference builds it per sentence over the labels the decoder
+reads.  Training builds it per batch over every label, runs a fixed
+number of iterations, conditioning each one on the previous (detached,
+discrete) prediction, and sums the per-iteration losses.
 
 Training takes a batch in one pass per iteration: its sentences are
 padded to the longest, encoded and scored together, and the loss gathers
@@ -25,8 +26,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .autodiff import (Record, Tensor, backward, gather_rows, log_softmax_rows, neg,
-                       recording, reshape, tensor_sum)
+from .autodiff import (Record, Tensor, add, backward, gather_rows, log_softmax_rows,
+                       neg, recording, reshape, tensor_sum)
 from .edges import EdgeScores
 from .errors import DataError, TrainingError, UsageError
 from .graphs import (COREF_VOCAB, GraphBatch, LabeledGraph, RelationVocab,
@@ -119,19 +120,20 @@ def refine(tokens: Sequence, model,
     """Iteratively re-encode and re-predict a graph over ``tokens``,
     starting from the empty parse.
 
-    The model must expose ``sentence_scorer(tokens)``, a callable with the
-    sentence's node count ``n`` that maps a graph to :class:`EdgeScores`,
-    ``decode(scores, allowed)`` and a ``rel_vocab``.  Returns the last
+    The model must expose ``scorer(batch, labels)``, whose result has the
+    node count of each sentence in ``sizes`` and maps one graph per
+    sentence to :class:`EdgeScores` over ``labels``; ``decode_labels``;
+    ``decode(scores, allowed)``; and a ``rel_vocab``.  Returns the last
     graph and the full trace.
     """
     if len(tokens) == 0:
         raise DataError("cannot refine an empty token sequence")
-    score = model.sentence_scorer(tokens)
-    g = empty_graph(score.n)
+    score = model.scorer([tokens], model.decode_labels)
+    g = empty_graph(score.sizes[0])
     trace = RefinementTrace([TraceStep(0, g, False)])
     for t in range(1, cfg.t_max + 1):
         allowed = stage_mask(t, cfg.schedule, model.rel_vocab)
-        scores = score(g)
+        scores = score([g])
         new_graph = model.decode(scores, allowed=allowed)
         converged = graph_equals(new_graph, g)
         trace.steps.append(TraceStep(t, new_graph, converged))
@@ -203,13 +205,16 @@ def refinement_loss(batch: Sequence[tuple], model, cfg: RefinementConfig) -> Ten
     ``batch`` holds (tokens, gold graph) pairs.  Iteration t scores the
     whole batch in one pass, padded to its longest sentence, each sentence
     conditioned on its own iteration t-1 prediction (G^0 is the empty
-    parse); padding nodes and cells add nothing to the loss.  The discrete
-    decode step carries no gradient, so iterations do not backpropagate
-    into each other.  Raises :class:`TrainingError` when an iteration's
-    loss is not finite, before its prediction is decoded.
+    parse); padding nodes and cells add nothing to the loss.  One scorer
+    serves every iteration, so the embedding and layer 0's
+    graph-independent terms are computed once and their gradients sum over
+    the iterations.  The discrete decode step carries no gradient, so
+    iterations do not backpropagate into each other.  Raises
+    :class:`TrainingError` when an iteration's loss is not finite, before
+    its prediction is decoded.
     """
-    tokens = [t for t, _ in batch]
-    sizes = [model.graph_size(t) for t in tokens]
+    score = model.scorer([t for t, _ in batch])
+    sizes = score.sizes
     for k, ((_, gold), n) in enumerate(zip(batch, sizes), start=1):
         if gold.n != n:
             raise DataError(f"sentence {k} of {len(batch)}: gold graph has {gold.n} "
@@ -218,12 +223,12 @@ def refinement_loss(batch: Sequence[tuple], model, cfg: RefinementConfig) -> Ten
     graphs = [empty_graph(n) for n in sizes]
     total: Optional[Tensor] = None
     for t in range(1, cfg.t_train + 1):
-        scores = model.score_batch(tokens, graphs)
+        scores = score(graphs)
         dist = FactoredGraphDistribution.from_scores(scores, model.scope)
         loss_t = neg(graph_log_likelihood(dist, gold))
         if not np.isfinite(loss_t.data):
             raise TrainingError(f"iteration {t}: loss is {loss_t.item()}")
-        total = loss_t if total is None else total + loss_t
+        total = loss_t if total is None else add(total, loss_t)
         if t < cfg.t_train:
             allowed = stage_mask(t, cfg.schedule, model.rel_vocab)
             graphs = [model.decode(scores.sentence(b, n, model.decode_labels),

@@ -285,8 +285,8 @@ def test_09_round_trips(tmp_path):
     checkpoint_save(model, ckpt)
     loaded = checkpoint_load(ckpt)
     forms = ["w1", "w2", "w3"]
-    ckpt_ok = np.array_equal(model.score_batch([forms], [empty_graph(4)]).flat.data,
-                             loaded.score_batch([forms], [empty_graph(4)]).flat.data)
+    ckpt_ok = np.array_equal(model.scorer([forms])([empty_graph(4)]).flat.data,
+                             loaded.scorer([forms])([empty_graph(4)]).flat.data)
 
     tree_vocab = RelationVocab.from_deprels(["det", "nsubj", "obj", "root"])
     tree_ok = True

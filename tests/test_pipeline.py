@@ -162,8 +162,8 @@ class TestCheckpoint:
         loaded = checkpoint_load(path)
         forms = ["the", "dog", "barks"]
         g = empty_graph(4)
-        before = model.score_batch([forms], [g]).flat.data
-        after = loaded.score_batch([forms], [g]).flat.data
+        before = model.scorer([forms])([g]).flat.data
+        after = loaded.scorer([forms])([g]).flat.data
         assert np.array_equal(before, after)  # bitwise
 
     def test_truncated_file_rejected(self, tmp_path):

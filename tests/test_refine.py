@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from g2gt.autodiff import Record, Tensor, backward, recording
+from g2gt import autodiff
+from g2gt.autodiff import Record, Tensor, add, backward, neg, recording
 from g2gt.edges import EdgeScores
 from g2gt.errors import DataError, TrainingError, UsageError
 from g2gt.graphs import (COREF_VOCAB, DepTree, GraphBatch, LabeledGraph,
@@ -39,16 +40,15 @@ class ConstantModel:
     def __init__(self, graph):
         self.graph = graph
 
-    def graph_size(self, tokens):
-        return self.graph.n
+    decode_labels = np.arange(3)
 
-    def sentence_scorer(self, tokens):
+    def scorer(self, batch, labels=None):
         n = self.graph.n
 
-        def score(graph):
-            return EdgeScores(Tensor(np.zeros((n * n, 3))), n)
+        def score(graphs):
+            return EdgeScores(Tensor(np.zeros((len(graphs) * n * n, 3))), n)
 
-        score.n = n
+        score.sizes = [n] * len(batch)
         return score
 
     def decode(self, scores, allowed=None):
@@ -56,14 +56,14 @@ class ConstantModel:
 
 
 def reference_refine(tokens, model, cfg):
-    """The refinement loop without a per-sentence scorer: every iteration
-    embeds the sentence again, scores every label through ``score_batch``
-    and decodes the decoder's columns of those scores."""
-    g = empty_graph(model.graph_size(tokens))
+    """The refinement loop without a shared scorer: every iteration builds
+    a new one, so embeds the sentence again, scores every label and
+    decodes the decoder's columns of those scores."""
+    g = empty_graph(len(model.ids(tokens)))
     steps = [(0, g, False)]
     for t in range(1, cfg.t_max + 1):
         allowed = stage_mask(t, cfg.schedule, model.rel_vocab)
-        scores = model.score_batch([tokens], [g]).sentence(0, g.n, model.decode_labels)
+        scores = model.scorer([tokens])([g]).sentence(0, g.n, model.decode_labels)
         new_graph = model.decode(scores, allowed=allowed)
         converged = graph_equals(new_graph, g)
         steps.append((t, new_graph, converged))
@@ -251,7 +251,7 @@ class TestTrainingStep:
         loss_refined = refinement_loss(batch, model, RefinementConfig(t_train=1))
         manual = 0.0
         for forms, gold in batch:
-            scores = model.score_batch([forms], [empty_graph(gold.n)])
+            scores = model.scorer([forms])([empty_graph(gold.n)])
             dist = FactoredGraphDistribution.from_scores(scores, "full")
             manual -= graph_log_likelihood(dist, GraphBatch([gold])).item()
         assert loss_refined.item() == pytest.approx(manual, rel=1e-12)
@@ -299,11 +299,30 @@ def coref_gold(rng, n):
     return LabeledGraph(labels)
 
 
-def loss_and_gradients(batch, model, cfg):
+def fresh_scorer_loss(batch, model, cfg):
+    """``refinement_loss`` with a new scorer at every iteration, so that no
+    embedding or layer-0 term is shared across iterations."""
+    tokens = [forms for forms, _ in batch]
+    gold = GraphBatch([g for _, g in batch])
+    graphs = [empty_graph(g.n) for _, g in batch]
+    total = None
+    for t in range(1, cfg.t_train + 1):
+        scores = model.scorer(tokens)(graphs)
+        dist = FactoredGraphDistribution.from_scores(scores, model.scope)
+        loss_t = neg(graph_log_likelihood(dist, gold))
+        total = loss_t if total is None else add(total, loss_t)
+        allowed = stage_mask(t, cfg.schedule, model.rel_vocab)
+        graphs = [model.decode(scores.sentence(b, g.n, model.decode_labels),
+                               allowed=allowed)
+                  for b, g in enumerate(graphs)]
+    return total
+
+
+def loss_and_gradients(batch, model, cfg, loss_fn=refinement_loss):
     model.registry.zero_grad()
     record = Record()
     with recording(record):
-        loss = refinement_loss(batch, model, cfg)
+        loss = loss_fn(batch, model, cfg)
     backward(loss, record)
     grads = {p.name: (np.zeros_like(p.tensor.data) if p.tensor.grad is None
                       else p.tensor.grad.copy()) for p in model.registry}
@@ -323,25 +342,37 @@ class TestPaddedBatch:
                                        ["det", "nsubj", "det", "nsubj", "root"]), rel)),
         ]
 
-    @pytest.mark.parametrize("kind", ["parser", "coref"])
-    def test_equals_sum_of_single_sentence_losses(self, kind):
+    def _model_batch_config(self, kind):
         if kind == "parser":
             model = parser_fixture(seed=6)
             rescale_parameters(model.registry, 0.2)
-            batch = self._parser_batch(model)
-            cfg = RefinementConfig(t_train=2)
-        else:
-            model = coref_fixture(seed=6)
-            rng = np.random.default_rng(4)
-            batch = [(list(rng.integers(0, 12, size=n)), coref_gold(rng, n))
-                     for n in (4, 7, 2)]
-            cfg = RefinementConfig(t_train=2, schedule="mention-first")
+            return model, self._parser_batch(model), RefinementConfig(t_train=2)
+        model = coref_fixture(seed=6)
+        rng = np.random.default_rng(4)
+        batch = [(list(rng.integers(0, 12, size=n)), coref_gold(rng, n))
+                 for n in (4, 7, 2)]
+        return model, batch, RefinementConfig(t_train=2, schedule="mention-first")
+
+    @pytest.mark.parametrize("kind", ["parser", "coref"])
+    def test_equals_sum_of_single_sentence_losses(self, kind):
+        model, batch, cfg = self._model_batch_config(kind)
         loss, grads = loss_and_gradients(batch, model, cfg)
         singles = [loss_and_gradients([item], model, cfg) for item in batch]
         assert loss == pytest.approx(sum(l for l, _ in singles), rel=1e-12)
         for name, grad in grads.items():
             assert_allclose(grad, sum(g[name] for _, g in singles), rtol=0, atol=1e-10,
                             err_msg=name)
+
+    @pytest.mark.parametrize("kind", ["parser", "coref"])
+    def test_shared_scorer_equals_a_fresh_scorer_per_iteration(self, kind):
+        # sharing layer 0 across iterations only reorders gradient sums
+        model, batch, cfg = self._model_batch_config(kind)
+        cfg = RefinementConfig(t_train=3, schedule=cfg.schedule)
+        loss, grads = loss_and_gradients(batch, model, cfg)
+        fresh_loss, fresh_grads = loss_and_gradients(batch, model, cfg, fresh_scorer_loss)
+        assert loss == pytest.approx(fresh_loss, rel=1e-12)
+        for name, grad in grads.items():
+            assert_allclose(grad, fresh_grads[name], rtol=0, atol=1e-10, err_msg=name)
 
     def test_grad_check_on_unequal_lengths(self):
         vocab = Vocab.from_forms(["a", "b", "c", "d"])
@@ -382,16 +413,17 @@ class TestPaddedBatch:
         model = parser_fixture(seed=2)
         batch = self._parser_batch(model)
         graphs = [empty_graph(len(forms) + 1) for forms, _ in batch]
-        scores = model.score_batch([forms for forms, _ in batch], graphs)
+        scores = model.scorer([forms for forms, _ in batch])(graphs)
         every_label = np.arange(len(model.rel_vocab))
         for b, ((forms, _), graph) in enumerate(zip(batch, graphs)):
-            alone = model.score_batch([forms], [graph]).array()
+            alone = model.scorer([forms])([graph]).array()
             assert_allclose(scores.sentence(b, graph.n, every_label).array(), alone,
                             rtol=0, atol=1e-12)
 
     def test_tape_budget(self):
         # the figures before batching: 108 nodes for one sentence's scores,
-        # 451 for a two-sentence step at t_train=2
+        # 451 for a two-sentence step at t_train=2; 213 for that step before
+        # its iterations shared one scorer
         corpus = load_conllu(Path(__file__).parent / "fixtures" / "toy_treebank.conllu")
         tokens, relations = build_vocabs(corpus)
         model = DependencyParserModel(
@@ -399,14 +431,14 @@ class TestPaddedBatch:
             tokens, relations, seed=42)
         record = Record()
         with recording(record):
-            model.score_batch([corpus[0].forms], [empty_graph(corpus[0].n + 1)])
+            model.scorer([corpus[0].forms])([empty_graph(corpus[0].n + 1)])
         assert len(record) <= 108
         batch = [(s.forms, dep_tree_to_graph(s.tree, relations)) for s in corpus[4:6]]
         assert batch[0][1].n != batch[1][1].n      # padded, so the masks count
         record = Record()
         with recording(record):
             refinement_loss(batch, model, RefinementConfig(t_train=2))
-        assert len(record) <= 240
+        assert len(record) <= 191
 
 
 FIXTURE = Path(__file__).parent / "fixtures" / "toy_treebank.conllu"
@@ -441,18 +473,18 @@ class TestSentenceScorer:
     @pytest.mark.parametrize("n", [2, 11, 51])
     @pytest.mark.parametrize("make", [fixture_parser, ud_parser])
     def test_scores_are_the_decode_columns_of_the_full_scores(self, make, n):
-        # The products run over fewer columns than score_batch's, and BLAS
+        # The products run over fewer columns than the full scorer's, and BLAS
         # may round a product's last columns differently with its column
         # count: a cell may differ by a few units in the last place of the
         # largest score, never by more.
         model = make()
         rng = np.random.default_rng(n)
         forms = random_forms(model, n - 1, rng)
-        score = model.sentence_scorer(forms)
-        assert score.n == n
+        score = model.scorer([forms], model.decode_labels)
+        assert score.sizes == [n]
         for graph in (empty_graph(n), random_graph(model, n, rng)):
-            full = model.score_batch([forms], [graph]).flat.data[:, model.decode_labels]
-            got = score(graph).flat.data
+            full = model.scorer([forms])([graph]).flat.data[:, model.decode_labels]
+            got = score([graph]).flat.data
             assert got.shape == (n * n, len(model.rel_vocab.up_indices()))
             assert_allclose(got, full, rtol=0, atol=1e-15 * np.abs(full).max())
 
@@ -460,18 +492,19 @@ class TestSentenceScorer:
         model = coref_fixture(seed=1)
         tokens = [3, 1, 4, 1, 5]
         graph = coref_gold(np.random.default_rng(2), 5)
-        full = model.score_batch([tokens], [graph]).flat.data
-        assert np.array_equal(model.sentence_scorer(tokens)(graph).flat.data, full)
+        full = model.scorer([tokens])([graph]).flat.data
+        assert np.array_equal(
+            model.scorer([tokens], model.decode_labels)([graph]).flat.data, full)
 
     def test_graph_size_mismatch_rejected(self):
         model = parser_fixture()
-        score = model.sentence_scorer(["the", "dog"])
+        score = model.scorer([["the", "dog"]], model.decode_labels)
         with pytest.raises(DataError, match="conditioning graph has 4 nodes for 3"):
-            score(empty_graph(4))
+            score([empty_graph(4)])
 
     def test_too_long_sentence_rejected(self):
         with pytest.raises(DataError, match="exceeds max_len"):
-            parser_fixture().sentence_scorer(["the"] * SMALL.max_len)
+            parser_fixture().scorer([["the"] * SMALL.max_len])
 
 
 class TestRefineAgainstReference:
@@ -515,3 +548,24 @@ class TestRefineAgainstReference:
         refine(other, model, cfg)
         _, after = refine(first, model, cfg)
         assert_same_trace(after, [(s.t, s.graph, s.converged) for s in before.steps])
+
+
+class TestOpCounts:
+    def test_ops_per_refine_iteration(self, monkeypatch):
+        # 83 while every iteration split the relation matrices again
+        model = ud_parser()
+        forms = random_forms(model, 9, np.random.default_rng(0))    # n = 10
+        make, count = autodiff._make, 0
+
+        def counting(*args):
+            nonlocal count
+            count += 1
+            return make(*args)
+
+        monkeypatch.setattr(autodiff, "_make", counting)
+        totals = {}
+        for t_max in (1, 3):
+            count = 0
+            refine(forms, model, RefinementConfig(t_max=t_max, stop_on_convergence=False))
+            totals[t_max] = count
+        assert (totals[3] - totals[1]) / 2 <= 77
