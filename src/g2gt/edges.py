@@ -13,9 +13,11 @@ Decoding reads only some labels (a tree only the up, "deprel↑", ones),
 so inference scores only those: :meth:`EdgeScorerParams.for_labels`
 takes their rows of the scorer once per scorer the model builds, and the
 scores' column k is then label k of that subset.  Training scores every
-label for the loss, and :meth:`EdgeScores.sentence` takes each
-sentence's decoded columns out.  A tree is decoded from the (n, n, |up|) slab of those scores, a view with
-no label masked, else a copy with the labels outside ``allowed`` at -inf.
+label for the loss.  :meth:`EdgeScores.sentence` takes each sentence's
+decoded columns out of a padded batch, as a view when they are the
+sentence's whole block.  A tree is decoded from the (n, n, |up|) slab
+of those scores, a view with no label masked, else a copy with the
+labels outside ``allowed`` at -inf.
 Its max over labels gives the head scores for the MST, and its argmax at
 each chosen arc gives that arc's label.
 """
@@ -119,7 +121,11 @@ class EdgeScores:
 
     def sentence(self, b: int, n: int, labels: np.ndarray) -> "EdgeScores":
         """Sentence b's scores over its first n nodes and the columns
-        ``labels``, untracked, for decoding."""
+        ``labels``, untracked, for decoding: a view when the sentence fills
+        the padded width and ``labels`` takes every column in order, else
+        a copy."""
+        if n == self.n and np.array_equal(labels, np.arange(self.n_labels)):
+            return EdgeScores(Tensor(self.flat.data[b * n * n:(b + 1) * n * n]), n)
         cells = self.flat.data.reshape(-1, self.n, self.n, self.n_labels)[b, :n, :n]
         return EdgeScores(Tensor(cells[:, :, labels].reshape(n * n, len(labels))), n)
 

@@ -9,8 +9,8 @@ builds for a batch of sentences.  It computes once what no graph changes
 0's graph-independent attention terms), and each call encodes the batch
 under one graph per sentence and scores it.  Training builds one per
 batch, tracked, over every label, and calls it at each refinement
-iteration; inference builds one per sentence over the labels the model
-decodes.
+iteration; inference builds one per batch of similar-length sentences
+over the labels the model decodes.
 """
 
 from __future__ import annotations

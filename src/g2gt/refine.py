@@ -3,20 +3,22 @@
 Each iteration re-encodes the sequence conditioned on the previously
 predicted graph and re-predicts every edge in parallel; the loop stops
 early once the graph stops changing, or at the iteration cap.  Both
-inference and training ask the model once for a scorer (see
+inference and training ask the model once per batch for a scorer (see
 :class:`g2gt.model.BatchScorer`), which computes once what the graph
 cannot change, so an iteration runs only the graph-dependent part of the
-encoder.  Inference builds it per sentence over the labels the decoder
-reads.  Training builds it per batch over every label, runs a fixed
-number of iterations, conditioning each one on the previous (detached,
-discrete) prediction, and sums the per-iteration losses.
+encoder.  Both take a batch in one pass per iteration: its sentences are
+padded to the longest, encoded and scored together, and each sentence
+is decoded from its own block of the scores, on the columns of the
+labels its model decodes.
 
-Training takes a batch in one pass per iteration: its sentences are
-padded to the longest, encoded and scored together, and the loss gathers
-the gold label's log-probability at every real, in-scope cell of every
-sentence.  Padding cells carry NONE and fall outside that gather; only
-the discrete decode between iterations runs sentence by sentence, on
-each sentence's columns of the labels its model decodes.
+Inference (:func:`refine_batch`, of which :func:`refine` is the
+one-sentence case) scores only those labels and stops each sentence
+once its graph stops changing.  Training scores every label, runs a
+fixed number of iterations, conditioning each one on the previous
+(detached, discrete) prediction, and sums the per-iteration losses; the
+loss gathers the gold label's log-probability at every real, in-scope
+cell of every sentence.  Padding cells carry NONE and fall outside that
+gather.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ __all__ = [
     "RefinementTrace",
     "stage_mask",
     "refine",
+    "refine_batch",
     "FactoredGraphDistribution",
     "graph_log_likelihood",
     "refinement_loss",
@@ -118,29 +121,49 @@ def stage_mask(t: int, schedule: str, vocab: RelationVocab) -> Optional[frozense
 def refine(tokens: Sequence, model,
            cfg: RefinementConfig) -> tuple[LabeledGraph, RefinementTrace]:
     """Iteratively re-encode and re-predict a graph over ``tokens``,
-    starting from the empty parse.
+    starting from the empty parse: :func:`refine_batch` of one sentence.
+    Returns the last graph and the full trace."""
+    return refine_batch([tokens], model, cfg)[0]
+
+
+def refine_batch(batch: Sequence[Sequence], model,
+                 cfg: RefinementConfig) -> list[tuple[LabeledGraph, RefinementTrace]]:
+    """Refine every sentence of ``batch`` from the empty parse, scoring
+    all of them in one padded pass per iteration.
+
+    Sentences never interact, so each one's graphs and trace are those it
+    would get alone.  A sentence that has converged keeps its graph and
+    its trace ends there; it stays in the padded pass, whose scores for
+    it are not decoded.  The loop stops once every sentence has
+    converged, or at ``t_max``.
 
     The model must expose ``scorer(batch, labels)``, whose result has the
     node count of each sentence in ``sizes`` and maps one graph per
     sentence to :class:`EdgeScores` over ``labels``; ``decode_labels``;
-    ``decode(scores, allowed)``; and a ``rel_vocab``.  Returns the last
-    graph and the full trace.
+    ``decode(scores, allowed)``; and a ``rel_vocab``.  Returns one (last
+    graph, trace) pair per sentence, in batch order.
     """
-    if len(tokens) == 0:
+    if any(len(tokens) == 0 for tokens in batch):
         raise DataError("cannot refine an empty token sequence")
-    score = model.scorer([tokens], model.decode_labels)
-    g = empty_graph(score.sizes[0])
-    trace = RefinementTrace([TraceStep(0, g, False)])
+    score = model.scorer(batch, model.decode_labels)
+    graphs = [empty_graph(n) for n in score.sizes]
+    traces = [RefinementTrace([TraceStep(0, g, False)]) for g in graphs]
+    columns = np.arange(len(model.decode_labels))
+    active = range(len(graphs))
     for t in range(1, cfg.t_max + 1):
         allowed = stage_mask(t, cfg.schedule, model.rel_vocab)
-        scores = score([g])
-        new_graph = model.decode(scores, allowed=allowed)
-        converged = graph_equals(new_graph, g)
-        trace.steps.append(TraceStep(t, new_graph, converged))
-        g = new_graph
-        if converged and cfg.stop_on_convergence:
-            break
-    return g, trace
+        scores = score(graphs)
+        for b in active:
+            new_graph = model.decode(scores.sentence(b, score.sizes[b], columns),
+                                     allowed=allowed)
+            traces[b].steps.append(
+                TraceStep(t, new_graph, graph_equals(new_graph, graphs[b])))
+            graphs[b] = new_graph
+        if cfg.stop_on_convergence:
+            active = [b for b in active if not traces[b].converged]
+            if not active:
+                break
+    return list(zip(graphs, traces))
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,13 @@ from .errors import DataError, TrainingError
 from .graphs import DepTree, dep_tree_to_graph, graph_to_dep_tree
 from .model import DependencyParserModel, ModelConfig
 from .optim import Adam
-from .refine import RefinementConfig, RefinementTrace, refine, train_refinement_step
+# refine is not called here; perfbench's tracer wraps it at this binding
+from .refine import (RefinementConfig, RefinementTrace, refine,  # noqa: F401
+                     refine_batch, train_refinement_step)
 from .vocab import build_vocabs
 
-__all__ = ["EvalReport", "evaluate", "parse_corpus", "train", "TrainResult"]
+__all__ = ["EvalReport", "evaluate", "length_buckets", "parse_corpus", "train",
+           "TrainResult"]
 
 log = logging.getLogger("g2gt")
 
@@ -62,16 +65,56 @@ def evaluate(pred: Sequence[DepTree], gold: Sequence[DepTree]) -> EvalReport:
                       n_tokens=total)
 
 
+# Padded cells, B * n_max**2 with n counting the root, that one bucket of
+# parse_corpus may hold.  On a shuffled mix of 132 sentences of 10 to 100
+# tokens (80, 40, 10 and 2 of each), budgets from 2048 to 8192 cells all
+# parsed in 0.58-0.60 of the time of one sentence at a time (median of 6
+# paired repeats, 2-vCPU VM, one BLAS thread), while sorted buckets of 32
+# sentences with no budget took 0.92 of it: a bucket that straddles two
+# lengths pads all its short sentences to the long one.
+BUCKET_CELLS = 4096
+
+
+def length_buckets(sizes: Sequence[int]) -> list[list[int]]:
+    """The indices of ``sizes``, sorted by size and packed into consecutive
+    buckets of at most BUCKET_CELLS padded cells (count times largest size
+    squared); a size whose square alone exceeds that is a bucket of its own."""
+    buckets: list[list[int]] = []
+    for k in sorted(range(len(sizes)), key=sizes.__getitem__):
+        if buckets and (len(buckets[-1]) + 1) * sizes[k] ** 2 <= BUCKET_CELLS:
+            buckets[-1].append(k)
+        else:
+            buckets.append([k])
+    return buckets
+
+
 def parse_corpus(model: DependencyParserModel, sentences: Sequence[Sentence],
                  refinement: RefinementConfig
                  ) -> tuple[list[DepTree], list[RefinementTrace]]:
-    """Refine every sentence; return the final graphs as trees, and the traces."""
-    trees = []
-    traces = []
-    for s in sentences:
-        graph, trace = refine(s.forms, model, refinement)
-        trees.append(graph_to_dep_tree(graph, model.rel_vocab))
-        traces.append(trace)
+    """Refine every sentence; return the final graphs as trees, and the
+    traces, both in input order.
+
+    Sentences of similar length are refined together, one padded pass per
+    iteration for a whole bucket (:func:`refine_batch`); the buckets come
+    from :func:`length_buckets` over the node counts, so padding stays
+    within BUCKET_CELLS cells.  Every sentence is checked before anything
+    is scored: an empty one, or one longer than the model's ``max_len``,
+    raises :class:`DataError` naming its place in the corpus.
+    """
+    sizes = [len(s.forms) + 1 for s in sentences]      # the root included
+    for k, n in enumerate(sizes, start=1):
+        if n == 1:
+            raise DataError(f"sentence {k} of {len(sizes)}: no tokens to parse")
+        if n > model.cfg.max_len:
+            raise DataError(f"sentence {k} of {len(sizes)}: sequence of {n} tokens "
+                            f"exceeds max_len={model.cfg.max_len}")
+    trees: list = [None] * len(sentences)
+    traces: list = [None] * len(sentences)
+    for bucket in length_buckets(sizes):
+        refined = refine_batch([sentences[k].forms for k in bucket], model, refinement)
+        for k, (graph, trace) in zip(bucket, refined):
+            trees[k] = graph_to_dep_tree(graph, model.rel_vocab)
+            traces[k] = trace
     return trees, traces
 
 

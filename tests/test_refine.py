@@ -11,13 +11,16 @@ from g2gt.autodiff import Record, Tensor, add, backward, neg, recording
 from g2gt.edges import EdgeScores
 from g2gt.errors import DataError, TrainingError, UsageError
 from g2gt.graphs import (COREF_VOCAB, DepTree, GraphBatch, LabeledGraph,
-                         RelationVocab, dep_tree_to_graph, empty_graph, graph_equals)
+                         RelationVocab, dep_tree_to_graph, empty_graph, graph_equals,
+                         graph_to_dep_tree)
 from g2gt.model import DependencyParserModel, MentionCorefModel, ModelConfig
 from g2gt.optim import Adam, grad_check
 from g2gt.refine import (FactoredGraphDistribution, RefinementConfig,
-                         graph_log_likelihood, refine, refinement_loss, stage_mask,
-                         train_refinement_step)
-from g2gt.conllu import load_conllu
+                         graph_log_likelihood, refine, refine_batch, refinement_loss,
+                         stage_mask, train_refinement_step)
+from g2gt.config import RunConfig
+from g2gt.conllu import Sentence, load_conllu
+from g2gt.training import BUCKET_CELLS, length_buckets, parse_corpus, train
 from g2gt.vocab import Vocab, build_vocabs
 
 from oracles import rescale_parameters
@@ -420,6 +423,25 @@ class TestPaddedBatch:
             assert_allclose(scores.sentence(b, graph.n, every_label).array(), alone,
                             rtol=0, atol=1e-12)
 
+    def test_sentence_is_a_view_only_of_a_whole_block(self):
+        model = parser_fixture(seed=2)
+        batch = self._parser_batch(model)
+        graphs = [empty_graph(len(forms) + 1) for forms, _ in batch]
+        score = model.scorer([forms for forms, _ in batch], model.decode_labels)
+        scores = score(graphs)
+        columns = np.arange(scores.n_labels)
+        long, short = np.argmax(score.sizes), np.argmin(score.sizes)
+        assert score.sizes[long] == scores.n > score.sizes[short]
+        whole = scores.sentence(long, scores.n, columns)
+        assert np.shares_memory(whole.flat.data, scores.flat.data)
+        cells = scores.flat.data.reshape(len(graphs), scores.n, scores.n, -1)
+        assert np.array_equal(whole.array(), cells[long])
+        for b, n, labels in ((short, score.sizes[short], columns),
+                             (long, scores.n, columns[::-1])):
+            part = scores.sentence(b, n, labels)
+            assert not np.shares_memory(part.flat.data, scores.flat.data)
+            assert np.array_equal(part.array(), cells[b, :n, :n][:, :, labels])
+
     def test_tape_budget(self):
         # the figures before batching: 108 nodes for one sentence's scores,
         # 451 for a two-sentence step at t_train=2; 213 for that step before
@@ -550,22 +572,145 @@ class TestRefineAgainstReference:
         assert_same_trace(after, [(s.t, s.graph, s.converged) for s in before.steps])
 
 
+def assert_same_results(got, expected):
+    """Equal final graphs and traces: iterations, converged flags and the
+    graph at every step."""
+    assert len(got) == len(expected)
+    for (graph, trace), (expected_graph, expected_trace) in zip(got, expected):
+        assert graph_equals(graph, expected_graph)
+        assert_same_trace(trace, [(s.t, s.graph, s.converged)
+                                  for s in expected_trace.steps])
+
+
+@pytest.fixture(scope="module")
+def trained_fixture_parser(tmp_path_factory):
+    """The gate configuration trained 20 epochs on the toy treebank."""
+    config = RunConfig(train_file=str(FIXTURE), seed=42, epochs=20, batch_size=2,
+                       lr=2e-3, d=64, heads=4, d_ff=128, layers=2, d_edge=32,
+                       t_train=2, t_max=3, max_len=32,
+                       model_out=str(tmp_path_factory.mktemp("model") / "m.g2gt"))
+    return train(config).model
+
+
+class TestRefineBatch:
+    """Batched refinement gives every sentence what refining it alone gives."""
+
+    @staticmethod
+    def assert_parses_as_alone(model, corpus, cfg):
+        trees, traces = parse_corpus(model, corpus, cfg)
+        alone = [refine(s.forms, model, cfg) for s in corpus]
+        assert trees == [graph_to_dep_tree(g, model.rel_vocab) for g, _ in alone]
+        assert_same_results(list(zip([t.final for t in traces], traces)), alone)
+        return traces
+
+    @pytest.mark.parametrize("trained", [False, True])
+    def test_parse_corpus_on_the_fixture(self, trained, request):
+        model = (request.getfixturevalue("trained_fixture_parser") if trained
+                 else fixture_parser())
+        corpus = load_conllu(FIXTURE)
+        assert len(length_buckets([s.n + 1 for s in corpus])) == 1
+        self.assert_parses_as_alone(model, corpus, RefinementConfig(t_max=3))
+
+    @pytest.mark.parametrize("stop", [True, False])
+    def test_parse_corpus_on_shuffled_lengths(self, stop):
+        model = ud_parser()
+        rng = np.random.default_rng(4)
+        lengths = rng.permutation(np.arange(1, 41))
+        corpus = [Sentence(random_forms(model, n, rng), DepTree([None] * n, [None] * n))
+                  for n in lengths]
+        buckets = length_buckets([n + 1 for n in lengths])
+        assert any(lengths[b[0]] != lengths[b[-1]] for b in buckets)   # some pad
+        traces = self.assert_parses_as_alone(
+            model, corpus, RefinementConfig(t_max=4, stop_on_convergence=stop))
+        iterations = {trace.iterations for trace in traces}
+        if stop:
+            assert len(iterations) > 1      # some sentences stop before others
+        else:
+            assert iterations == {4}
+
+    @pytest.mark.parametrize("stop", [True, False])
+    def test_coref_mention_first(self, stop):
+        model = coref_fixture(seed=3)
+        cfg = RefinementConfig(t_max=3, schedule="mention-first",
+                               stop_on_convergence=stop)
+        rng = np.random.default_rng(5)
+        batch = [list(rng.integers(0, 12, size=n)) for n in (6, 2, 9, 6)]
+        got = refine_batch(batch, model, cfg)
+        assert_same_results(got, [refine(tokens, model, cfg) for tokens in batch])
+        assert not any(np.any(trace.steps[1].graph.labels == 2) for _, trace in got)
+
+    @pytest.mark.parametrize("bad, message", [
+        ([], "sentence 5 of 8: no tokens to parse"),
+        (["the"] * 32, "sentence 5 of 8: sequence of 33 tokens exceeds max_len=32")])
+    def test_bad_sentence_named_by_its_place(self, bad, message, monkeypatch):
+        model = parser_fixture()
+        corpus = [Sentence(["the", "dog", "barks"][:n], DepTree([0] * n, ["root"] * n))
+                  for n in (3, 1, 2, 3, 0, 1, 2, 3)]
+        corpus[4] = Sentence(bad, DepTree([0] * len(bad), ["root"] * len(bad)))
+        monkeypatch.setattr(model, "scorer", None)      # nothing may be scored
+        with pytest.raises(DataError, match=f"^{message}$"):
+            parse_corpus(model, corpus, RefinementConfig())
+
+    def test_empty_sentence_in_a_batch_rejected(self):
+        with pytest.raises(DataError, match="empty"):
+            refine_batch([["the"], []], parser_fixture(), RefinementConfig())
+
+
+class TestLengthBuckets:
+    def test_buckets_stay_within_the_cell_budget(self):
+        sizes = list(np.random.default_rng(0).integers(2, 102, size=300))
+        buckets = length_buckets(sizes)
+        assert sorted(k for b in buckets for k in b) == list(range(len(sizes)))
+        assert [sizes[k] for b in buckets for k in b] == sorted(sizes)
+        for bucket in buckets:
+            n_max = max(sizes[k] for k in bucket)
+            assert len(bucket) * n_max ** 2 <= BUCKET_CELLS or len(bucket) == 1
+        assert max(map(len, buckets)) > 1
+
+    def test_sentence_over_the_budget_is_alone(self):
+        big = int(BUCKET_CELLS ** 0.5) + 1
+        assert length_buckets([big, 3, big, 2]) == [[3, 1], [0], [2]]
+        assert length_buckets([]) == []
+
+
+def count_makes(monkeypatch):
+    """A counter of ``autodiff._make`` calls: read and reset ``count[0]``."""
+    make, count = autodiff._make, [0]
+
+    def counting(*args):
+        count[0] += 1
+        return make(*args)
+
+    monkeypatch.setattr(autodiff, "_make", counting)
+    return count
+
+
 class TestOpCounts:
+    @staticmethod
+    def ops_per_iteration(batch, model, count):
+        totals = {}
+        for t_max in (1, 3):
+            count[0] = 0
+            refine_batch(batch, model,
+                         RefinementConfig(t_max=t_max, stop_on_convergence=False))
+            totals[t_max] = count[0]
+        return (totals[3] - totals[1]) / 2
+
     def test_ops_per_refine_iteration(self, monkeypatch):
         # 83 while every iteration split the relation matrices again
         model = ud_parser()
         forms = random_forms(model, 9, np.random.default_rng(0))    # n = 10
-        make, count = autodiff._make, 0
+        assert self.ops_per_iteration([forms], model, count_makes(monkeypatch)) <= 77
 
-        def counting(*args):
-            nonlocal count
-            count += 1
-            return make(*args)
-
-        monkeypatch.setattr(autodiff, "_make", counting)
-        totals = {}
-        for t_max in (1, 3):
-            count = 0
-            refine(forms, model, RefinementConfig(t_max=t_max, stop_on_convergence=False))
-            totals[t_max] = count
-        assert (totals[3] - totals[1]) / 2 <= 77
+    def test_ops_per_iteration_do_not_grow_with_the_batch(self, monkeypatch):
+        model = ud_parser()
+        rng = np.random.default_rng(0)
+        same = [random_forms(model, 9, rng) for _ in range(8)]               # n = 10
+        mixed = [random_forms(model, n, rng) for n in (9, 3, 7, 9, 1, 5, 8, 2)]
+        count = count_makes(monkeypatch)
+        one = self.ops_per_iteration(same[:1], model, count)
+        assert self.ops_per_iteration(same, model, count) == one
+        # a padded batch adds its key mask to each layer's scores, once
+        assert (self.ops_per_iteration(mixed, model, count)
+                == self.ops_per_iteration(mixed[:2], model, count)
+                == one + GATE.layers)
