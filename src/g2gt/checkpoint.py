@@ -3,7 +3,7 @@
 Layout (all integers little-endian):
 
     bytes 0..7    magic  b"G2GTCKPT"
-    bytes 8..11   format version (u32); this module writes version 3
+    bytes 8..11   format version (u32); this module writes version 4
     bytes 12..19  header length H (u64)
     bytes 20..20+H-1  header, UTF-8 JSON
     remainder     parameter payload: raw little-endian float64 buffers,
@@ -19,8 +19,8 @@ checks each one's table entry and extent before it reads it, so that a
 header cannot make it allocate more than the file holds.  Raw float64
 bytes round-trip exactly, so a loaded model computes bit-identical
 forward passes.
-Version 3 dropped a ModelConfig key; files of earlier versions are
-rejected.
+Versions 3 and 4 each dropped a ModelConfig key, 4 the ``single_root``
+switch; files of earlier versions are rejected.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .vocab import Vocab
 __all__ = ["checkpoint_save", "checkpoint_load", "FORMAT_VERSION"]
 
 MAGIC = b"G2GTCKPT"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 def _layout(registry) -> list[dict]:

@@ -1,6 +1,10 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
+``g2gt parse`` warns about each sentence the model cannot parse, writes
+it with '_' heads and exits 2; it parses the rest in one
+``parse_corpus`` call, so a data error raised while scoring fails the
+whole file.
 """
 
 from __future__ import annotations
@@ -15,11 +19,11 @@ from .checkpoint import checkpoint_load
 from .conllu import Sentence, load_conllu, write_conllu
 from .config import RunConfig, load_config_file
 from .errors import DataError, UsageError
-from .graphs import DepTree, RelationVocab, dep_tree_to_graph
+from .graphs import DepTree, RelationVocab, dep_tree_to_graph, graph_to_dep_tree
 from .model import DependencyParserModel, ModelConfig
 from .optim import grad_check
 from .refine import RefinementConfig, refinement_loss, refine
-from .training import evaluate, parse_corpus, train
+from .training import evaluate, parse_corpus, parse_problems, train
 from .vocab import Vocab
 
 log = logging.getLogger("g2gt")
@@ -121,22 +125,17 @@ def _cmd_train(args) -> int:
 def _cmd_parse(args) -> int:
     model = checkpoint_load(args.checkpoint)
     sentences = load_conllu(args.input)
-    refinement = RefinementConfig(t_max=args.t_max)
-    parsed = []
-    failed = 0
-    for k, s in enumerate(sentences, start=1):
-        try:
-            (tree,), _ = parse_corpus(model, [s], refinement)
-        except DataError as exc:
-            # the sentence keeps its place in the output, with '_' heads and deprels
-            print(f"warning: sentence {k} not parsed: {exc}", file=sys.stderr)
-            tree = DepTree([None] * s.n, [None] * s.n)
-            failed += 1
-        parsed.append(Sentence(s.forms, tree))
-    write_conllu(parsed, args.output)
-    print(f"parsed {len(sentences) - failed} of {len(sentences)} sentences "
-          f"into {args.output}")
-    return 2 if failed else 0
+    problems = parse_problems(sentences, model.cfg.max_len)
+    for k, problem in problems.items():
+        print(f"warning: sentence {k} not parsed: {problem}", file=sys.stderr)
+    parsable = [s for k, s in enumerate(sentences, start=1) if k not in problems]
+    trees = iter(parse_corpus(model, parsable, RefinementConfig(t_max=args.t_max))[0])
+    # an unparsed sentence keeps its place in the output, with '_' heads and deprels
+    write_conllu([Sentence(s.forms, DepTree([None] * s.n, [None] * s.n)
+                           if k in problems else next(trees))
+                  for k, s in enumerate(sentences, start=1)], args.output)
+    print(f"parsed {len(parsable)} of {len(sentences)} sentences into {args.output}")
+    return 2 if problems else 0
 
 
 def _cmd_eval(args) -> int:
@@ -188,17 +187,12 @@ def _cmd_refine_demo(args) -> int:
     print(f"sentence: {' '.join(sentence.forms)}")
     previous = None
     for step in trace.steps:
-        if previous is None:
-            changed = "-"
-        else:
-            changed = str(int(np.sum(step.graph.labels != previous)))
+        changed = "-" if previous is None else int(np.sum(step.graph.labels != previous))
         arcs = []
-        for i in range(1, step.graph.n):
-            for j in range(step.graph.n):
-                label = step.graph.label(i, j)
-                name = model.rel_vocab.labels[label]
-                if label != 0 and name.endswith("↑"):
-                    arcs.append(f"{i}<-{j}:{name[:-1]}")
+        if step.t > 0:      # G^0 is the empty parse, which has no arcs
+            tree = graph_to_dep_tree(step.graph, model.rel_vocab)
+            arcs = [f"{i}<-{head}:{deprel}" for i, (head, deprel)
+                    in enumerate(zip(tree.heads, tree.deprels), start=1)]
         print(f"t={step.t} converged={step.converged} changed_cells={changed} "
               f"arcs=[{', '.join(arcs)}]")
         previous = step.graph.labels

@@ -19,7 +19,8 @@ sentence's whole block.  A tree is decoded from the (n, n, |up|) slab
 of those scores, a view with no label masked, else a copy with the
 labels outside ``allowed`` at -inf.
 Its max over labels gives the head scores for the MST, and its argmax at
-each chosen arc gives that arc's label.
+each chosen arc gives that arc's label; the MST's heads form a tree by
+construction, so labelling does not check them again.
 """
 
 from __future__ import annotations
@@ -30,9 +31,7 @@ import numpy as np
 
 from .autodiff import Tensor, add_into, matmul, reshape, transpose
 from .attention import EncoderState
-from .errors import DataError
 from .graphs import NONE_LABEL, LabeledGraph
-from .mst import is_arborescence
 from .optim import ParameterRegistry
 
 __all__ = [
@@ -189,11 +188,8 @@ def pooled_head_scores(slab: np.ndarray) -> np.ndarray:
 
 
 def label_edges(heads, slab: np.ndarray) -> np.ndarray:
-    """Best up label of each arc of a decoded skeleton, as its position on
-    the slab's label axis: entry i-1 labels the arc from token i to
-    heads[i].  Ties go to the first position."""
-    heads = np.asarray(heads, dtype=np.int64)
-    n = slab.shape[0]
-    if heads.shape != (n,) or not is_arborescence(heads, root=0):
-        raise DataError("skeleton is not a valid arborescence")
-    return slab[np.arange(1, n), heads[1:]].argmax(axis=1)
+    """Best up label of each arc of a decoded tree, as its position on the
+    slab's label axis: entry i-1 labels the arc from token i to heads[i].
+    Ties go to the first position.  ``heads`` is taken as given: it is
+    :func:`g2gt.mst.mst_decode`'s tree over the slab's n nodes."""
+    return slab[np.arange(1, slab.shape[0]), heads[1:]].argmax(axis=1)

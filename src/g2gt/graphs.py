@@ -4,6 +4,8 @@ Node 0 of every graph is a virtual root prepended to the sentence.  A
 dependency arc (dependent i, head j, deprel) is stored twice: cell (i, j)
 carries the "deprel↑" label pointing at the head and cell (j, i) carries
 "deprel↓" pointing back, so attention at either endpoint can see the edge.
+:func:`arc_graph` is the one writer of that encoding, for gold trees and
+decoded ones alike, and :func:`graph_to_dep_tree` its one reader.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import DataError
+from .mst import reaches_root
 
 __all__ = [
     "NONE_LABEL",
@@ -24,6 +27,7 @@ __all__ = [
     "DepTree",
     "COREF_VOCAB",
     "empty_graph",
+    "arc_graph",
     "dep_tree_to_graph",
     "graph_to_dep_tree",
     "graph_equals",
@@ -58,9 +62,9 @@ class RelationVocab:
         self.labels = tuple(labels)
         self.scheme = scheme
         self._index = {label: i for i, label in enumerate(self.labels)}
-        up = [i for i, label in enumerate(self.labels) if label.endswith(UP)]
-        self._up = _frozen(up)
-        self._down_of_up = _frozen([self.down_index(self.labels[i][:-1]) for i in up])
+        self._up = _frozen([i for i, label in enumerate(self.labels) if label.endswith(UP)])
+        self._down = _frozen([self.down_index(label[:-1]) if label.endswith(UP)
+                              else UNK_LABEL for label in self.labels])
 
     @classmethod
     def from_deprels(cls, deprels: Iterable[str]) -> "RelationVocab":
@@ -93,10 +97,10 @@ class RelationVocab:
         """Indices of all "↑"-type labels, in vocab order (read-only)."""
         return self._up
 
-    def down_of_up(self) -> np.ndarray:
-        """The "↓" label index of each entry of :meth:`up_indices` (UNK when
-        the vocab has no matching "↓" label; read-only)."""
-        return self._down_of_up
+    def down_of(self, up_labels) -> np.ndarray:
+        """The "↓" label of each "↑" label; UNK for UNK, and for an "↑"
+        label whose "↓" label is not in the vocab."""
+        return self._down[up_labels]
 
     def deprel_of(self, label_index: int) -> str:
         label = self.labels[label_index]
@@ -203,24 +207,16 @@ class DepTree:
 
     def validate(self, single_root: bool = True) -> None:
         """Reject trees that are not arborescences rooted at the virtual root."""
-        n = self.n
-        roots = 0
         for k, head in enumerate(self.heads):
-            if head is None or not (0 <= head <= n) or head == k + 1:
+            if head is None or not (0 <= head <= self.n) or head == k + 1:
                 raise DataError(f"token {k + 1} has invalid head {head!r}")
-            if head == 0:
-                roots += 1
+        roots = self.heads.count(0)
         if single_root and roots != 1:
             raise DataError(f"expected exactly one root attachment, found {roots}")
-        # every token must reach the root without cycles
-        for k in range(1, n + 1):
-            seen = set()
-            node = k
-            while node != 0:
-                if node in seen:
-                    raise DataError(f"cycle through token {node}")
-                seen.add(node)
-                node = self.heads[node - 1]
+        stray = np.flatnonzero(~reaches_root([0, *self.heads]))
+        if stray.size:
+            raise DataError(f"token {stray[0]} does not reach the root: "
+                            f"its heads run into a cycle")
 
 
 def empty_graph(n: int) -> LabeledGraph:
@@ -228,25 +224,33 @@ def empty_graph(n: int) -> LabeledGraph:
     return LabeledGraph(np.zeros((n, n), dtype=np.int64))
 
 
+def arc_graph(n: int, dependents, heads, up, vocab: RelationVocab) -> LabeledGraph:
+    """The graph over n nodes that holds each arc from ``dependents[k]`` to
+    ``heads[k]``: its up label ``up[k]`` at (dependent, head) and that
+    label's down label at (head, dependent)."""
+    labels = np.zeros((n, n), dtype=np.int64)
+    labels[dependents, heads] = up
+    labels[heads, dependents] = vocab.down_of(up)
+    return LabeledGraph(labels, n_labels=len(vocab))
+
+
 def dep_tree_to_graph(tree: DepTree, vocab: RelationVocab) -> LabeledGraph:
     """Encode a (possibly partial) tree as a bidirectionally labeled graph."""
     if vocab.scheme != "bidirectional":
         raise ValueError("dep_tree_to_graph needs a bidirectional relation vocab")
-    n = tree.n + 1
-    labels = np.zeros((n, n), dtype=np.int64)
-    for k, (head, deprel) in enumerate(zip(tree.heads, tree.deprels)):
-        if head is None:
-            continue
-        i = k + 1
+    arcs = [(i, head, UNK_LABEL if deprel is None else vocab.up_index(deprel))
+            for i, (head, deprel) in enumerate(zip(tree.heads, tree.deprels), start=1)
+            if head is not None]
+    for i, head, _ in arcs:
         if not (0 <= head <= tree.n) or head == i:
             raise DataError(f"token {i} has invalid head {head!r}")
-        labels[i, head] = vocab.up_index(deprel) if deprel is not None else UNK_LABEL
-        labels[head, i] = vocab.down_index(deprel) if deprel is not None else UNK_LABEL
-    return LabeledGraph(labels, n_labels=len(vocab))
+    dependents, heads, up = np.array(arcs, dtype=np.intp).reshape(-1, 3).T
+    return arc_graph(tree.n + 1, dependents, heads, up, vocab)
 
 
 def graph_to_dep_tree(graph: LabeledGraph, vocab: RelationVocab) -> DepTree:
-    """Invert :func:`dep_tree_to_graph`; rejects graphs that are not trees."""
+    """Invert :func:`arc_graph`: each token's head is the one node that its
+    row gives an up label; rejects graphs that are not trees."""
     if vocab.scheme != "bidirectional":
         raise ValueError("graph_to_dep_tree needs a bidirectional relation vocab")
     is_up = np.isin(graph.labels[1:], vocab.up_indices())

@@ -1,7 +1,8 @@
 """Full models: embeddings + graph-conditioned encoder + edge scorer.
 
 Two decode styles share the same trunk: the dependency parser decodes a
-spanning arborescence over a virtual root, while the mention/coreference
+spanning arborescence over a virtual root with one root child and writes
+it through :func:`g2gt.graphs.arc_graph`, while the mention/coreference
 style model decodes every lower-triangular cell independently.  Training
 and inference score through one :class:`BatchScorer`, which a model
 builds for a batch of sentences.  It computes once what no graph changes
@@ -27,7 +28,7 @@ from .autodiff import Tensor, add, gather_rows
 from .edges import (EdgeScorerParams, EdgeScores, greedy_decode, init_edge_scorer,
                     label_edges, label_slab, pooled_head_scores, score_edges)
 from .errors import DataError, UsageError
-from .graphs import COREF_VOCAB, GraphBatch, LabeledGraph, RelationVocab
+from .graphs import COREF_VOCAB, GraphBatch, LabeledGraph, RelationVocab, arc_graph
 from .mst import mst_decode
 from .optim import ParameterRegistry
 from .vocab import Vocab
@@ -46,7 +47,6 @@ class ModelConfig:
     max_len: int = 128
     use_key_term: bool = True
     use_value_term: bool = True
-    single_root: bool = True
 
     def __post_init__(self):
         self.check_types()
@@ -190,29 +190,16 @@ class DependencyParserModel(SentenceEncoderModel):
     def decode_labels(self) -> np.ndarray:
         return self.rel_vocab.up_indices()
 
-    def decode_tree(self, scores: EdgeScores,
-                    allowed=None) -> tuple[np.ndarray, np.ndarray]:
-        """The best tree's heads (-1 for the root) and, for each token, the
-        position of its arc's label in ``decode_labels``, the up labels,
-        over which ``scores`` run.
-
-        Both come from one (n, n, |up|) slab of those scores with the labels
-        outside ``allowed`` at -inf: its max over labels is the MST's head
-        score, and its argmax at each chosen arc is that arc's label.
-        """
-        slab = label_slab(scores, self.decode_labels, allowed)
-        heads = mst_decode(pooled_head_scores(slab), root=0,
-                           single_root=self.cfg.single_root)
-        return heads, label_edges(heads, slab)
-
     def decode(self, scores: EdgeScores, allowed=None) -> LabeledGraph:
-        """The next graph from scores over ``decode_labels``."""
-        heads, up = self.decode_tree(scores, allowed)
-        tokens = np.arange(1, scores.n)
-        labels = np.zeros((scores.n, scores.n), dtype=np.int64)
-        labels[tokens, heads[1:]] = self.rel_vocab.up_indices()[up]
-        labels[heads[1:], tokens] = self.rel_vocab.down_of_up()[up]
-        return LabeledGraph(labels, n_labels=len(self.rel_vocab))
+        """The next graph: the best tree under scores over the up labels,
+        ``decode_labels``.  Their (n, n, |up|) slab, with the labels outside
+        ``allowed`` at -inf, gives the single-root MST its head scores (the
+        max over labels) and each chosen arc its label (the argmax)."""
+        slab = label_slab(scores, self.decode_labels, allowed)
+        heads = mst_decode(pooled_head_scores(slab))
+        up = label_edges(heads, slab)
+        return arc_graph(scores.n, np.arange(1, scores.n), heads[1:],
+                         self.rel_vocab.up_indices()[up], self.rel_vocab)
 
 
 class MentionCorefModel(SentenceEncoderModel):

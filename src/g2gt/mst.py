@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DataError
 
-__all__ = ["mst_decode", "is_arborescence"]
+__all__ = ["mst_decode", "is_arborescence", "reaches_root"]
 
 NEG_INF = float("-inf")
 
@@ -90,25 +90,32 @@ def _chu_liu_edmonds(rows: np.ndarray, root: int, charged: bool) -> np.ndarray:
     return np.array(src[:n])
 
 
+def reaches_root(heads, root: int = 0) -> np.ndarray:
+    """Whether each node's chain of heads leads to ``root``, by pointer
+    jumping: after k squarings each node points 2**k heads up.  Every head
+    is a node index, and ``heads[root]`` is ``root``."""
+    reach = np.asarray(heads, dtype=np.int64)
+    for _ in range(reach.shape[0].bit_length()):
+        reach = reach[reach]
+    return reach == root
+
+
 def is_arborescence(heads: np.ndarray | list, root: int = 0,
                     single_root: bool = False) -> bool:
     """Structural check: every non-root node reaches root, no cycles.
 
     With ``single_root`` the root must also have exactly one child.
     """
-    heads = np.asarray(heads, dtype=np.int64)
+    heads = np.array(heads, dtype=np.int64)
     n = heads.shape[0]
     if not 0 <= root < n:
         return False
-    reach = heads.copy()  # after k squarings, the node 2**k heads up
-    reach[root] = root  # a self-head elsewhere is a cycle, never reaching root
-    if ((reach < 0) | (reach >= n)).any():
+    heads[root] = root  # a self-head elsewhere is a cycle, never reaching root
+    if ((heads < 0) | (heads >= n)).any():
         return False
-    if single_root and np.count_nonzero(reach == root) != 2:  # root and one child
+    if single_root and np.count_nonzero(heads == root) != 2:  # root and one child
         return False
-    for _ in range(n.bit_length()):
-        reach = reach[reach]
-    return bool((reach == root).all())
+    return bool(reaches_root(heads, root).all())
 
 
 def mst_decode(head_scores: np.ndarray, root: int = 0,

@@ -88,10 +88,6 @@ class RefinementTrace:
     steps: list[TraceStep] = field(default_factory=list)
 
     @property
-    def final(self) -> LabeledGraph:
-        return self.steps[-1].graph
-
-    @property
     def converged(self) -> bool:
         return self.steps[-1].converged
 

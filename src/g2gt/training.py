@@ -1,4 +1,8 @@
-"""Training orchestration, attachment-score evaluation, and parsing."""
+"""Training orchestration, attachment-score evaluation, and parsing.
+
+:func:`parse_problems` is the one rule for which sentences a model can
+parse; :func:`train` and :func:`parse_corpus` apply it before any scoring.
+"""
 
 from __future__ import annotations
 
@@ -18,12 +22,12 @@ from .graphs import DepTree, dep_tree_to_graph, graph_to_dep_tree
 from .model import DependencyParserModel, ModelConfig
 from .optim import Adam
 # refine is not called here; perfbench's tracer wraps it at this binding
-from .refine import (RefinementConfig, RefinementTrace, refine,  # noqa: F401
-                     refine_batch, train_refinement_step)
+from .refine import (RefinementConfig, refine, refine_batch,  # noqa: F401
+                     train_refinement_step)
 from .vocab import build_vocabs
 
-__all__ = ["EvalReport", "evaluate", "length_buckets", "parse_corpus", "train",
-           "TrainResult"]
+__all__ = ["EvalReport", "evaluate", "length_buckets", "parse_problems",
+           "parse_corpus", "train", "TrainResult"]
 
 log = logging.getLogger("g2gt")
 
@@ -88,34 +92,40 @@ def length_buckets(sizes: Sequence[int]) -> list[list[int]]:
     return buckets
 
 
+def parse_problems(sentences: Sequence[Sentence], max_len: int) -> dict[int, str]:
+    """Why a model of ``max_len`` nodes cannot parse some of ``sentences``,
+    by each one's place, counted from 1.  A sentence must not be empty, and
+    its tokens and the root must fit in ``max_len``."""
+    problems = {}
+    for k, s in enumerate(sentences, start=1):
+        if s.n == 0:
+            problems[k] = "no tokens to parse"
+        elif s.n + 1 > max_len:
+            problems[k] = f"sequence of {s.n + 1} tokens exceeds max_len={max_len}"
+    return problems
+
+
 def parse_corpus(model: DependencyParserModel, sentences: Sequence[Sentence],
-                 refinement: RefinementConfig
-                 ) -> tuple[list[DepTree], list[RefinementTrace]]:
+                 refinement: RefinementConfig) -> tuple[list[DepTree], list[int]]:
     """Refine every sentence; return the final graphs as trees, and the
-    traces, both in input order.
+    number of iterations each one ran, both in input order.
 
     Sentences of similar length are refined together, one padded pass per
     iteration for a whole bucket (:func:`refine_batch`); the buckets come
     from :func:`length_buckets` over the node counts, so padding stays
-    within BUCKET_CELLS cells.  Every sentence is checked before anything
-    is scored: an empty one, or one longer than the model's ``max_len``,
-    raises :class:`DataError` naming its place in the corpus.
+    within BUCKET_CELLS cells, and only one bucket's traces are held.
+    The first sentence that :func:`parse_problems` rejects raises
+    :class:`DataError` naming its place, before anything is scored.
     """
-    sizes = [len(s.forms) + 1 for s in sentences]      # the root included
-    for k, n in enumerate(sizes, start=1):
-        if n == 1:
-            raise DataError(f"sentence {k} of {len(sizes)}: no tokens to parse")
-        if n > model.cfg.max_len:
-            raise DataError(f"sentence {k} of {len(sizes)}: sequence of {n} tokens "
-                            f"exceeds max_len={model.cfg.max_len}")
-    trees: list = [None] * len(sentences)
-    traces: list = [None] * len(sentences)
-    for bucket in length_buckets(sizes):
+    for k, problem in parse_problems(sentences, model.cfg.max_len).items():
+        raise DataError(f"sentence {k} of {len(sentences)}: {problem}")
+    trees, iterations = [None] * len(sentences), [0] * len(sentences)
+    for bucket in length_buckets([s.n + 1 for s in sentences]):   # the root included
         refined = refine_batch([sentences[k].forms for k in bucket], model, refinement)
         for k, (graph, trace) in zip(bucket, refined):
             trees[k] = graph_to_dep_tree(graph, model.rel_vocab)
-            traces[k] = trace
-    return trees, traces
+            iterations[k] = trace.iterations
+    return trees, iterations
 
 
 def _batches(items: list, size: int) -> list[list]:
@@ -144,9 +154,12 @@ def train(config: RunConfig) -> TrainResult:
     for s in train_sents:
         s.tree.validate()
     dev_sents = load_conllu(config.dev_file) if config.dev_file else train_sents
+    model_cfg = config.model_config()
+    for path, sents in ((config.train_file, train_sents), (config.dev_file, dev_sents)):
+        for k, problem in parse_problems(sents, model_cfg.max_len).items():
+            raise DataError(f"{path}: sentence {k} of {len(sents)}: {problem}")
 
     token_vocab, rel_vocab = build_vocabs(train_sents)
-    model_cfg = config.model_config()
     refinement = config.refinement_config()
     model = DependencyParserModel(model_cfg, token_vocab, rel_vocab, seed=config.seed)
     optimizer = Adam(model.registry, lr=config.lr)

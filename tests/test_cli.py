@@ -1,13 +1,19 @@
 """Command-line surface: subcommands, exit codes, file outputs."""
 
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
+from g2gt import cli
+from g2gt.checkpoint import checkpoint_load
 from g2gt.cli import main
 from g2gt.conllu import Sentence, load_conllu, write_conllu
-from g2gt.graphs import DepTree
+from g2gt.graphs import DepTree, graph_to_dep_tree
+from g2gt.refine import RefinementConfig, refine
+from g2gt.training import length_buckets, parse_corpus
 
 FIXTURE = Path(__file__).parent / "fixtures" / "toy_treebank.conllu"
 
@@ -40,36 +46,61 @@ def test_train_and_parse_and_eval(trained, tmp_path, capsys):
     assert "UAS" in out and "LAS" in out
 
 
-def test_parse_writes_every_sentence_when_one_fails(trained, tmp_path, capsys):
-    # the middle sentence has more nodes than the checkpoint's max_len=32
-    short = load_conllu(FIXTURE)[:2]
-    long = Sentence([f"w{k}" for k in range(40)], DepTree([None] * 40, [None] * 40))
+def test_parse_writes_every_sentence_when_one_fails(trained, tmp_path, capsys,
+                                                    monkeypatch):
+    # a shuffled file of mixed lengths, whose 40-token sentence has more
+    # nodes than the checkpoint's max_len=32
+    rng = np.random.default_rng(0)
+    sentences = load_conllu(FIXTURE)
+    forms = sorted({f for s in sentences for f in s.forms})
+    sentences += [Sentence([str(f) for f in rng.choice(forms, size=n)],
+                           DepTree([None] * n, [None] * n))
+                  for n in (1, 3, 12, 17, 24, 31, 40)]
+    sentences = [sentences[k] for k in rng.permutation(len(sentences))]
+    place = [s.n for s in sentences].index(40) + 1
     mixed = tmp_path / "mixed.conllu"
-    write_conllu([short[0], long, short[1]], mixed)
-    alone = tmp_path / "short.conllu"
-    write_conllu(short, alone)
+    write_conllu(sentences, mixed)
+    calls = []
 
+    def counted(model, corpus, refinement):
+        calls.append(corpus)
+        return parse_corpus(model, corpus, refinement)
+
+    monkeypatch.setattr(cli, "parse_corpus", counted)
     out = tmp_path / "mixed-pred.conllu"
     assert main(["parse", "--checkpoint", str(trained), "--input", str(mixed),
                  "--output", str(out)]) == 2
-    assert "sentence 2" in capsys.readouterr().err
-    parsed = load_conllu(out)
-    assert [s.forms for s in parsed] == [short[0].forms, long.forms, short[1].forms]
-    assert parsed[1].tree == long.tree
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: sentence {place} not parsed: sequence of 41 tokens exceeds max_len=32"]
+    assert len(calls) == 1 and len(calls[0]) == len(sentences) - 1
+    assert len(length_buckets([s.n + 1 for s in calls[0]])) > 1
 
-    reference = tmp_path / "short-pred.conllu"
-    assert main(["parse", "--checkpoint", str(trained), "--input", str(alone),
-                 "--output", str(reference)]) == 0
-    expected = load_conllu(reference)
-    assert [parsed[0].tree, parsed[2].tree] == [s.tree for s in expected]
+    parsed = load_conllu(out)
+    assert [s.forms for s in parsed] == [s.forms for s in sentences]
+    model, refinement = checkpoint_load(trained), RefinementConfig()
+    assert [s.tree for s in parsed] == [
+        s.tree if s.n == 40 else parse_corpus(model, [s], refinement)[0][0]
+        for s in sentences]
 
 
 def test_refine_demo_prints_trace(trained, capsys):
     assert main(["refine-demo", "--checkpoint", str(trained),
                  "--input", str(FIXTURE), "--index", "0"]) == 0
-    out = capsys.readouterr().out
-    assert "t=0" in out and "t=1" in out
-    assert "converged" in out
+    lines = capsys.readouterr().out.splitlines()
+    model, sentence = checkpoint_load(trained), load_conllu(FIXTURE)[0]
+    _, trace = refine(sentence.forms, model, RefinementConfig())
+    assert lines[0] == f"sentence: {' '.join(sentence.forms)}"
+    assert lines[1] == "t=0 converged=False changed_cells=- arcs=[]"
+    assert len(lines) == 1 + len(trace.steps) > 2
+    for line, step in zip(lines[2:], trace.steps[1:]):
+        arcs = re.fullmatch(rf"t={step.t} converged={step.converged} "
+                            r"changed_cells=\d+ arcs=\[(.*)\]", line)[1]
+        got = [re.fullmatch(r"(\d+)<-(\d+):(\S+)", arc).groups()
+               for arc in arcs.split(", ")]
+        tree = graph_to_dep_tree(step.graph, model.rel_vocab)
+        assert [int(i) for i, _, _ in got] == list(range(1, sentence.n + 1))
+        assert [int(head) for _, head, _ in got] == tree.heads
+        assert [deprel for _, _, deprel in got] == tree.deprels
 
 
 def test_gradcheck_command(capsys):

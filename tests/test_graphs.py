@@ -1,11 +1,13 @@
 """Labeled graphs, tree conversions, and the relation vocabulary."""
 
+import re
+
 import numpy as np
 import pytest
 
 from g2gt.errors import DataError
 from g2gt.graphs import (NONE_LABEL, UNK_LABEL, DepTree, LabeledGraph, RelationVocab,
-                         dep_tree_to_graph, empty_graph, graph_equals,
+                         arc_graph, dep_tree_to_graph, empty_graph, graph_equals,
                          graph_to_dep_tree, permute_graph)
 
 from oracles import random_tree
@@ -89,6 +91,13 @@ class TestTreeGraphConversion:
         with pytest.raises(DataError, match="not a tree"):
             graph_to_dep_tree(empty_graph(4), VOCAB)
 
+    def test_cyclic_graph_rejected(self):
+        # every token has one head, but tokens 1 -> 2 -> 3 -> 1 form a cycle
+        det = VOCAB.up_index("det")
+        graph = arc_graph(5, [1, 2, 3, 4], [2, 3, 1, 0], [det] * 4, VOCAB)
+        with pytest.raises(DataError, match="token 1 does not reach the root"):
+            graph_to_dep_tree(graph, VOCAB)
+
     def test_round_trip_property_1000_random_trees(self):
         deprels = ["det", "nsubj", "root"]
         for seed in range(1000):
@@ -100,6 +109,32 @@ class TestTreeGraphConversion:
             back = graph_to_dep_tree(dep_tree_to_graph(tree, VOCAB), VOCAB)
             assert back.heads == tree.heads, f"seed {seed}"
             assert back.deprels == tree.deprels, f"seed {seed}"
+
+
+class TestDepTreeValidate:
+    """Trees read from a file are checked before training trusts them."""
+
+    @pytest.mark.parametrize("heads, message", [
+        ([0, None], "token 2 has invalid head None"),
+        ([0, 3], "token 2 has invalid head 3"),
+        ([2, 2], "token 2 has invalid head 2"),
+        ([0, -1], "token 2 has invalid head -1"),
+        ([0, 0, 1], "expected exactly one root attachment, found 2"),
+        ([2, 3, 1], "expected exactly one root attachment, found 0")])
+    def test_invalid_head_and_root_count(self, heads, message):
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            DepTree(heads, ["det"] * len(heads)).validate()
+
+    @pytest.mark.parametrize("heads, stray", [
+        ([0, 3, 2], {2, 3}),
+        ([0, 3, 4, 2, 4], {2, 3, 4, 5}),     # token 5 hangs off the cycle
+        ([2, 3, 1], {1, 2, 3})])             # no root attachment at all
+    def test_cycle_names_a_token_that_misses_the_root(self, heads, stray):
+        tree = DepTree(heads, ["det"] * len(heads))
+        with pytest.raises(DataError, match="cycle") as info:
+            tree.validate(single_root=False)
+        named = int(re.match(r"token (\d+) does not reach the root", str(info.value))[1])
+        assert named in stray
 
 
 class TestGraphEquals:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import tracemalloc
 from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
@@ -13,7 +14,7 @@ from numpy.testing import assert_allclose
 
 from g2gt.checkpoint import checkpoint_load, checkpoint_save
 from g2gt.config import RunConfig, load_config_file
-from g2gt.conllu import Sentence, load_conllu
+from g2gt.conllu import Sentence, load_conllu, write_conllu
 from g2gt import training
 from g2gt.errors import CheckpointError, DataError, TrainingError, UsageError
 from g2gt.graphs import DepTree, RelationVocab, empty_graph
@@ -175,10 +176,10 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="truncated"):
             checkpoint_load(path)
 
-    @pytest.mark.parametrize("version", [99, 1, 2])
+    @pytest.mark.parametrize("version", [99, 1, 2, 3])
     def test_version_bump_rejected(self, tmp_path, version):
         # version 1 stored one edge.bilinear.<l> parameter per label, and
-        # version 2 a ModelConfig key that version 3 dropped
+        # versions 2 and 3 each a ModelConfig key that the next one dropped
         model = small_model()
         path = tmp_path / "model.g2gt"
         checkpoint_save(model, path)
@@ -330,13 +331,12 @@ class TestRunConfig:
         assert RunConfig.field_names() == {
             "train_file", "dev_file", "model_out", "seed", "epochs", "batch_size",
             "lr", "stop_at_las", "d", "heads", "d_ff", "layers", "d_edge",
-            "max_len", "use_key_term", "use_value_term", "single_root",
-            "t_train", "t_max"}
+            "max_len", "use_key_term", "use_value_term", "t_train", "t_max"}
         assert {f.name for f in fields(ModelConfig)} <= RunConfig.field_names()
 
     def test_model_config_carries_every_architecture_setting(self):
         values = dict(d=16, heads=2, d_ff=32, layers=1, d_edge=8, max_len=32,
-                      use_key_term=False, use_value_term=False, single_root=False)
+                      use_key_term=False, use_value_term=False)
         assert set(values) == {f.name for f in fields(ModelConfig)}
         assert all(values[k] != v for k, v in ModelConfig().to_dict().items())
         config = RunConfig.from_sources(values, {"epochs": 3, "seed": 5})
@@ -410,6 +410,29 @@ class TestTrainPipeline:
         with pytest.raises(TrainingError,
                            match="epoch 1, batch 1 of 4: iteration 1: loss is nan"):
             train(self._config(tmp_path, t_train=t_train))
+        assert not (tmp_path / "m.g2gt").exists()
+
+    @pytest.mark.parametrize("max_len, dev, message", [
+        (8, False, "train.conllu: sentence 3 of 8: "
+                   "sequence of 9 tokens exceeds max_len=8"),
+        (12, True, "dev.conllu: sentence 4 of 4: "
+                   "sequence of 21 tokens exceeds max_len=12")])
+    def test_unparsable_sentence_rejected_before_training(self, tmp_path, monkeypatch,
+                                                          max_len, dev, message):
+        corpus = load_conllu(FIXTURE)
+        write_conllu(corpus, tmp_path / "train.conllu")
+        long = Sentence([f"w{k}" for k in range(20)], DepTree([0] + [1] * 19, ["x"] * 20))
+        write_conllu(corpus[:3] + [long], tmp_path / "dev.conllu")
+
+        def step(*args):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr(training, "train_refinement_step", step)
+        config = self._config(tmp_path, train_file=str(tmp_path / "train.conllu"),
+                              dev_file=str(tmp_path / "dev.conllu") if dev else None,
+                              max_len=max_len)
+        with pytest.raises(DataError, match=f"^{re.escape(str(tmp_path / message))}$"):
+            train(config)
         assert not (tmp_path / "m.g2gt").exists()
 
     def test_parse_leaves_parameters_and_scores_untouched(self, tmp_path):

@@ -597,11 +597,11 @@ class TestRefineBatch:
 
     @staticmethod
     def assert_parses_as_alone(model, corpus, cfg):
-        trees, traces = parse_corpus(model, corpus, cfg)
+        trees, iterations = parse_corpus(model, corpus, cfg)
         alone = [refine(s.forms, model, cfg) for s in corpus]
         assert trees == [graph_to_dep_tree(g, model.rel_vocab) for g, _ in alone]
-        assert_same_results(list(zip([t.final for t in traces], traces)), alone)
-        return traces
+        assert iterations == [trace.iterations for _, trace in alone]
+        return iterations, alone
 
     @pytest.mark.parametrize("trained", [False, True])
     def test_parse_corpus_on_the_fixture(self, trained, request):
@@ -620,13 +620,15 @@ class TestRefineBatch:
                   for n in lengths]
         buckets = length_buckets([n + 1 for n in lengths])
         assert any(lengths[b[0]] != lengths[b[-1]] for b in buckets)   # some pad
-        traces = self.assert_parses_as_alone(
-            model, corpus, RefinementConfig(t_max=4, stop_on_convergence=stop))
-        iterations = {trace.iterations for trace in traces}
+        cfg = RefinementConfig(t_max=4, stop_on_convergence=stop)
+        iterations, alone = self.assert_parses_as_alone(model, corpus, cfg)
         if stop:
-            assert len(iterations) > 1      # some sentences stop before others
+            assert len(set(iterations)) > 1      # some sentences stop before others
         else:
-            assert iterations == {4}
+            assert set(iterations) == {4}
+        for bucket in buckets:      # every step of every trace, too
+            got = refine_batch([corpus[k].forms for k in bucket], model, cfg)
+            assert_same_results(got, [alone[k] for k in bucket])
 
     @pytest.mark.parametrize("stop", [True, False])
     def test_coref_mention_first(self, stop):
