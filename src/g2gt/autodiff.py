@@ -8,6 +8,10 @@ Operations record themselves onto the active :class:`Record` (see
 :func:`recording`) whenever at least one input requires gradient.  The
 record is an append-only tape; appending at creation time keeps it in
 topological order, so :func:`backward` is a single reverse sweep.
+
+With no active record an operation builds no tape node and makes no
+copy: its result array is wrapped as it is, and ``reshape`` and
+``transpose`` return views.
 """
 
 from __future__ import annotations
@@ -89,17 +93,23 @@ class Record:
         return len(self._nodes)
 
 
-_LOCAL = threading.local()
+class _Local(threading.local):
+    # the class-level default makes reading the record a plain attribute
+    # read in every thread; ``recording`` sets it per thread
+    record: Record | None = None
+
+
+_LOCAL = _Local()
 
 
 def active_record() -> Record | None:
-    return getattr(_LOCAL, "record", None)
+    return _LOCAL.record
 
 
 @contextmanager
 def recording(record: Record):
     """Make ``record`` the active tape for the current thread."""
-    previous = active_record()
+    previous = _LOCAL.record
     _LOCAL.record = record
     try:
         yield record
@@ -119,18 +129,28 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a gradient down to the shape it was broadcast from."""
     while g.ndim > len(shape):
-        g = g.sum(axis=0)
+        g = np.add.reduce(g, axis=0)
     for axis, extent in enumerate(shape):
         if extent == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
+            g = np.add.reduce(g, axis=axis, keepdims=True)
     return g
+
+
+_FLOAT64 = np.dtype(np.float64)
 
 
 def _make(out_data: np.ndarray, inputs: Sequence[Tensor],
           backward_fn: Callable[[np.ndarray], None]) -> Tensor:
-    record = active_record()
+    record = _LOCAL.record
     tracked = record is not None and any(t.requires_grad for t in inputs)
-    out = Tensor(out_data, requires_grad=tracked)
+    if type(out_data) is np.ndarray and out_data.dtype is _FLOAT64:
+        # already what Tensor.__init__ would make of it: wrap it as it is
+        out = object.__new__(Tensor)
+        out.data = out_data
+        out.grad = None
+        out.requires_grad = tracked
+    else:
+        out = Tensor(out_data, requires_grad=tracked)
     if tracked:
         record._nodes.append(_Node(out, backward_fn))
     return out
@@ -183,7 +203,7 @@ def add_into(acc: Tensor, *terms: Tensor) -> Tensor:
     shape = np.broadcast_shapes(acc.data.shape, *(t.data.shape for t in terms))
     if shape != acc.data.shape:
         raise ValueError(f"add_into: terms broadcast {acc.data.shape} to {shape}")
-    if active_record() is None:
+    if _LOCAL.record is None:
         if acc.requires_grad:
             raise ValueError("add_into will not write into a tensor that requires gradient")
         out = acc.data
@@ -263,7 +283,7 @@ def _view(a: Tensor, view: np.ndarray) -> np.ndarray:
     """A reshaped or transposed view of ``a`` as an op's output: a copy
     while recording; otherwise the view itself, read-only when ``a``
     requires gradient, so that nothing writes through it into a parameter."""
-    if active_record() is not None:
+    if _LOCAL.record is not None:
         return view.copy()
     if a.requires_grad:
         view.flags.writeable = False
@@ -279,9 +299,9 @@ def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
         raise ValueError(
             f"transpose axes {axes} are not a permutation of the axes of "
             f"shape {a.data.shape}")
-    inverse = tuple(sorted(range(len(axes)), key=axes.__getitem__))
 
     def bwd(g: np.ndarray) -> None:
+        inverse = tuple(sorted(range(len(axes)), key=axes.__getitem__))
         _accumulate(a, g.transpose(inverse))
 
     return _make(_view(a, a.data.transpose(axes)), (a,), bwd)
@@ -333,7 +353,7 @@ def scatter_sum(a: Tensor, indices, size: int) -> Tensor:
 
 
 def tensor_sum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    out = a.data.sum(axis=axis, keepdims=keepdims)
+    out = np.add.reduce(a.data, axis=axis, keepdims=keepdims)
 
     def bwd(g: np.ndarray) -> None:
         if axis is not None and not keepdims:
@@ -359,13 +379,13 @@ def softmax_rows(x: Tensor) -> Tensor:
         raise ValueError("softmax_rows needs at least rank-1 input")
     if x.data.shape[-1] == 0:
         raise ValueError("softmax_rows: empty rows")
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
+    shifted = x.data - np.maximum.reduce(x.data, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
+    out = e / np.add.reduce(e, axis=-1, keepdims=True)
 
     def bwd(g: np.ndarray) -> None:
         # d softmax: s * (g - sum(g * s))
-        inner = (g * out).sum(axis=-1, keepdims=True)
+        inner = np.add.reduce(g * out, axis=-1, keepdims=True)
         _accumulate(x, out * (g - inner))
 
     return _make(out, (x,), bwd)
@@ -376,13 +396,13 @@ def log_softmax_rows(x: Tensor) -> Tensor:
         raise ValueError(f"log_softmax_rows needs a rank-2 tensor, got shape {x.data.shape}")
     if x.data.shape[1] == 0:
         raise ValueError("log_softmax_rows: empty rows")
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = x.data - np.maximum.reduce(x.data, axis=1, keepdims=True)
+    log_z = np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
     out = shifted - log_z
     soft = np.exp(out)
 
     def bwd(g: np.ndarray) -> None:
-        _accumulate(x, g - soft * g.sum(axis=1, keepdims=True))
+        _accumulate(x, g - soft * np.add.reduce(g, axis=1, keepdims=True))
 
     return _make(out, (x,), bwd)
 
@@ -399,9 +419,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             f"layer_norm: gain/bias must have shape ({d},), "
             f"got {gain.data.shape} and {bias.data.shape}")
     # sum / d is what ndarray.mean computes, without its per-call overhead
-    mean = x.data.sum(axis=-1, keepdims=True) / d
+    mean = np.add.reduce(x.data, axis=-1, keepdims=True) / d
     centred = x.data - mean
-    var = (centred * centred).sum(axis=-1, keepdims=True) / d
+    var = np.add.reduce(centred * centred, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centred * inv
     out = xhat * gain.data + bias.data
@@ -412,8 +432,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         if x.requires_grad:
             gx = g * gain.data
             # standard layer-norm input gradient
-            gmean = gx.sum(axis=-1, keepdims=True) / d
-            gdot = (gx * xhat).sum(axis=-1, keepdims=True) / d
+            gmean = np.add.reduce(gx, axis=-1, keepdims=True) / d
+            gdot = np.add.reduce(gx * xhat, axis=-1, keepdims=True) / d
             _accumulate(x, inv * (gx - gmean - xhat * gdot))
 
     return _make(out, (x, gain, bias), bwd)

@@ -235,7 +235,8 @@ def arc_graph(n: int, dependents, heads, up, vocab: RelationVocab) -> LabeledGra
 
 
 def dep_tree_to_graph(tree: DepTree, vocab: RelationVocab) -> LabeledGraph:
-    """Encode a (possibly partial) tree as a bidirectionally labeled graph."""
+    """Encode a (possibly partial) tree as a bidirectionally labeled graph;
+    rejects an invalid head and two tokens that head each other."""
     if vocab.scheme != "bidirectional":
         raise ValueError("dep_tree_to_graph needs a bidirectional relation vocab")
     arcs = [(i, head, UNK_LABEL if deprel is None else vocab.up_index(deprel))
@@ -244,6 +245,9 @@ def dep_tree_to_graph(tree: DepTree, vocab: RelationVocab) -> LabeledGraph:
     for i, head, _ in arcs:
         if not (0 <= head <= tree.n) or head == i:
             raise DataError(f"token {i} has invalid head {head!r}")
+        if head and tree.heads[head - 1] == i:
+            # both arcs would write cells (i, head) and (head, i)
+            raise DataError(f"tokens {i} and {head} head each other")
     dependents, heads, up = np.array(arcs, dtype=np.intp).reshape(-1, 3).T
     return arc_graph(tree.n + 1, dependents, heads, up, vocab)
 

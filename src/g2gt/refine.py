@@ -155,6 +155,9 @@ def refine_batch(batch: Sequence[Sequence], model,
             traces[b].steps.append(
                 TraceStep(t, new_graph, graph_equals(new_graph, graphs[b])))
             graphs[b] = new_graph
+        # every active sentence is decoded: free this pass's (B, n, n, labels)
+        # scores before the next pass allocates its own
+        del scores
         if cfg.stop_on_convergence:
             active = [b for b in active if not traces[b].converged]
             if not active:

@@ -1,11 +1,13 @@
 """Tensor engine: forward oracles, backward correctness, record semantics."""
 
+import threading
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from g2gt.autodiff import (Record, Tensor, add, add_into, backward, gather_rows,
-                           layer_norm,
+from g2gt.autodiff import (Record, Tensor, active_record, add, add_into, backward,
+                           gather_rows, layer_norm,
                            log_softmax_rows, matmul, mul, neg, recording, relu,
                            reshape, scale, scatter_sum, softmax_rows, tensor_sum,
                            transpose)
@@ -80,6 +82,40 @@ class TestUntrackedViews:
         with recording(Record()):
             for out in (reshape(p, (3, 2)), transpose(p)):
                 assert not np.shares_memory(out.data, p.data)
+
+
+class TestUntrackedOps:
+    def test_a_record_is_active_in_its_own_thread_only(self):
+        p = Tensor(np.ones(3), requires_grad=True)
+        seen = []
+
+        def other_thread():
+            seen.append(active_record())
+            seen.append(mul(p, p).requires_grad)
+
+        with recording(Record()) as record:
+            worker = threading.Thread(target=other_thread)
+            worker.start()
+            worker.join(timeout=10)
+            assert not worker.is_alive()
+            assert active_record() is record
+        assert seen == [None, False]
+        assert len(record) == 0
+        assert active_record() is None
+
+    def test_outputs_are_float64_arrays_without_gradient(self):
+        a = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        b = Tensor(np.ones((2, 3)))
+        outs = [add(a, b), add_into(Tensor(np.zeros((2, 3))), a, b), mul(a, b),
+                neg(a), scale(a, 2), matmul(a, transpose(b)), transpose(a),
+                reshape(a, (3, 2)), gather_rows(a, [1, 0]),
+                scatter_sum(a, [[0, 1, 0], [2, 2, 1]], 3), relu(a), softmax_rows(a),
+                log_softmax_rows(a), layer_norm(a, Tensor(np.ones(3)), Tensor(np.zeros(3))),
+                tensor_sum(a, axis=1), tensor_sum(a)]
+        for out in outs:
+            assert type(out.data) is np.ndarray and out.data.dtype == np.float64
+            assert out.requires_grad is False and out.grad is None
+        assert outs[-1].data.shape == () and outs[-1].item() == 15.0
 
 
 class TestAddInto:

@@ -98,6 +98,12 @@ class TestTreeGraphConversion:
         with pytest.raises(DataError, match="token 1 does not reach the root"):
             graph_to_dep_tree(graph, VOCAB)
 
+    @pytest.mark.parametrize("heads", [[2, 1, 0], [2, 1, None]])
+    def test_tokens_heading_each_other_rejected(self, heads):
+        # their two arcs would share cells (1, 2) and (2, 1), and one be lost
+        with pytest.raises(DataError, match="tokens 1 and 2 head each other"):
+            dep_tree_to_graph(DepTree(heads, ["det", "nsubj", "root"]), VOCAB)
+
     def test_round_trip_property_1000_random_trees(self):
         deprels = ["det", "nsubj", "root"]
         for seed in range(1000):

@@ -1,5 +1,6 @@
 """Refinement loop, stage schedule, factored likelihood, training step."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -473,11 +474,11 @@ def fixture_parser():
     return DependencyParserModel(GATE, tokens, relations, seed=42)
 
 
-def ud_parser():
+def ud_parser(cfg=GATE):
     """37 deprels, so 76 relation labels, as in a UD treebank."""
     vocab = Vocab.from_forms([f"w{i}" for i in range(40)])
     relations = RelationVocab.from_deprels([f"dep{i}" for i in range(37)])
-    return DependencyParserModel(GATE, vocab, relations, seed=7)
+    return DependencyParserModel(cfg, vocab, relations, seed=7)
 
 
 def random_forms(model, count, rng):
@@ -716,3 +717,21 @@ class TestOpCounts:
         assert (self.ops_per_iteration(mixed, model, count)
                 == self.ops_per_iteration(mixed[:2], model, count)
                 == one + GATE.layers)
+
+
+class TestRefineMemory:
+    def test_each_pass_frees_its_scores_before_the_next(self):
+        # 2.9 while each pass's scores stayed alive until the next pass had
+        # allocated its own
+        model = ud_parser(ModelConfig(max_len=128))
+        forms = random_forms(model, 100, np.random.default_rng(0))     # n = 101
+        cfg = RefinementConfig(t_max=3, stop_on_convergence=False)
+        refine(forms, model, cfg)
+        tracemalloc.start()
+        try:
+            refine(forms, model, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        up_scores = 101 * 101 * len(model.decode_labels) * 8
+        assert peak < 2.25 * up_scores
