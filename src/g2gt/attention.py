@@ -25,6 +25,15 @@ Leading axes ride along: ``encode`` takes one sentence (n, d) with a
 :class:`GraphBatch`, and every relation matrix applies to every sentence.
 Padding keys get -inf before the softmax, so a real node attends to real
 nodes only and its output equals that of encoding its sentence alone.
+
+Each layer's scores (q k', the two table reads, the 1/sqrt(d_h) scaling
+and the key mask) are one autodiff op, and so are its values (alpha v and
+the histogram term); the softmax between them stays a separate op.  Each
+fused op's forward and backward make the numpy calls that the chain of
+generic ops (gathers, adds, a scaling, products, a bincount) made, in the
+same order and on the same memory layouts, so their outputs and
+gradients are bit-identical to the chain's, while the tape holds one
+output per chain instead of every intermediate.
 """
 
 from __future__ import annotations
@@ -35,8 +44,9 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from . import autodiff
 from .autodiff import (Tensor, add, gather_rows, layer_norm, matmul, relu,
-                       reshape, scale, scatter_sum, softmax_rows, transpose)
+                       reshape, softmax_rows, transpose)
 from .graphs import GraphBatch, LabeledGraph
 from .optim import ParameterRegistry
 
@@ -204,39 +214,75 @@ def _node_rows(labels: np.ndarray, stack: Tensor, n_labels: int) -> np.ndarray:
     return np.arange(math.prod(stack.shape[:-1])).reshape(stack.shape[:-1] + (1,)) * n_labels
 
 
-def _table_cells(table: Tensor, cells: np.ndarray) -> Tensor:
-    return gather_rows(reshape(table, (table.data.size,)), cells)
-
-
-def _scores(terms: LayerTerms, labels: np.ndarray, rows: np.ndarray,
-            d_head: int) -> Tensor:
+def _scores(terms: LayerTerms, labels: np.ndarray, rows: np.ndarray, d_head: int,
+            padding: Optional[np.ndarray] = None) -> Tensor:
     """Scaled scores of every head, (..., H, n, n), from a layer's terms,
-    the (..., 1, n, n) labels and their tables' ``_node_rows``.
+    the (..., 1, n, n) labels and their tables' ``_node_rows``, plus the
+    additive key mask ``padding`` when given: one op.
 
     The relation terms are read from the per-node tables q R1' and k R2':
     q_i.r1_ij is entry (h, i, label_ij) of the first, r2_ij.k_j entry
-    (h, j, label_ij) of the second.
+    (h, j, label_ij) of the second.  Backward scatter-adds each table's
+    cells into a zeroed flat table, as a gather's backward does.
     """
-    e = add(terms.qk, _table_cells(terms.q_table, rows + labels))
+    scale = 1.0 / math.sqrt(d_head)
+    q_cells = rows + labels
+    out = terms.qk.data + terms.q_table.data.reshape(-1)[q_cells]
+    tables = [(terms.q_table, q_cells)]
     if terms.k_table is not None:
-        e = add(e, _table_cells(terms.k_table, np.swapaxes(rows, -1, -2) + labels))
-    return scale(e, 1.0 / math.sqrt(d_head))
+        k_cells = np.swapaxes(rows, -1, -2) + labels
+        out += terms.k_table.data.reshape(-1)[k_cells]
+        tables.append((terms.k_table, k_cells))
+    out *= scale
+    if padding is not None:
+        out += padding
+
+    def bwd(g: np.ndarray) -> None:
+        g = g * scale
+        autodiff._accumulate(terms.qk, g)
+        for table, cells in tables:
+            if table.requires_grad:
+                flat = np.zeros(table.data.size)
+                np.add.at(flat, cells, g)
+                autodiff._accumulate(table, flat.reshape(table.data.shape))
+
+    return autodiff._make(out, (terms.qk, *(table for table, _ in tables)), bwd)
 
 
 def _values(alpha: Tensor, v: Tensor, labels: np.ndarray, rows: np.ndarray,
             rel_v: Tensor | None) -> Tensor:
-    """alpha v plus, per cell, alpha_ij r3_ij, for every head: (..., H, n, d_h).
+    """alpha v plus, per cell, alpha_ij r3_ij, for every head: (..., H, n, d_h),
+    as one op.
 
     The relation term is the (..., H, n, L) histogram of each query's
     weights over the labels of its cells, times the (H, L, d_h) R3;
-    ``rows`` are that histogram's ``_node_rows``.
+    ``rows`` are that histogram's ``_node_rows``.  Backward gives alpha
+    the histogram's gradient, gathered per cell, before g v'.
     """
-    out = matmul(alpha, v)
+    out = alpha.data @ v.data
     if rel_v is not None:
         n_labels = rel_v.shape[-2]
-        histogram = scatter_sum(alpha, rows + labels, rows.size * n_labels)
-        out = add(out, matmul(reshape(histogram, rows.shape[:-1] + (n_labels,)), rel_v))
-    return out
+        cells = rows + labels
+        histogram = np.bincount(cells.reshape(-1), weights=alpha.data.reshape(-1),
+                                minlength=rows.size * n_labels
+                                ).reshape(rows.shape[:-1] + (n_labels,))
+        out += histogram @ rel_v.data
+
+    def bwd(g: np.ndarray) -> None:
+        if rel_v is not None:
+            if rel_v.requires_grad:
+                autodiff._accumulate(rel_v, autodiff._unbroadcast(
+                    np.swapaxes(histogram, -1, -2) @ g, rel_v.data.shape))
+            if alpha.requires_grad:
+                g_histogram = g @ np.swapaxes(rel_v.data, -1, -2)
+                autodiff._accumulate(alpha, g_histogram.reshape(-1)[cells])
+        if alpha.requires_grad:
+            autodiff._accumulate(alpha, g @ np.swapaxes(v.data, -1, -2))
+        if v.requires_grad:
+            autodiff._accumulate(v, np.swapaxes(alpha.data, -1, -2) @ g)
+
+    inputs = (alpha, v) if rel_v is None else (alpha, v, rel_v)
+    return autodiff._make(out, inputs, bwd)
 
 
 def attention_scores(x: Tensor, w_q: Tensor, w_k: Tensor, graph: LabeledGraph,
@@ -353,10 +399,7 @@ def encode(x: Tensor, graph: LabeledGraph | GraphBatch, params: EncoderParams,
     for index, layer in enumerate(params.layers):
         if index > 0:
             terms = layer_terms(x, layer, rel, cfg.heads)
-        e = _scores(terms, labels, rows, d_head)
-        if padding is not None:
-            e = add(e, Tensor(padding))
-        alpha = softmax_rows(e)
+        alpha = softmax_rows(_scores(terms, labels, rows, d_head, padding))
         heads = _values(alpha, terms.v, labels, rows, rel.value)
         attn = matmul(reshape(transpose(heads, merge), (*lead, n, cfg.d)), layer.w_o)
         x = layer_norm(add(x, attn), layer.attn_gain, layer.attn_bias)

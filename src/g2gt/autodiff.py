@@ -7,7 +7,10 @@ differences, so numerical fidelity beats speed.
 Operations record themselves onto the active :class:`Record` (see
 :func:`recording`) whenever at least one input requires gradient.  The
 record is an append-only tape; appending at creation time keeps it in
-topological order, so :func:`backward` is a single reverse sweep.
+topological order, so :func:`backward` is a single reverse sweep.  The
+sweep drops each recorded output's gradient once that output's backward
+function has used it, so only the leaves (the parameters) keep theirs;
+the nodes themselves stay on the record.
 
 With no active record an operation builds no tape node and makes no
 copy: its result array is wrapped as it is, and ``reshape`` and
@@ -29,15 +32,12 @@ __all__ = [
     "active_record",
     "backward",
     "add",
-    "add_into",
     "mul",
     "neg",
-    "scale",
     "matmul",
     "transpose",
     "reshape",
     "gather_rows",
-    "scatter_sum",
     "tensor_sum",
     "relu",
     "softmax_rows",
@@ -159,9 +159,11 @@ def _make(out_data: np.ndarray, inputs: Sequence[Tensor],
 def backward(loss: Tensor, record: Record) -> None:
     """Run the reverse sweep from a scalar loss over a record.
 
-    Every tracked tensor reachable from ``loss`` gets its ``grad``
+    Every tracked leaf reachable from ``loss`` gets its ``grad``
     accumulated; tensors on the record that do not feed the loss are
-    skipped (their output gradient is never populated).
+    skipped (their output gradient is never populated).  An operation's
+    output gradient is released once its backward function has run, so
+    after the sweep only leaves hold a ``grad``.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -173,45 +175,20 @@ def backward(loss: Tensor, record: Record) -> None:
         if g is None:
             continue
         node.backward_fn(g)
+        node.out.grad = None
 
 
 # ---------------------------------------------------------------------------
 # operations
 
 
-def _sum_backward(terms: Sequence[Tensor]) -> Callable[[np.ndarray], None]:
+def add(a: Tensor, b: Tensor) -> Tensor:
     def bwd(g: np.ndarray) -> None:
-        for t in terms:
+        for t in (a, b):
             if t.requires_grad:
                 _accumulate(t, _unbroadcast(g, t.data.shape))
 
-    return bwd
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    return _make(a.data + b.data, (a, b), _sum_backward((a, b)))
-
-
-def add_into(acc: Tensor, *terms: Tensor) -> Tensor:
-    """``acc`` plus each term in turn, broadcast to ``acc``'s shape: the same
-    IEEE sums as a chain of :func:`add`, recorded as one node.
-
-    With no active record the terms are added into ``acc``'s own array, so
-    ``acc`` must be an intermediate that nothing else reads; a tensor that
-    requires gradient is refused.  While recording, ``acc`` is left as it was.
-    """
-    shape = np.broadcast_shapes(acc.data.shape, *(t.data.shape for t in terms))
-    if shape != acc.data.shape:
-        raise ValueError(f"add_into: terms broadcast {acc.data.shape} to {shape}")
-    if _LOCAL.record is None:
-        if acc.requires_grad:
-            raise ValueError("add_into will not write into a tensor that requires gradient")
-        out = acc.data
-    else:
-        out = acc.data.copy()
-    for t in terms:
-        out += t.data
-    return _make(out, (acc, *terms), _sum_backward((acc, *terms)))
+    return _make(a.data + b.data, (a, b), bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -229,15 +206,6 @@ def neg(a: Tensor) -> Tensor:
         _accumulate(a, -g)
 
     return _make(-a.data, (a,), bwd)
-
-
-def scale(a: Tensor, s: float) -> Tensor:
-    s = float(s)
-
-    def bwd(g: np.ndarray) -> None:
-        _accumulate(a, g * s)
-
-    return _make(a.data * s, (a,), bwd)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -328,26 +296,6 @@ def gather_rows(a: Tensor, indices) -> Tensor:
         if a.grad is None:
             a.grad = np.zeros_like(a.data)
         np.add.at(a.grad, idx, g)
-
-    return _make(out, (a,), bwd)
-
-
-def scatter_sum(a: Tensor, indices, size: int) -> Tensor:
-    """Sum each entry of ``a`` into bin ``indices`` of a length-``size`` vector.
-
-    ``indices`` has the shape of ``a``.  This is the adjoint of
-    :func:`gather_rows` on a flat source: backward gathers ``g[indices]``.
-    """
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.shape != a.data.shape:
-        raise ValueError(
-            f"scatter_sum needs one index per entry: {idx.shape} vs {a.data.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= size):
-        raise ValueError(f"scatter_sum indices [{idx.min()}, {idx.max()}] exceed {size} bins")
-    out = np.bincount(idx.reshape(-1), weights=a.data.reshape(-1), minlength=size)
-
-    def bwd(g: np.ndarray) -> None:
-        _accumulate(a, g[idx])
 
     return _make(out, (a,), bwd)
 

@@ -6,8 +6,17 @@ independently, so the whole graph can be decoded in one parallel pass.
 The L bilinear maps are stacked into one (L*d_e, d_e) parameter whose
 row block l is label l's map, so all labels are scored by two matrix
 products; the linear terms and the bias are then added by broadcasting,
-in place into the product when nothing is recorded.  A padded batch of B
-sentences is scored in the same products, as (B, n_max, n_max, L) cells.
+in place into the product.  A padded batch of B sentences is scored in
+the same products, as (B, n_max, n_max, L) cells.
+
+Past the two projections, the bilinear products, the linear terms and the
+bias are one autodiff op, so the tape holds one output and no
+intermediate score arrays.  Its forward and backward make the numpy calls
+that a chain of generic ops (transpose, matmul, reshape, add) made, in
+the same order and on the same memory layouts: while recording, B' and
+the transposed (n*L, d_e) block are contiguous copies, as a recorded
+transpose makes them, and BLAS rounds a product by the layout it reads.
+So its scores and gradients are bit-identical to the chain's.
 
 Decoding reads only some labels (a tree only the up, "deprel↑", ones),
 so inference scores only those: :meth:`EdgeScorerParams.for_labels`
@@ -29,7 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, add_into, matmul, reshape, transpose
+from . import autodiff
+from .autodiff import Tensor, matmul
 from .attention import EncoderState
 from .graphs import NONE_LABEL, LabeledGraph
 from .optim import ParameterRegistry
@@ -135,18 +145,64 @@ def score_edges(state: EncoderState, params: EdgeScorerParams) -> EdgeScores:
     ``state.z`` is one sentence (n, d) or a padded batch (B, n, d).
     """
     z = state.z
-    *lead, n, _ = z.shape
+    n = z.shape[-2]
+    return EdgeScores(_biaffine(matmul(z, params.head_proj),
+                                matmul(z, params.tail_proj), params), n)
+
+
+def _biaffine(h: Tensor, t: Tensor, params: EdgeScorerParams) -> Tensor:
+    """The (..., n, n, L) cells h_i B_l t_j' + u_l.h_i + v_l.t_j + b_l of the
+    head and tail views (..., n, d_e), flat as (cells, L): one op.
+
+    While recording, B' and the transposed (n*L, d_e) block are contiguous
+    copies, as a recorded transpose makes them, because the products read
+    them in that layout; otherwise they are views.  Backward adds each
+    view's linear-term gradient before its bilinear-term gradient.
+    """
+    *lead, n, d_e = h.shape
     n_labels = params.n_labels
-    h = matmul(z, params.head_proj)
-    t = matmul(z, params.tail_proj)
-    d_e = h.shape[-1]
+    recorded = autodiff.active_record() is not None
+    h_rows = h.data.reshape(-1, d_e)
+    t_rows = t.data.reshape(-1, d_e)
+    bilinear_t = params.bilinear.data.T
+    if recorded:
+        bilinear_t = bilinear_t.copy()
     # row j*L + l of bt is t_j B_l', so (h bt')[i, j*L + l] = h_i B_l t_j'
-    bt = reshape(matmul(t, transpose(params.bilinear)), (*lead, n * n_labels, d_e))
-    cells = add_into(reshape(matmul(h, transpose(bt)), (*lead, n, n, n_labels)),
-                     reshape(matmul(h, params.head_lin), (*lead, n, 1, n_labels)),
-                     reshape(matmul(t, params.tail_lin), (*lead, 1, n, n_labels)),
-                     params.bias)
-    return EdgeScores(reshape(cells, (cells.data.size // n_labels, n_labels)), n)
+    bt = (t_rows @ bilinear_t).reshape(*lead, n * n_labels, d_e)
+    bt_t = np.swapaxes(bt, -1, -2)
+    if recorded:
+        bt_t = bt_t.copy()
+    cells = (h.data @ bt_t).reshape(*lead, n, n, n_labels)
+    cells += (h_rows @ params.head_lin.data).reshape(*lead, n, 1, n_labels)
+    cells += (t_rows @ params.tail_lin.data).reshape(*lead, 1, n, n_labels)
+    cells += params.bias.data
+
+    def bwd(g: np.ndarray) -> None:
+        g_cells = g.reshape(cells.shape)
+        bias = params.bias
+        autodiff._accumulate(bias, autodiff._unbroadcast(g_cells, bias.shape))
+        for view, rows, lin, cell_shape in (
+                (t, t_rows, params.tail_lin, (*lead, 1, n, n_labels)),
+                (h, h_rows, params.head_lin, (*lead, n, 1, n_labels))):
+            g_lin = autodiff._unbroadcast(g_cells, cell_shape).reshape(-1, n_labels)
+            if view.requires_grad:
+                autodiff._accumulate(view, (g_lin @ lin.data.T).reshape(view.shape))
+            if lin.requires_grad:
+                autodiff._accumulate(lin, rows.T @ g_lin)
+        g_bilinear = g_cells.reshape(*lead, n, n * n_labels)
+        if h.requires_grad:
+            autodiff._accumulate(h, g_bilinear @ np.swapaxes(bt_t, -1, -2))
+        if t.requires_grad or params.bilinear.requires_grad:
+            g_bt = np.swapaxes(np.swapaxes(h.data, -1, -2) @ g_bilinear, -1, -2)
+            g_rows = g_bt.reshape(-1, n_labels * d_e)
+            if t.requires_grad:
+                autodiff._accumulate(t, (g_rows @ bilinear_t.T).reshape(t.shape))
+            if params.bilinear.requires_grad:
+                autodiff._accumulate(params.bilinear, (t_rows.T @ g_rows).T)
+
+    return autodiff._make(cells.reshape(-1, n_labels),
+                          (h, t, params.bilinear, params.head_lin, params.tail_lin,
+                           params.bias), bwd)
 
 
 def greedy_decode(scores: EdgeScores, allowed=None,

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from g2gt.attention import (EncoderParams, G2GLayerConfig, LayerParams,
-                            RelationEmbeddings, attention_scores,
-                            attention_values, encode, init_encoder)
-from g2gt.autodiff import Tensor, mul, tensor_sum
+from g2gt.attention import (EncoderParams, G2GLayerConfig, LayerParams, LayerTerms,
+                            RelationEmbeddings, _node_rows, _scores, _values,
+                            attention_scores, attention_values, encode,
+                            first_layer, init_encoder)
+from g2gt.autodiff import (Record, Tensor, add, backward, gather_rows, mul,
+                           recording, reshape, softmax_rows, tensor_sum)
 from g2gt.graphs import GraphBatch, LabeledGraph, empty_graph, permute_graph
 from g2gt.optim import ParameterRegistry, grad_check
 
@@ -362,3 +364,151 @@ class TestPaddedBatch:
         graphs = [empty_graph(3), empty_graph(2)]
         with pytest.raises(ValueError, match="do not match"):
             encode(Tensor(np.ones((3, 3, 4))), GraphBatch(graphs), params, cfg)
+
+
+def fused_op_case(seed, lengths, use_key_term=True, use_value_term=True):
+    """A one-layer, two-head encoder and a padded batch of ``lengths``: the
+    registry, parameters, config, input and graph batch."""
+    cfg = G2GLayerConfig(d=6, heads=2, d_ff=8, n_layers=1, use_key_term=use_key_term,
+                         use_value_term=use_value_term)
+    registry, params = build_encoder(cfg, 4, seed)
+    rescale_parameters(registry, 0.5)
+    rng = np.random.default_rng(seed)
+    graphs = [random_graph(rng, n, 4) for n in lengths]
+    x = Tensor(rng.normal(size=(len(lengths), max(lengths), cfg.d)))
+    return registry, params, cfg, x, GraphBatch(graphs)
+
+
+def layer0_scores(x, batch, params, cfg):
+    """Layer 0's scores of ``x`` under ``batch``, as ``encode`` computes them."""
+    labels = np.expand_dims(batch.labels, -3)
+    terms = first_layer(x, params, cfg).terms
+    rows = _node_rows(labels, terms.q_table, terms.q_table.shape[-1])
+    return _scores(terms, labels, rows, cfg.d // cfg.heads, batch.key_mask())
+
+
+def head_columns(h, cfg):
+    d_head = cfg.d // cfg.heads
+    return slice(h * d_head, (h + 1) * d_head)
+
+
+class TestScoreOp:
+    """The score chain as one op: loop oracles, central differences, and
+    the bits of the chain of generic ops it replaces."""
+
+    @pytest.mark.parametrize("use_key_term", [True, False])
+    @pytest.mark.parametrize("lengths", [(5,), (4, 2, 5)])
+    def test_against_double_loop_oracle(self, lengths, use_key_term):
+        _, params, cfg, x, batch = fused_op_case(11, lengths, use_key_term)
+        e = layer0_scores(x, batch, params, cfg).data
+        layer, rel = params.layers[0], params.rel
+        for b, n in enumerate(batch.lengths):
+            for h in range(cfg.heads):
+                cols = head_columns(h, cfg)
+                oracle = graph_attention_scores_loop(
+                    x.data[b, :n], layer.w_q.data[:, cols], layer.w_k.data[:, cols],
+                    rel.query_rel.data[:, cols], rel.key_rel.data[:, cols],
+                    batch.labels[b, :n, :n], use_key_term=use_key_term)
+                assert_allclose(e[b, h, :n, :n], oracle, rtol=0, atol=1e-12)
+                assert np.all(e[b, h, :, n:] == -np.inf)
+
+    @pytest.mark.parametrize("use_key_term", [True, False])
+    @pytest.mark.parametrize("lengths", [(5,), (4, 2, 5)])
+    def test_gradients(self, lengths, use_key_term):
+        registry, params, cfg, x, batch = fused_op_case(12, lengths, use_key_term)
+        c = Tensor(np.random.default_rng(13).normal(
+            size=(len(lengths), cfg.heads, batch.n, batch.n)))
+
+        def fn():
+            return tensor_sum(mul(softmax_rows(layer0_scores(x, batch, params, cfg)), c))
+
+        report = grad_check(fn, registry, eps=1e-5, threshold=1e-4)
+        assert report.passed, report.max_errors
+
+    def test_bits_of_the_generic_chain(self):
+        # the op replaced gathers from the flat tables, two adds, a scaling
+        # and the key mask's add: same output, same input gradients
+        _, params, cfg, x, batch = fused_op_case(14, (4, 2, 5))
+        labels = np.expand_dims(batch.labels, -3)
+        terms = first_layer(x, params, cfg).terms
+        rows = _node_rows(labels, terms.q_table, terms.q_table.shape[-1])
+        weights = Tensor(np.random.default_rng(15).normal(size=terms.qk.shape))
+        runs = []
+        for fused in (True, False):
+            leaves = [Tensor(t.data.copy(), requires_grad=True)
+                      for t in (terms.qk, terms.q_table, terms.k_table)]
+            qk, q_table, k_table = leaves
+            record = Record()
+            with recording(record):
+                if fused:
+                    e = _scores(LayerTerms(qk, q_table, k_table, None), labels, rows,
+                                cfg.d // cfg.heads, batch.key_mask())
+                else:
+                    e = qk
+                    for table, cells in ((q_table, rows + labels),
+                                         (k_table, np.swapaxes(rows, -1, -2) + labels)):
+                        flat = reshape(table, (table.data.size,))
+                        e = add(e, gather_rows(flat, cells))
+                    e = mul(e, Tensor(1.0 / np.sqrt(cfg.d // cfg.heads)))
+                    e = add(e, Tensor(batch.key_mask()))
+                nodes = len(record)
+                loss = tensor_sum(mul(softmax_rows(e), weights))
+            backward(loss, record)
+            runs.append((nodes, e.data.tobytes(), [t.grad.tobytes() for t in leaves]))
+        assert runs[0][0] == 1 and runs[1][0] == 8
+        assert runs[0][1:] == runs[1][1:]
+
+
+class TestValueOp:
+    """The value chain as one op: loop oracles and central differences."""
+
+    @staticmethod
+    def _alpha(seed, batch, heads):
+        # attention weights that give padding keys nothing, as encode's do
+        rng = np.random.default_rng(seed)
+        logits = rng.normal(size=(len(batch), heads, batch.n, batch.n))
+        if batch.key_mask() is not None:
+            logits = logits + batch.key_mask()
+        return softmax_rows(Tensor(logits)).data
+
+    @staticmethod
+    def _values_of(alpha, x, batch, params, cfg):
+        labels = np.expand_dims(batch.labels, -3)
+        rel, terms = first_layer(x, params, cfg)
+        rows = _node_rows(labels, terms.q_table, terms.q_table.shape[-1])
+        return _values(alpha, terms.v, labels, rows, rel.value)
+
+    @pytest.mark.parametrize("use_value_term", [True, False])
+    @pytest.mark.parametrize("lengths", [(5,), (4, 2, 5)])
+    def test_against_double_loop_oracle(self, lengths, use_value_term):
+        _, params, cfg, x, batch = fused_op_case(21, lengths,
+                                                 use_value_term=use_value_term)
+        alpha = self._alpha(22, batch, cfg.heads)
+        z = self._values_of(Tensor(alpha), x, batch, params, cfg).data
+        layer, rel = params.layers[0], params.rel
+        for b, n in enumerate(batch.lengths):
+            for h in range(cfg.heads):
+                cols = head_columns(h, cfg)
+                oracle = graph_attention_values_loop(
+                    alpha[b, h, :n, :n], x.data[b, :n], layer.w_v.data[:, cols],
+                    rel.value_rel.data[:, cols], batch.labels[b, :n, :n],
+                    use_value_term=use_value_term)
+                assert_allclose(z[b, h, :n], oracle, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("use_value_term", [True, False])
+    @pytest.mark.parametrize("lengths", [(5,), (4, 2, 5)])
+    def test_gradients(self, lengths, use_value_term):
+        # alpha is a leaf here, so its gradient is checked directly: the
+        # histogram's gathered gradient plus g v'
+        registry, params, cfg, x, batch = fused_op_case(23, lengths,
+                                                        use_value_term=use_value_term)
+        alpha = registry.parameter("alpha", (len(lengths), cfg.heads, batch.n, batch.n),
+                                   np.random.default_rng(24), std=1.0)
+        c = Tensor(np.random.default_rng(25).normal(
+            size=(len(lengths), cfg.heads, batch.n, cfg.d // cfg.heads)))
+
+        def fn():
+            return tensor_sum(mul(self._values_of(alpha, x, batch, params, cfg), c))
+
+        report = grad_check(fn, registry, eps=1e-5, threshold=1e-4)
+        assert report.passed, report.max_errors

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from g2gt.autodiff import (Record, Tensor, active_record, add, add_into, backward,
+from g2gt.autodiff import (Record, Tensor, active_record, add, backward,
                            gather_rows, layer_norm,
                            log_softmax_rows, matmul, mul, neg, recording, relu,
-                           reshape, scale, scatter_sum, softmax_rows, tensor_sum,
-                           transpose)
+                           reshape, softmax_rows, tensor_sum, transpose)
 from g2gt.optim import ParameterRegistry, grad_check
 
 from oracles import layer_norm_rows, naive_matmul, softmax_row
@@ -74,7 +73,7 @@ class TestUntrackedViews:
         for view in (reshape(p, (3, 2)), transpose(p)):
             assert np.shares_memory(view.data, p.data)
             with pytest.raises(ValueError, match="read-only"):
-                add_into(view, Tensor(np.ones(view.shape)))
+                view.data += 1.0
         assert np.array_equal(p.data, np.arange(6.0).reshape(2, 3))
 
     def test_recorded_reshape_and_transpose_copy(self):
@@ -106,76 +105,14 @@ class TestUntrackedOps:
     def test_outputs_are_float64_arrays_without_gradient(self):
         a = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
         b = Tensor(np.ones((2, 3)))
-        outs = [add(a, b), add_into(Tensor(np.zeros((2, 3))), a, b), mul(a, b),
-                neg(a), scale(a, 2), matmul(a, transpose(b)), transpose(a),
-                reshape(a, (3, 2)), gather_rows(a, [1, 0]),
-                scatter_sum(a, [[0, 1, 0], [2, 2, 1]], 3), relu(a), softmax_rows(a),
+        outs = [add(a, b), mul(a, b), neg(a), matmul(a, transpose(b)), transpose(a),
+                reshape(a, (3, 2)), gather_rows(a, [1, 0]), relu(a), softmax_rows(a),
                 log_softmax_rows(a), layer_norm(a, Tensor(np.ones(3)), Tensor(np.zeros(3))),
                 tensor_sum(a, axis=1), tensor_sum(a)]
         for out in outs:
             assert type(out.data) is np.ndarray and out.data.dtype == np.float64
             assert out.requires_grad is False and out.grad is None
         assert outs[-1].data.shape == () and outs[-1].item() == 15.0
-
-
-class TestAddInto:
-    def _operands(self, seed):
-        rng = np.random.default_rng(seed)
-        return (rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 1, 4)),
-                rng.normal(size=(1, 3, 4)), rng.normal(size=(1, 4)))
-
-    def test_untracked_sums_in_place_like_a_chain_of_adds(self):
-        acc, *terms = self._operands(0)
-        chain = Tensor(acc)
-        for t in terms:
-            chain = add(chain, Tensor(t))
-        target = Tensor(acc.copy())
-        out = add_into(target, *map(Tensor, terms))
-        assert np.shares_memory(out.data, target.data)
-        assert out.data.tobytes() == chain.data.tobytes()
-
-    def test_recorded_is_one_node_with_the_chains_gradients(self):
-        acc, *terms = self._operands(1)
-        weights = Tensor(np.random.default_rng(2).normal(size=acc.shape))
-        grads = []
-        for fused in (False, True):
-            params = [Tensor(x.copy(), requires_grad=True) for x in (acc, *terms)]
-            record = Record()
-            with recording(record):
-                if fused:
-                    out = add_into(*params)
-                else:
-                    out = params[0]
-                    for t in params[1:]:
-                        out = add(out, t)
-                nodes = len(record)
-                loss = tensor_sum(mul(out, weights))
-            backward(loss, record)
-            assert np.array_equal(params[0].data, acc)     # acc left as it was
-            grads.append((nodes, out.data.tobytes(), [p.grad.tobytes() for p in params]))
-        assert grads[1][0] == 1 and grads[0][0] == 3
-        assert grads[1][1:] == grads[0][1:]
-
-    def test_tensor_requiring_gradient_refused(self):
-        p = Tensor(np.zeros((2, 2)), requires_grad=True)
-        with pytest.raises(ValueError, match="requires gradient"):
-            add_into(p, Tensor(np.ones((2, 2))))
-        assert np.all(p.data == 0.0)
-
-    def test_terms_must_not_grow_the_shape(self):
-        with pytest.raises(ValueError, match="broadcast"):
-            add_into(Tensor(np.zeros((1, 3))), Tensor(np.zeros((2, 3))))
-
-
-class TestScatterSum:
-    def test_sums_repeated_bins(self):
-        out = scatter_sum(Tensor([1.0, 2.0, 3.0]), [0, 2, 0], 4)
-        assert_allclose(out.data, [4.0, 0.0, 2.0, 0.0], rtol=0, atol=0)
-
-    @pytest.mark.parametrize("index", [3, -1])
-    def test_index_outside_bins_rejected(self, index):
-        with pytest.raises(ValueError, match="exceed 3 bins"):
-            scatter_sum(Tensor([1.0, 2.0]), [0, index], 3)
 
 
 class TestSoftmaxRows:
@@ -343,7 +280,7 @@ class TestOperationGradients:
 
         def fn():
             s = add(mul(a, b), c1)                  # add + mul
-            s = add(s, neg(scale(a, 0.7)))          # neg + scale
+            s = add(s, neg(mul(a, Tensor(0.7))))    # neg + mul by a constant
             m = matmul(s, w)                        # matmul
             m = add(m, transpose(matmul(transpose(w), transpose(s))))  # transpose
             return tensor_sum(mul(m, c2))
@@ -359,16 +296,12 @@ class TestOperationGradients:
         c = Tensor(rng.normal(size=(3, 2, 2)))
         idx = rng.integers(0, 4, size=5)
         c_idx = Tensor(rng.normal(size=(5, 3)))
-        bins = rng.integers(0, 4, size=(3, 2, 2))   # 12 entries into 5 bins
-        c_bins = Tensor(rng.normal(size=(5,)))
 
         def fn():
             r = transpose(reshape(a, (2, 2, 3)), (2, 0, 1))  # reshape, rank-3 transpose
             m = matmul(r, b)                            # batched matmul
-            hist = scatter_sum(m, bins, 5)              # scatter with repeated bins
             picked = gather_rows(a, idx)                # gather with repeats
-            return add(add(tensor_sum(mul(m, c)), tensor_sum(mul(hist, c_bins))),
-                       tensor_sum(mul(picked, c_idx)))
+            return add(tensor_sum(mul(m, c)), tensor_sum(mul(picked, c_idx)))
 
         _check(fn, registry, f"(shape ops, seed {seed})")
 
@@ -385,7 +318,7 @@ class TestOperationGradients:
 
         def fn():
             s = softmax_rows(a)
-            l = log_softmax_rows(scale(a, 1.3))
+            l = log_softmax_rows(mul(a, Tensor(1.3)))
             r = relu(add(a, shift))
             ln = layer_norm(a, gain, bias)
             total = add(add(tensor_sum(mul(s, c)), tensor_sum(mul(l, c))),

@@ -9,7 +9,8 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from g2gt.attention import EncoderState
-from g2gt.autodiff import Record, Tensor, mul, recording, tensor_sum
+from g2gt.autodiff import (Record, Tensor, add, backward, matmul, mul, recording,
+                           reshape, tensor_sum, transpose)
 from g2gt.edges import (EdgeScores, greedy_decode, init_edge_scorer, label_edges,
                         label_slab, pooled_head_scores, score_edges)
 from g2gt.graphs import NONE_LABEL, DepTree, RelationVocab
@@ -115,7 +116,7 @@ class TestScoreEdges:
         record = Record()
         with recording(record):
             score_edges(state, params)
-        assert len(record) <= 14     # the three broadcast terms are one node
+        assert len(record) <= 3      # two projections and the biaffine op
 
     def test_gradients_end_to_end(self):
         registry, params = build_scorer(8, 4, 4, seed=4)
@@ -129,6 +130,73 @@ class TestScoreEdges:
 
         report = grad_check(fn, registry, eps=1e-5)
         assert report.passed, report.max_errors
+
+
+class TestBiaffineOp:
+    """score_edges as two projections and one biaffine op."""
+
+    def test_padded_batch_against_cell_loop_oracle(self):
+        registry, params = build_scorer(6, 3, 4, seed=30)
+        rescale_parameters(registry, 0.5)
+        z = np.random.default_rng(31).normal(size=(3, 5, 6))
+        cells = score_edges(EncoderState(z=Tensor(z)), params).flat.data
+        cells = cells.reshape(-1, 5, 5, 4)
+        bilinear = np.split(params.bilinear.data, params.n_labels)
+        for b, sentence in enumerate(z.reshape(-1, 5, 6)):
+            oracle = biaffine_score_loop(
+                sentence, params.head_proj.data, params.tail_proj.data, bilinear,
+                params.head_lin.data, params.tail_lin.data, params.bias.data)
+            assert_allclose(cells[b], oracle, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_gradients(self, lead):
+        # the input is a parameter too, so the head and tail views' gradients
+        # (linear term first, then bilinear) reach it
+        registry, params = build_scorer(6, 3, 4, seed=32)
+        rescale_parameters(registry, 0.5)
+        rng = np.random.default_rng(33)
+        z = registry.parameter("z", (*lead, 5, 6), rng, std=1.0)
+        c = Tensor(rng.normal(size=(int(np.prod(lead)) * 25, 4)))
+
+        def fn():
+            return tensor_sum(mul(score_edges(EncoderState(z=z), params).flat, c))
+
+        report = grad_check(fn, registry, eps=1e-5, threshold=1e-4)
+        assert report.passed, report.max_errors
+
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_bits_of_the_generic_chain(self, lead):
+        # the op replaced a recorded chain of transposes, reshapes, products
+        # and broadcast adds: same scores, same gradients
+        n, d, d_e, n_labels = 6, 8, 4, 5
+        runs = []
+        for fused in (True, False):
+            registry, params = build_scorer(d, d_e, n_labels, seed=34)
+            z = registry.parameter("z", (*lead, n, d), np.random.default_rng(35), std=1.0)
+            weights = Tensor(np.random.default_rng(36).normal(
+                size=(int(np.prod(lead)) * n * n, n_labels)))
+            record = Record()
+            with recording(record):
+                if fused:
+                    flat = score_edges(EncoderState(z=z), params).flat
+                else:
+                    h = matmul(z, params.head_proj)
+                    t = matmul(z, params.tail_proj)
+                    bt = reshape(matmul(t, transpose(params.bilinear)),
+                                 (*lead, n * n_labels, d_e))
+                    cells = reshape(matmul(h, transpose(bt)), (*lead, n, n, n_labels))
+                    cells = add(cells, reshape(matmul(h, params.head_lin),
+                                               (*lead, n, 1, n_labels)))
+                    cells = add(cells, reshape(matmul(t, params.tail_lin),
+                                               (*lead, 1, n, n_labels)))
+                    flat = reshape(add(cells, params.bias), (-1, n_labels))
+                nodes = len(record)
+                loss = tensor_sum(mul(flat, weights))
+            backward(loss, record)
+            runs.append((nodes, flat.data.tobytes(),
+                         [p.tensor.grad.tobytes() for p in registry]))
+        assert runs[0][0] == 3 and runs[1][0] == 16
+        assert runs[0][1:] == runs[1][1:]
 
 
 def make_scores(arr):

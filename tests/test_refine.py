@@ -24,7 +24,7 @@ from g2gt.conllu import Sentence, load_conllu
 from g2gt.training import BUCKET_CELLS, length_buckets, parse_corpus, train
 from g2gt.vocab import Vocab, build_vocabs
 
-from oracles import rescale_parameters
+from oracles import random_tree, rescale_parameters
 
 SMALL = ModelConfig(d=16, heads=2, d_ff=32, layers=1, d_edge=8, max_len=32)
 
@@ -446,7 +446,8 @@ class TestPaddedBatch:
     def test_tape_budget(self):
         # the figures before batching: 108 nodes for one sentence's scores,
         # 451 for a two-sentence step at t_train=2; 213 for that step before
-        # its iterations shared one scorer
+        # its iterations shared one scorer; 108 and 191 before the score,
+        # value and biaffine chains were one op each
         corpus = load_conllu(Path(__file__).parent / "fixtures" / "toy_treebank.conllu")
         tokens, relations = build_vocabs(corpus)
         model = DependencyParserModel(
@@ -455,13 +456,13 @@ class TestPaddedBatch:
         record = Record()
         with recording(record):
             model.scorer([corpus[0].forms])([empty_graph(corpus[0].n + 1)])
-        assert len(record) <= 108
+        assert len(record) <= 68
         batch = [(s.forms, dep_tree_to_graph(s.tree, relations)) for s in corpus[4:6]]
         assert batch[0][1].n != batch[1][1].n      # padded, so the masks count
         record = Record()
         with recording(record):
             refinement_loss(batch, model, RefinementConfig(t_train=2))
-        assert len(record) <= 191
+        assert len(record) <= 125
 
 
 FIXTURE = Path(__file__).parent / "fixtures" / "toy_treebank.conllu"
@@ -700,10 +701,11 @@ class TestOpCounts:
         return (totals[3] - totals[1]) / 2
 
     def test_ops_per_refine_iteration(self, monkeypatch):
-        # 83 while every iteration split the relation matrices again
+        # 83 while every iteration split the relation matrices again, 77
+        # before the score, value and biaffine chains were one op each
         model = ud_parser()
         forms = random_forms(model, 9, np.random.default_rng(0))    # n = 10
-        assert self.ops_per_iteration([forms], model, count_makes(monkeypatch)) <= 77
+        assert self.ops_per_iteration([forms], model, count_makes(monkeypatch)) <= 46
 
     def test_ops_per_iteration_do_not_grow_with_the_batch(self, monkeypatch):
         model = ud_parser()
@@ -713,10 +715,10 @@ class TestOpCounts:
         count = count_makes(monkeypatch)
         one = self.ops_per_iteration(same[:1], model, count)
         assert self.ops_per_iteration(same, model, count) == one
-        # a padded batch adds its key mask to each layer's scores, once
+        # a padded batch adds its key mask inside each layer's score op
         assert (self.ops_per_iteration(mixed, model, count)
                 == self.ops_per_iteration(mixed[:2], model, count)
-                == one + GATE.layers)
+                == one)
 
 
 class TestRefineMemory:
@@ -735,3 +737,56 @@ class TestRefineMemory:
             tracemalloc.stop()
         up_scores = 101 * 101 * len(model.decode_labels) * 8
         assert peak < 2.25 * up_scores
+
+
+class TestTrainingMemory:
+    def test_releasing_gradients_changes_no_parameter_gradient(self):
+        # backward drops each intermediate's gradient once used; a sweep that
+        # keeps them must give the same parameter gradients, bit for bit
+        corpus = load_conllu(FIXTURE)
+        relations = build_vocabs(corpus)[1]
+        batch = [(s.forms, dep_tree_to_graph(s.tree, relations)) for s in corpus[4:6]]
+        cfg = RefinementConfig(t_train=2)
+
+        def recorded_loss(model):
+            record = Record()
+            with recording(record):
+                loss = refinement_loss(batch, model, cfg)
+            return loss, record
+
+        released, kept = fixture_parser(), fixture_parser()
+        loss, released_record = recorded_loss(released)
+        backward(loss, released_record)
+        loss, kept_record = recorded_loss(kept)
+        loss.grad = np.ones_like(loss.data)
+        for node in reversed(kept_record._nodes):
+            if node.out.grad is not None:
+                node.backward_fn(node.out.grad)
+        assert len(released_record) == len(kept_record)   # the nodes stay on the record
+        assert all(node.out.grad is None for node in released_record._nodes)
+        assert any(node.out.grad is not None for node in kept_record._nodes)
+        for a, b in zip(released.registry, kept.registry, strict=True):
+            assert a.tensor.grad.tobytes() == b.tensor.grad.tobytes(), a.name
+
+    def test_a_ud_sized_step_peaks_below_32_score_arrays(self):
+        # 68.8 while the score, value and biaffine chains were many ops whose
+        # outputs and gradients all lived until the step ended
+        model = ud_parser()
+        deprels = [f"dep{i}" for i in range(37)]
+        rng = np.random.default_rng(0)
+        batch = []
+        for _ in range(4):
+            tree = DepTree(*random_tree(rng, 20, deprels))
+            batch.append((random_forms(model, 20, rng),
+                          dep_tree_to_graph(tree, model.rel_vocab)))
+        cfg = RefinementConfig(t_train=2)
+        train_refinement_step(batch, model, cfg)
+        model.registry.zero_grad()
+        tracemalloc.start()
+        try:
+            train_refinement_step(batch, model, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        scores = 4 * 21 * 21 * len(model.rel_vocab) * 8
+        assert peak <= 32 * scores
