@@ -25,9 +25,8 @@ from .model import (BatchScorer, DependencyParserModel, MentionCorefModel,
 from .mst import is_arborescence, mst_decode
 from .optim import (Adam, GradCheckReport, Parameter, ParameterRegistry,
                     adam_step, grad_check)
-from .refine import (FactoredGraphDistribution, RefinementConfig, RefinementTrace,
-                     graph_log_likelihood, refine, refine_batch, refinement_loss,
-                     stage_mask, train_refinement_step)
+from .refine import (RefinementConfig, RefinementTrace, graph_nll, refine,
+                     refine_batch, refinement_loss, stage_mask, train_refinement_step)
 from .training import EvalReport, evaluate, parse_corpus, train
 from .vocab import Vocab, build_vocabs
 

@@ -33,7 +33,6 @@ __all__ = [
     "backward",
     "add",
     "mul",
-    "neg",
     "matmul",
     "transpose",
     "reshape",
@@ -41,7 +40,6 @@ __all__ = [
     "tensor_sum",
     "relu",
     "softmax_rows",
-    "log_softmax_rows",
     "layer_norm",
 ]
 
@@ -201,13 +199,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), bwd)
 
 
-def neg(a: Tensor) -> Tensor:
-    def bwd(g: np.ndarray) -> None:
-        _accumulate(a, -g)
-
-    return _make(-a.data, (a,), bwd)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product over the last two axes; the leading axes broadcast, so
     one matrix or one stack of matrices applies to every matrix of a batch."""
@@ -335,22 +326,6 @@ def softmax_rows(x: Tensor) -> Tensor:
         # d softmax: s * (g - sum(g * s))
         inner = np.add.reduce(g * out, axis=-1, keepdims=True)
         _accumulate(x, out * (g - inner))
-
-    return _make(out, (x,), bwd)
-
-
-def log_softmax_rows(x: Tensor) -> Tensor:
-    if x.data.ndim != 2:
-        raise ValueError(f"log_softmax_rows needs a rank-2 tensor, got shape {x.data.shape}")
-    if x.data.shape[1] == 0:
-        raise ValueError("log_softmax_rows: empty rows")
-    shifted = x.data - np.maximum.reduce(x.data, axis=1, keepdims=True)
-    log_z = np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
-    out = shifted - log_z
-    soft = np.exp(out)
-
-    def bwd(g: np.ndarray) -> None:
-        _accumulate(x, g - soft * np.add.reduce(g, axis=1, keepdims=True))
 
     return _make(out, (x,), bwd)
 

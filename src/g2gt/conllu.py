@@ -3,8 +3,9 @@
 Ten tab-separated columns (ID FORM LEMMA UPOS XPOS FEATS HEAD DEPREL DEPS
 MISC), one token per line, blank line between sentences, '#' comment
 lines ignored.  Multiword-token ranges ("1-2") and empty nodes ("8.1")
-are skipped.  Only FORM, HEAD and DEPREL are modelled; the remaining
-columns are written back as '_'.
+are skipped; the k-th remaining token of a sentence must have ID k.
+Only FORM, HEAD and DEPREL are modelled; the remaining columns are
+written back as '_'.
 """
 
 from __future__ import annotations
@@ -68,9 +69,12 @@ def load_conllu(path) -> list[Sentence]:
         if "-" in token_id or "." in token_id:
             continue  # multiword range or empty node
         try:
-            int(token_id)
+            token_no = int(token_id)
         except ValueError:
             raise DataError(f"{path}:{line_no}: bad token id {token_id!r}") from None
+        if token_no != len(forms) + 1:
+            raise DataError(f"{path}:{line_no}: token id {token_no}, expected "
+                            f"{len(forms) + 1}")
         head_col = cols[6]
         if head_col == "_":
             head = None

@@ -15,10 +15,11 @@ Inference (:func:`refine_batch`, of which :func:`refine` is the
 one-sentence case) scores only those labels and stops each sentence
 once its graph stops changing.  Training scores every label, runs a
 fixed number of iterations, conditioning each one on the previous
-(detached, discrete) prediction, and sums the per-iteration losses; the
-loss gathers the gold label's log-probability at every real, in-scope
-cell of every sentence.  Padding cells carry NONE and fall outside that
-gather.
+(detached, discrete) prediction, and sums the per-iteration losses.
+Each iteration's loss is one op, :func:`graph_nll`: the negative
+log-probability of the gold label under a softmax over labels, summed
+over every real, in-scope cell of every sentence.  Padding cells carry
+NONE and add nothing.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .autodiff import (Record, Tensor, add, backward, gather_rows, log_softmax_rows,
-                       neg, recording, reshape, tensor_sum)
+from . import autodiff
+from .autodiff import Record, Tensor, add, backward, recording
 from .edges import EdgeScores
 from .errors import DataError, TrainingError, UsageError
 from .graphs import (COREF_VOCAB, GraphBatch, LabeledGraph, RelationVocab,
@@ -42,8 +43,7 @@ __all__ = [
     "stage_mask",
     "refine",
     "refine_batch",
-    "FactoredGraphDistribution",
-    "graph_log_likelihood",
+    "graph_nll",
     "refinement_loss",
     "train_refinement_step",
 ]
@@ -166,7 +166,7 @@ def refine_batch(batch: Sequence[Sequence], model,
 
 
 # ---------------------------------------------------------------------------
-# factored per-cell distributions and the refinement training loss
+# the per-cell refinement training loss
 
 
 def scope_mask(n: int, scope: str) -> np.ndarray:
@@ -178,47 +178,44 @@ def scope_mask(n: int, scope: str) -> np.ndarray:
     raise UsageError(f"unknown scope {scope!r}")
 
 
-class FactoredGraphDistribution:
-    """Per-cell categorical distributions over labels, conditioned jointly,
-    for B graphs padded to n nodes: ``log_probs`` is (B*n*n, L), one row per
-    cell, graph by graph."""
+def graph_nll(scores: EdgeScores, gold: GraphBatch, scope: str) -> Tensor:
+    """Negative log-likelihood of the gold labels under a softmax over
+    labels at every cell of ``scores``, summed over the real, in-scope
+    cells of each graph (a scalar >= 0): one op.
 
-    __slots__ = ("log_probs", "n", "scope")
-
-    def __init__(self, log_probs: Tensor, n: int, scope: str):
-        if log_probs.data.ndim != 2 or log_probs.shape[0] % (n * n):
-            raise ValueError(f"log_probs must be (B*n*n, L), got {log_probs.shape}")
-        scope_mask(n, scope)  # validates the scope name
-        self.log_probs = log_probs
-        self.n = n
-        self.scope = scope
-
-    @classmethod
-    def from_scores(cls, scores: EdgeScores, scope: str) -> "FactoredGraphDistribution":
-        return cls(log_softmax_rows(scores.flat), scores.n, scope)
-
-
-def graph_log_likelihood(dist: FactoredGraphDistribution, gold: GraphBatch) -> Tensor:
-    """Sum over the batch of log p(cell = gold label) over the real,
-    in-scope cells of each graph (a scalar <= 0).
-
-    One flat gather reads every such cell's gold entry.  The training
-    loss is this value negated.
+    The op keeps only the probabilities for backward.  Each in-scope
+    row's gradient is its probabilities less 1 at the gold label; every
+    other row's (padding, or out of scope) is 0.
     """
-    n_labels = dist.log_probs.shape[1]
-    if gold.n != dist.n or len(gold) * gold.n * gold.n != dist.log_probs.shape[0]:
+    flat = scores.flat
+    x = flat.data
+    n_labels = x.shape[1]
+    if gold.n != scores.n or len(gold) * gold.n * gold.n != x.shape[0]:
         raise DataError(f"{len(gold)} graphs of {gold.n} nodes, but the distribution "
-                        f"covers {dist.log_probs.shape[0] // (dist.n * dist.n)} of "
-                        f"{dist.n} nodes")
-    in_scope = scope_mask(gold.n, dist.scope) & gold.real_cells()
+                        f"covers {x.shape[0] // (scores.n * scores.n)} of "
+                        f"{scores.n} nodes")
+    in_scope = scope_mask(gold.n, scope) & gold.real_cells()
     out_of_scope = ~in_scope & (gold.labels != 0)
     if np.any(out_of_scope):
         b, i, j = np.argwhere(out_of_scope)[0]
         raise DataError(f"graph {b + 1} of {len(gold)}: no distribution for "
                         f"labeled cell ({i}, {j})")
-    cells = np.flatnonzero(in_scope) * n_labels + gold.labels[in_scope]
-    flat = reshape(dist.log_probs, (dist.log_probs.data.size,))
-    return tensor_sum(gather_rows(flat, cells))
+    rows = np.flatnonzero(in_scope)
+    cells = rows * n_labels + gold.labels[in_scope]
+    shifted = x - np.maximum.reduce(x, axis=1, keepdims=True)
+    log_z = np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
+    log_p = shifted - log_z
+    loss = -np.add.reduce(log_p.reshape(-1)[cells])
+    soft = np.exp(log_p)
+
+    def bwd(g: np.ndarray) -> None:
+        grad = np.zeros_like(soft)
+        grad[rows] = soft[rows]
+        grad.reshape(-1)[cells] -= 1.0
+        grad *= g
+        autodiff._accumulate(flat, grad)
+
+    return autodiff._make(loss, (flat,), bwd)
 
 
 def refinement_loss(batch: Sequence[tuple], model, cfg: RefinementConfig) -> Tensor:
@@ -246,8 +243,7 @@ def refinement_loss(batch: Sequence[tuple], model, cfg: RefinementConfig) -> Ten
     total: Optional[Tensor] = None
     for t in range(1, cfg.t_train + 1):
         scores = score(graphs)
-        dist = FactoredGraphDistribution.from_scores(scores, model.scope)
-        loss_t = neg(graph_log_likelihood(dist, gold))
+        loss_t = graph_nll(scores, gold, model.scope)
         if not np.isfinite(loss_t.data):
             raise TrainingError(f"iteration {t}: loss is {loss_t.item()}")
         total = loss_t if total is None else add(total, loss_t)

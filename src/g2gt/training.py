@@ -149,13 +149,13 @@ def train(config: RunConfig) -> TrainResult:
     """
     config.validate_for_training()
     train_sents = load_conllu(config.train_file)
-    if not train_sents:
-        raise DataError(f"{config.train_file}: no sentences")
     for s in train_sents:
         s.tree.validate()
     dev_sents = load_conllu(config.dev_file) if config.dev_file else train_sents
     model_cfg = config.model_config()
     for path, sents in ((config.train_file, train_sents), (config.dev_file, dev_sents)):
+        if not sents:
+            raise DataError(f"{path}: no sentences")
         for k, problem in parse_problems(sents, model_cfg.max_len).items():
             raise DataError(f"{path}: sentence {k} of {len(sents)}: {problem}")
 

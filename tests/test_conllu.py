@@ -36,6 +36,17 @@ def test_comments_and_multiword_ranges_skipped(tmp_path):
     assert corpus[0].forms == ["de", "el"]
 
 
+@pytest.mark.parametrize("ids, line", [((1, 1), 2), ((2, 3), 1), ((1, 3), 2)])
+def test_token_ids_must_count_from_one(tmp_path, ids, line):
+    # with IDs 1, 1 the second token's HEAD was read against its position
+    f = tmp_path / "ids.conllu"
+    f.write_text(f"{ids[0]}\tHi\t_\t_\t_\t_\t0\troot\t_\t_\n"
+                 f"{ids[1]}\tthere\t_\t_\t_\t_\t1\tdep\t_\t_\n")
+    with pytest.raises(DataError, match=f"ids.conllu:{line}: token id {ids[line - 1]}, "
+                                        f"expected {line}$"):
+        load_conllu(f)
+
+
 def test_empty_file_gives_empty_corpus(tmp_path):
     f = tmp_path / "empty.conllu"
     f.write_text("")

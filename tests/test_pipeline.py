@@ -435,6 +435,23 @@ class TestTrainPipeline:
             train(config)
         assert not (tmp_path / "m.g2gt").exists()
 
+    @pytest.mark.parametrize("empty", ["train_file", "dev_file"])
+    def test_empty_file_rejected_before_the_model_is_built(self, tmp_path, monkeypatch,
+                                                           empty):
+        # an empty dev file used to fail only after a full epoch, as "cannot
+        # evaluate an empty corpus", without its name
+        (tmp_path / "empty.conllu").write_text("")
+        files = {"train_file": str(FIXTURE), "dev_file": str(FIXTURE),
+                 empty: str(tmp_path / "empty.conllu")}
+
+        def build(*args, **kwargs):
+            raise AssertionError("a model was built")
+
+        monkeypatch.setattr(training, "DependencyParserModel", build)
+        with pytest.raises(DataError, match=f"^{re.escape(files[empty])}: no sentences$"):
+            train(self._config(tmp_path, **files))
+        assert not (tmp_path / "m.g2gt").exists()
+
     def test_parse_leaves_parameters_and_scores_untouched(self, tmp_path):
         # untracked scoring returns views and sums in place; none of that may
         # reach a parameter or the scores a decode reads

@@ -1,4 +1,4 @@
-"""Refinement loop, stage schedule, factored likelihood, training step."""
+"""Refinement loop, stage schedule, per-cell loss, training step."""
 
 import tracemalloc
 from pathlib import Path
@@ -8,17 +8,16 @@ import pytest
 from numpy.testing import assert_allclose
 
 from g2gt import autodiff
-from g2gt.autodiff import Record, Tensor, add, backward, neg, recording
+from g2gt.autodiff import Record, Tensor, add, backward, recording
 from g2gt.edges import EdgeScores
 from g2gt.errors import DataError, TrainingError, UsageError
 from g2gt.graphs import (COREF_VOCAB, DepTree, GraphBatch, LabeledGraph,
                          RelationVocab, dep_tree_to_graph, empty_graph, graph_equals,
                          graph_to_dep_tree)
 from g2gt.model import DependencyParserModel, MentionCorefModel, ModelConfig
-from g2gt.optim import Adam, grad_check
-from g2gt.refine import (FactoredGraphDistribution, RefinementConfig,
-                         graph_log_likelihood, refine, refine_batch, refinement_loss,
-                         stage_mask, train_refinement_step)
+from g2gt.optim import Adam, ParameterRegistry, grad_check
+from g2gt.refine import (RefinementConfig, graph_nll, refine, refine_batch,
+                         refinement_loss, stage_mask, train_refinement_step)
 from g2gt.config import RunConfig
 from g2gt.conllu import Sentence, load_conllu
 from g2gt.training import BUCKET_CELLS, length_buckets, parse_corpus, train
@@ -166,34 +165,91 @@ class TestStageMask:
             assert not np.any(graph.labels == 2), f"seed {seed}"
 
 
-def uniform_distribution(n, n_labels, scope):
-    log_p = np.full((n * n, n_labels), np.log(1.0 / n_labels))
-    return FactoredGraphDistribution(Tensor(log_p), n, scope)
+def uniform_scores(n, n_labels):
+    return EdgeScores(Tensor(np.zeros((n * n, n_labels))), n)
+
+
+def padded_gold(rng, scope, n_labels):
+    """Graphs of 4, 2 and 3 nodes padded to 4, with random labels in scope."""
+    graphs = []
+    for n in (4, 2, 3):
+        labels = rng.integers(0, n_labels, size=(n, n))
+        np.fill_diagonal(labels, 0)
+        graphs.append(LabeledGraph(np.tril(labels) if scope == "lower" else labels))
+    return GraphBatch(graphs)
+
+
+def chain_nll(x, gold, scope):
+    """The loss and its score gradient as the unfused chain made them:
+    log-softmax rows, a flat gather of the gold cells, sum and negation,
+    then each op's backward in reverse."""
+    n_labels = x.shape[1]
+    scope_cells = ~np.eye(gold.n, dtype=bool) if scope == "full" else np.tri(gold.n) > 0
+    in_scope = gold.real_cells() & scope_cells
+    cells = np.flatnonzero(in_scope) * n_labels + gold.labels[in_scope]
+    shifted = x - np.maximum.reduce(x, axis=1, keepdims=True)
+    log_z = np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
+    log_p = shifted - log_z
+    soft = np.exp(log_p)
+    loss = -np.add.reduce(log_p.reshape(-1)[cells])
+    g_gathered = np.broadcast_to(-np.ones(()), cells.shape).copy()
+    g_flat = np.zeros(x.size)
+    np.add.at(g_flat, cells, g_gathered)
+    g_log_p = g_flat.reshape(x.shape)
+    return loss, g_log_p - soft * np.add.reduce(g_log_p, axis=1, keepdims=True)
 
 
 class TestGraphLogLikelihood:
-    def test_cell_probabilities_sum_to_one(self):
+    def test_in_scope_row_gradients_sum_to_zero_and_others_are_zero(self):
         rng = np.random.default_rng(0)
-        scores = EdgeScores(Tensor(rng.normal(size=(9, 4))), 3)
-        dist = FactoredGraphDistribution.from_scores(scores, "full")
-        assert_allclose(np.exp(dist.log_probs.data).sum(axis=1), 1.0, rtol=0, atol=1e-9)
+        gold = padded_gold(rng, "lower", 5)
+        scores = Tensor(rng.normal(size=(len(gold) * 16, 5)), requires_grad=True)
+        record = Record()
+        with recording(record):
+            loss = graph_nll(EdgeScores(scores, 4), gold, "lower")
+        backward(loss, record)
+        in_scope = (np.tri(4, dtype=bool) & gold.real_cells()).reshape(-1)
+        assert_allclose(scores.grad[in_scope].sum(axis=1), 0.0, rtol=0, atol=1e-12)
+        assert not np.any(scores.grad[~in_scope])
+
+    @pytest.mark.parametrize("scope", ["full", "lower"])
+    def test_bit_identical_to_the_unfused_chain(self, scope):
+        rng = np.random.default_rng(3)
+        gold = padded_gold(rng, scope, 6)
+        x = rng.normal(scale=2.0, size=(len(gold) * 16, 6))
+        expected_loss, expected_grad = chain_nll(x, gold, scope)
+        scores = Tensor(x, requires_grad=True)
+        record = Record()
+        with recording(record):
+            loss = graph_nll(EdgeScores(scores, 4), gold, scope)
+        backward(loss, record)
+        assert float.hex(loss.item()) == float.hex(float(expected_loss))
+        assert scores.grad.tobytes() == expected_grad.tobytes()
+
+    @pytest.mark.parametrize("scope", ["full", "lower"])
+    def test_grad_check(self, scope):
+        rng = np.random.default_rng(4)
+        gold = padded_gold(rng, scope, 3)
+        registry = ParameterRegistry()
+        scores = registry.parameter("scores", (len(gold) * 16, 3), rng, std=1.0)
+        report = grad_check(lambda: graph_nll(EdgeScores(scores, 4), gold, scope),
+                            registry, eps=1e-5)
+        assert report.passed, report.max_errors
 
     def test_one_hot_on_gold_gives_zero(self):
         gold = empty_graph(3)
-        log_p = np.full((9, 3), -1e9)
-        log_p[:, 0] = 0.0  # certain NONE everywhere
-        dist = FactoredGraphDistribution(Tensor(log_p), 3, "full")
-        assert graph_log_likelihood(dist, GraphBatch([gold])).item() == 0.0
+        raw = np.full((9, 3), -1e9)
+        raw[:, 0] = 0.0  # certain NONE everywhere
+        nll = graph_nll(EdgeScores(Tensor(raw), 3), GraphBatch([gold]), "full")
+        assert nll.item() == 0.0
 
     def test_uniform_closed_form(self):
         # 3 labels, lower scope on n=3 has 6 in-scope cells
-        dist = uniform_distribution(3, 3, "lower")
-        ll = graph_log_likelihood(dist, GraphBatch([empty_graph(3)])).item()
-        assert ll == pytest.approx(6 * np.log(1.0 / 3.0))
+        nll = graph_nll(uniform_scores(3, 3), GraphBatch([empty_graph(3)]), "lower").item()
+        assert nll == pytest.approx(6 * np.log(3.0))
         # full scope on n=3 has 6 off-diagonal cells
-        dist = uniform_distribution(3, 3, "full")
-        ll = graph_log_likelihood(dist, GraphBatch([empty_graph(3)])).item()
-        assert ll == pytest.approx(6 * np.log(1.0 / 3.0))
+        nll = graph_nll(uniform_scores(3, 3), GraphBatch([empty_graph(3)]), "full").item()
+        assert nll == pytest.approx(6 * np.log(3.0))
 
     def test_matches_per_cell_oracle(self):
         rng = np.random.default_rng(5)
@@ -201,8 +257,7 @@ class TestGraphLogLikelihood:
         scores = EdgeScores(Tensor(raw), 3)
         labels = np.array([[0, 0, 2], [1, 0, 0], [3, 2, 0]])
         gold = LabeledGraph(labels)
-        dist = FactoredGraphDistribution.from_scores(scores, "full")
-        got = graph_log_likelihood(dist, GraphBatch([gold])).item()
+        got = -graph_nll(scores, GraphBatch([gold]), "full").item()
 
         expected = 0.0
         for i in range(3):
@@ -218,26 +273,23 @@ class TestGraphLogLikelihood:
         for seed in range(50):
             rng = np.random.default_rng(seed)
             raw = rng.normal(scale=3.0, size=(16, 3))
-            dist = FactoredGraphDistribution.from_scores(
-                EdgeScores(Tensor(raw), 4), "lower")
             labels = rng.integers(0, 3, size=(4, 4))
             labels = np.tril(labels)
             np.fill_diagonal(labels, 0)
-            ll = graph_log_likelihood(dist, GraphBatch([LabeledGraph(labels)])).item()
+            ll = -graph_nll(EdgeScores(Tensor(raw), 4), GraphBatch([LabeledGraph(labels)]),
+                            "lower").item()
             assert ll < 0.0
 
     def test_labeled_cell_outside_scope_rejected(self):
         labels = np.zeros((3, 3), dtype=int)
         labels[0, 2] = 1  # upper triangle
         gold = LabeledGraph(labels)
-        dist = uniform_distribution(3, 3, "lower")
         with pytest.raises(DataError, match="no distribution"):
-            graph_log_likelihood(dist, GraphBatch([gold]))
+            graph_nll(uniform_scores(3, 3), GraphBatch([gold]), "lower")
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(DataError, match="nodes"):
-            graph_log_likelihood(uniform_distribution(3, 3, "full"),
-                                 GraphBatch([empty_graph(4)]))
+            graph_nll(uniform_scores(3, 3), GraphBatch([empty_graph(4)]), "full")
 
 
 class TestTrainingStep:
@@ -256,8 +308,7 @@ class TestTrainingStep:
         manual = 0.0
         for forms, gold in batch:
             scores = model.scorer([forms])([empty_graph(gold.n)])
-            dist = FactoredGraphDistribution.from_scores(scores, "full")
-            manual -= graph_log_likelihood(dist, GraphBatch([gold])).item()
+            manual += graph_nll(scores, GraphBatch([gold]), "full").item()
         assert loss_refined.item() == pytest.approx(manual, rel=1e-12)
 
     def test_loss_decreases_over_50_steps(self):
@@ -312,8 +363,7 @@ def fresh_scorer_loss(batch, model, cfg):
     total = None
     for t in range(1, cfg.t_train + 1):
         scores = model.scorer(tokens)(graphs)
-        dist = FactoredGraphDistribution.from_scores(scores, model.scope)
-        loss_t = neg(graph_log_likelihood(dist, gold))
+        loss_t = graph_nll(scores, gold, model.scope)
         total = loss_t if total is None else add(total, loss_t)
         allowed = stage_mask(t, cfg.schedule, model.rel_vocab)
         graphs = [model.decode(scores.sentence(b, g.n, model.decode_labels),
@@ -447,7 +497,8 @@ class TestPaddedBatch:
         # the figures before batching: 108 nodes for one sentence's scores,
         # 451 for a two-sentence step at t_train=2; 213 for that step before
         # its iterations shared one scorer; 108 and 191 before the score,
-        # value and biaffine chains were one op each
+        # value and biaffine chains were one op each; 125 before the loss
+        # was one op
         corpus = load_conllu(Path(__file__).parent / "fixtures" / "toy_treebank.conllu")
         tokens, relations = build_vocabs(corpus)
         model = DependencyParserModel(
@@ -462,7 +513,7 @@ class TestPaddedBatch:
         record = Record()
         with recording(record):
             refinement_loss(batch, model, RefinementConfig(t_train=2))
-        assert len(record) <= 125
+        assert len(record) <= 117
 
 
 FIXTURE = Path(__file__).parent / "fixtures" / "toy_treebank.conllu"
@@ -768,9 +819,11 @@ class TestTrainingMemory:
         for a, b in zip(released.registry, kept.registry, strict=True):
             assert a.tensor.grad.tobytes() == b.tensor.grad.tobytes(), a.name
 
-    def test_a_ud_sized_step_peaks_below_32_score_arrays(self):
+    def test_a_ud_sized_step_peaks_below_24_score_arrays(self):
         # 68.8 while the score, value and biaffine chains were many ops whose
-        # outputs and gradients all lived until the step ended
+        # outputs and gradients all lived until the step ended; 25.4 while the
+        # loss chain kept its log-probabilities, a flat copy of them and their
+        # exponentials
         model = ud_parser()
         deprels = [f"dep{i}" for i in range(37)]
         rng = np.random.default_rng(0)
@@ -789,4 +842,4 @@ class TestTrainingMemory:
         finally:
             tracemalloc.stop()
         scores = 4 * 21 * 21 * len(model.rel_vocab) * 8
-        assert peak <= 32 * scores
+        assert peak <= 24 * scores
