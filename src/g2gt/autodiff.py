@@ -12,9 +12,9 @@ sweep drops each recorded output's gradient once that output's backward
 function has used it, so only the leaves (the parameters) keep theirs;
 the nodes themselves stay on the record.
 
-With no active record an operation builds no tape node and makes no
-copy: its result array is wrapped as it is, and ``reshape`` and
-``transpose`` return views.
+With no active record an operation builds no tape node; recorded or
+not, it makes the same numpy calls on the same memory layouts, and
+``reshape`` and ``transpose`` return views.
 """
 
 from __future__ import annotations
@@ -239,11 +239,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def _view(a: Tensor, view: np.ndarray) -> np.ndarray:
-    """A reshaped or transposed view of ``a`` as an op's output: a copy
-    while recording; otherwise the view itself, read-only when ``a``
-    requires gradient, so that nothing writes through it into a parameter."""
-    if _LOCAL.record is not None:
-        return view.copy()
+    """A reshaped or transposed view of ``a`` as an op's output, read-only
+    when ``a`` requires gradient, so that nothing writes through it into a
+    parameter."""
     if a.requires_grad:
         view.flags.writeable = False
     return view

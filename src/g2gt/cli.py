@@ -21,9 +21,9 @@ from .config import RunConfig, load_config_file
 from .errors import DataError, UsageError
 from .graphs import DepTree, RelationVocab, dep_tree_to_graph, graph_to_dep_tree
 from .model import DependencyParserModel, ModelConfig
-from .optim import grad_check
+from .optim import GRAD_CHECK_EPS, grad_check
 from .refine import RefinementConfig, refinement_loss, refine
-from .training import evaluate, parse_corpus, parse_problems, train
+from .training import check_gold, evaluate, parse_corpus, parse_problems, train
 from .vocab import Vocab
 
 log = logging.getLogger("g2gt")
@@ -140,6 +140,7 @@ def _cmd_parse(args) -> int:
 
 def _cmd_eval(args) -> int:
     gold = load_conllu(args.gold)
+    check_gold(args.gold, gold)
     pred = load_conllu(args.pred)
     report = evaluate([s.tree for s in pred], [s.tree for s in gold])
     print(report)
@@ -147,6 +148,10 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    if args.tokens < 1:
+        raise UsageError(f"--tokens must be at least 1, got {args.tokens}")
+    if not GRAD_CHECK_EPS[0] <= args.eps <= GRAD_CHECK_EPS[1]:
+        raise UsageError(f"--eps must lie in {list(GRAD_CHECK_EPS)}, got {args.eps}")
     rng = np.random.default_rng(args.seed)
     # a second sentence one token longer, so the batch is padded; its last
     # form is out of the vocabulary

@@ -12,11 +12,10 @@ the same products, as (B, n_max, n_max, L) cells.
 Past the two projections, the bilinear products, the linear terms and the
 bias are one autodiff op, so the tape holds one output and no
 intermediate score arrays.  Its forward and backward make the numpy calls
-that a chain of generic ops (transpose, matmul, reshape, add) made, in
-the same order and on the same memory layouts: while recording, B' and
-the transposed (n*L, d_e) block are contiguous copies, as a recorded
-transpose makes them, and BLAS rounds a product by the layout it reads.
-So its scores and gradients are bit-identical to the chain's.
+that a chain of generic ops (transpose, matmul, reshape, add) makes, in
+the same order and on the same memory layouts, B' and the transposed
+(n*L, d_e) block as views, so its scores and gradients are bit-identical
+to the chain's, recorded or not.
 
 Decoding reads only some labels (a tree only the up, "deprel↑", ones),
 so inference scores only those: :meth:`EdgeScorerParams.for_labels`
@@ -154,25 +153,16 @@ def _biaffine(h: Tensor, t: Tensor, params: EdgeScorerParams) -> Tensor:
     """The (..., n, n, L) cells h_i B_l t_j' + u_l.h_i + v_l.t_j + b_l of the
     head and tail views (..., n, d_e), flat as (cells, L): one op.
 
-    While recording, B' and the transposed (n*L, d_e) block are contiguous
-    copies, as a recorded transpose makes them, because the products read
-    them in that layout; otherwise they are views.  Backward adds each
-    view's linear-term gradient before its bilinear-term gradient.
+    Backward adds each view's linear-term gradient before its
+    bilinear-term gradient.
     """
     *lead, n, d_e = h.shape
     n_labels = params.n_labels
-    recorded = autodiff.active_record() is not None
     h_rows = h.data.reshape(-1, d_e)
     t_rows = t.data.reshape(-1, d_e)
-    bilinear_t = params.bilinear.data.T
-    if recorded:
-        bilinear_t = bilinear_t.copy()
     # row j*L + l of bt is t_j B_l', so (h bt')[i, j*L + l] = h_i B_l t_j'
-    bt = (t_rows @ bilinear_t).reshape(*lead, n * n_labels, d_e)
-    bt_t = np.swapaxes(bt, -1, -2)
-    if recorded:
-        bt_t = bt_t.copy()
-    cells = (h.data @ bt_t).reshape(*lead, n, n, n_labels)
+    bt = (t_rows @ params.bilinear.data.T).reshape(*lead, n * n_labels, d_e)
+    cells = (h.data @ np.swapaxes(bt, -1, -2)).reshape(*lead, n, n, n_labels)
     cells += (h_rows @ params.head_lin.data).reshape(*lead, n, 1, n_labels)
     cells += (t_rows @ params.tail_lin.data).reshape(*lead, 1, n, n_labels)
     cells += params.bias.data
@@ -191,12 +181,12 @@ def _biaffine(h: Tensor, t: Tensor, params: EdgeScorerParams) -> Tensor:
                 autodiff._accumulate(lin, rows.T @ g_lin)
         g_bilinear = g_cells.reshape(*lead, n, n * n_labels)
         if h.requires_grad:
-            autodiff._accumulate(h, g_bilinear @ np.swapaxes(bt_t, -1, -2))
+            autodiff._accumulate(h, g_bilinear @ bt)
         if t.requires_grad or params.bilinear.requires_grad:
             g_bt = np.swapaxes(np.swapaxes(h.data, -1, -2) @ g_bilinear, -1, -2)
             g_rows = g_bt.reshape(-1, n_labels * d_e)
             if t.requires_grad:
-                autodiff._accumulate(t, (g_rows @ bilinear_t.T).reshape(t.shape))
+                autodiff._accumulate(t, (g_rows @ params.bilinear.data).reshape(t.shape))
             if params.bilinear.requires_grad:
                 autodiff._accumulate(params.bilinear, (t_rows.T @ g_rows).T)
 

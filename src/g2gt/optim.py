@@ -20,6 +20,7 @@ __all__ = [
 
 # Adam's moment decay rates and denominator guard
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+GRAD_CHECK_EPS = (1e-7, 1e-3)     # the central-difference steps grad_check accepts
 
 
 class Parameter:
@@ -155,8 +156,8 @@ def grad_check(fn: Callable[[], Tensor], params: Iterable[Parameter],
     the current parameter values.  Determinism is enforced by evaluating
     twice and requiring bit-identical results.
     """
-    if not (1e-7 <= eps <= 1e-3):
-        raise ValueError(f"eps must lie in [1e-7, 1e-3], got {eps}")
+    if not (GRAD_CHECK_EPS[0] <= eps <= GRAD_CHECK_EPS[1]):
+        raise ValueError(f"eps must lie in {list(GRAD_CHECK_EPS)}, got {eps}")
     params = list(params)
 
     first = fn().item()

@@ -2,6 +2,7 @@
 
 :func:`parse_problems` is the one rule for which sentences a model can
 parse; :func:`train` and :func:`parse_corpus` apply it before any scoring.
+:func:`check_gold` is the one check of a gold file's trees.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .refine import (RefinementConfig, refine, refine_batch,  # noqa: F401
                      train_refinement_step)
 from .vocab import build_vocabs
 
-__all__ = ["EvalReport", "evaluate", "length_buckets", "parse_problems",
+__all__ = ["EvalReport", "check_gold", "evaluate", "length_buckets", "parse_problems",
            "parse_corpus", "train", "TrainResult"]
 
 log = logging.getLogger("g2gt")
@@ -105,6 +106,19 @@ def parse_problems(sentences: Sequence[Sentence], max_len: int) -> dict[int, str
     return problems
 
 
+def check_gold(path, sentences: Sequence[Sentence]) -> None:
+    """Raise :class:`DataError` "<path>: sentence k of N: ..." for the first
+    of ``sentences`` whose gold tree does not validate, or "<path>: no
+    sentences" when there are none."""
+    if not sentences:
+        raise DataError(f"{path}: no sentences")
+    for k, s in enumerate(sentences, start=1):
+        try:
+            s.tree.validate()
+        except DataError as exc:
+            raise DataError(f"{path}: sentence {k} of {len(sentences)}: {exc}") from None
+
+
 def parse_corpus(model: DependencyParserModel, sentences: Sequence[Sentence],
                  refinement: RefinementConfig) -> tuple[list[DepTree], list[int]]:
     """Refine every sentence; return the final graphs as trees, and the
@@ -149,13 +163,10 @@ def train(config: RunConfig) -> TrainResult:
     """
     config.validate_for_training()
     train_sents = load_conllu(config.train_file)
-    for s in train_sents:
-        s.tree.validate()
     dev_sents = load_conllu(config.dev_file) if config.dev_file else train_sents
     model_cfg = config.model_config()
     for path, sents in ((config.train_file, train_sents), (config.dev_file, dev_sents)):
-        if not sents:
-            raise DataError(f"{path}: no sentences")
+        check_gold(path, sents)
         for k, problem in parse_problems(sents, model_cfg.max_len).items():
             raise DataError(f"{path}: sentence {k} of {len(sents)}: {problem}")
 

@@ -75,11 +75,21 @@ class TestUntrackedViews:
                 view.data += 1.0
         assert np.array_equal(p.data, np.arange(6.0).reshape(2, 3))
 
-    def test_recorded_reshape_and_transpose_copy(self):
+
+class TestRecordedViews:
+    def test_recorded_reshape_and_transpose_are_read_only_views(self):
+        # the tape holds views, as an unrecorded pass does, not copies
         p = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-        with recording(Record()):
-            for out in (reshape(p, (3, 2)), transpose(p)):
-                assert not np.shares_memory(out.data, p.data)
+        record = Record()
+        with recording(record):
+            views = [reshape(p, (3, 2)), transpose(p)]
+        assert len(record) == 2
+        for view in views:
+            assert view.requires_grad
+            assert np.shares_memory(view.data, p.data)
+            with pytest.raises(ValueError, match="read-only"):
+                view.data += 1.0
+        assert np.array_equal(p.data, np.arange(6.0).reshape(2, 3))
 
 
 class TestUntrackedOps:

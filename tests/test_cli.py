@@ -110,6 +110,50 @@ def test_gradcheck_command(capsys):
     assert "PASS" in out
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--tokens", "0", "--tokens must be at least 1, got 0"),
+    ("--eps", "1e-2", "--eps must lie in [1e-07, 0.001], got 0.01")])
+def test_gradcheck_flag_out_of_range_exits_1(capsys, flag, value, message):
+    assert main(["gradcheck", flag, value]) == 1
+    err = capsys.readouterr().err
+    assert f"usage error: {message}\n" in err
+    assert "internal error" not in err
+
+
+def _unattached(sentences):
+    return [Sentence(s.forms, DepTree([None] * s.n, [None] * s.n)) for s in sentences]
+
+
+def test_eval_rejects_gold_trees_that_do_not_validate(tmp_path, capsys):
+    # an all-'_' gold file scored against itself read UAS 100.00 LAS 100.00
+    corpus = load_conllu(FIXTURE)
+    unattached = tmp_path / "unattached.conllu"
+    write_conllu(_unattached(corpus), unattached)
+    assert main(["eval", "--gold", str(unattached), "--pred", str(unattached)]) == 2
+    assert capsys.readouterr().err == (
+        f"data error: {unattached}: sentence 1 of {len(corpus)}: "
+        "token 1 has invalid head None\n")
+
+    corpus[4].tree.heads[2] = 3
+    looped = tmp_path / "looped.conllu"
+    write_conllu(corpus, looped)
+    assert main(["eval", "--gold", str(looped), "--pred", str(FIXTURE)]) == 2
+    assert capsys.readouterr().err == (
+        f"data error: {looped}: sentence 5 of {len(corpus)}: "
+        "token 3 has invalid head 3\n")
+
+
+def test_eval_counts_unattached_predictions_as_wrong(tmp_path, capsys):
+    # g2gt parse writes '_' heads for a sentence it could not parse
+    corpus = load_conllu(FIXTURE)
+    pred = tmp_path / "pred.conllu"
+    write_conllu(_unattached(corpus[:1]) + corpus[1:], pred)
+    assert main(["eval", "--gold", str(FIXTURE), "--pred", str(pred)]) == 0
+    total = sum(s.n for s in corpus)
+    uas = 100.0 * (total - corpus[0].n) / total
+    assert capsys.readouterr().out.startswith(f"UAS {uas:.2f}  LAS {uas:.2f}")
+
+
 def test_non_finite_loss_exits_3(tmp_path, monkeypatch, capsys):
     from g2gt import training
     from test_pipeline import NanParserModel

@@ -86,8 +86,8 @@ class TestScoreEdges:
             init_edge_scorer(registry, 4, 8, 2, rng)
 
     def test_tracked_and_untracked_scores_bit_identical(self):
-        # untracked, reshape and transpose return views and the linear terms
-        # are added in place; the arithmetic must be the recorded path's
+        # recorded or not, the biaffine op reads B' and the transposed block
+        # as views and adds the linear terms in place: one arithmetic
         for n, d, d_e, n_labels, lead in [(4, 6, 3, 5, ()), (26, 64, 32, 76, (1,)),
                                           (101, 64, 32, 76, (1,)), (7, 8, 4, 6, (3,))]:
             registry, params = build_scorer(d, d_e, n_labels, seed=n)

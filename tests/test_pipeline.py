@@ -435,6 +435,26 @@ class TestTrainPipeline:
             train(config)
         assert not (tmp_path / "m.g2gt").exists()
 
+    @pytest.mark.parametrize("bad", ["train_file", "dev_file"])
+    def test_gold_tree_that_is_not_a_tree_rejected_before_the_model_is_built(
+            self, tmp_path, monkeypatch, bad):
+        # a dev tree whose token 1 heads itself used to train and score dev
+        # LAS 0.00; a bad train tree failed without its file or sentence
+        corpus = load_conllu(FIXTURE)
+        corpus[2].tree.heads[0] = 1
+        write_conllu(corpus, tmp_path / "bad.conllu")
+        files = {"train_file": str(FIXTURE), "dev_file": str(FIXTURE),
+                 bad: str(tmp_path / "bad.conllu")}
+
+        def build(*args, **kwargs):
+            raise AssertionError("a model was built")
+
+        monkeypatch.setattr(training, "DependencyParserModel", build)
+        message = f"{files[bad]}: sentence 3 of {len(corpus)}: token 1 has invalid head 1"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            train(self._config(tmp_path, **files))
+        assert not (tmp_path / "m.g2gt").exists()
+
     @pytest.mark.parametrize("empty", ["train_file", "dev_file"])
     def test_empty_file_rejected_before_the_model_is_built(self, tmp_path, monkeypatch,
                                                            empty):
