@@ -142,6 +142,13 @@ def _cmd_eval(args) -> int:
     gold = load_conllu(args.gold)
     check_gold(args.gold, gold)
     pred = load_conllu(args.pred)
+    if len(pred) != len(gold):
+        raise DataError(f"{args.pred} has {len(pred)} sentences, "
+                        f"{args.gold} has {len(gold)}")
+    for k, (p, g) in enumerate(zip(pred, gold), start=1):
+        if p.forms != g.forms:
+            raise DataError(f"{args.pred}: sentence {k} of {len(gold)}: "
+                            f"forms differ from {args.gold}")
     report = evaluate([s.tree for s in pred], [s.tree for s in gold])
     print(report)
     return 0
@@ -152,6 +159,10 @@ def _cmd_gradcheck(args) -> int:
         raise UsageError(f"--tokens must be at least 1, got {args.tokens}")
     if not GRAD_CHECK_EPS[0] <= args.eps <= GRAD_CHECK_EPS[1]:
         raise UsageError(f"--eps must lie in {list(GRAD_CHECK_EPS)}, got {args.eps}")
+    if not (0 < args.scale < np.inf):
+        raise UsageError(f"--scale must be a positive finite number, got {args.scale}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     # a second sentence one token longer, so the batch is padded; its last
     # form is out of the vocabulary

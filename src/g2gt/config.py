@@ -60,12 +60,16 @@ class RunConfig(ModelConfig):
             raise DataError(f"train_file not found: {self.train_file}")
         if self.dev_file and not Path(self.dev_file).is_file():
             raise DataError(f"dev_file not found: {self.dev_file}")
+        if self.seed < 0:
+            raise UsageError(f"seed must be >= 0, got {self.seed}")
         if self.epochs < 0:
             raise UsageError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise UsageError(f"batch_size must be >= 1, got {self.batch_size}")
         if not (self.lr > 0):
             raise UsageError(f"lr must be positive, got {self.lr}")
+        if self.stop_at_las is not None and not (0 <= self.stop_at_las <= 100):
+            raise UsageError(f"stop_at_las must lie in [0, 100], got {self.stop_at_las}")
         self.model_config()       # raises UsageError on bad dimensions
         self.refinement_config()
 

@@ -21,11 +21,9 @@ Decoding reads only some labels (a tree only the up, "deprel↑", ones),
 so inference scores only those: :meth:`EdgeScorerParams.for_labels`
 takes their rows of the scorer once per scorer the model builds, and the
 scores' column k is then label k of that subset.  Training scores every
-label for the loss.  :meth:`EdgeScores.sentence` takes each sentence's
-decoded columns out of a padded batch, as a view when they are the
-sentence's whole block.  A tree is decoded from the (n, n, |up|) slab
-of those scores, a view with no label masked, else a copy with the
-labels outside ``allowed`` at -inf.
+label for the loss.  A decoder reads one sentence's (n, n, labels) slab
+of :meth:`EdgeScores.cells`, a read-only view; :func:`label_slab` only
+copies it to put the labels outside ``allowed`` at -inf.
 Its max over labels gives the head scores for the MST, and its argmax at
 each chosen arc gives that arc's label; the MST's heads form a tree by
 construction, so labelling does not check them again.
@@ -119,23 +117,11 @@ class EdgeScores:
         self.flat = flat
         self.n = n
 
-    @property
-    def n_labels(self) -> int:
-        return self.flat.shape[1]
-
-    def array(self) -> np.ndarray:
-        """One sentence's scores as an (n, n, L) array (a copy; safe to mutate)."""
-        return self.flat.data.reshape(self.n, self.n, self.n_labels).copy()
-
-    def sentence(self, b: int, n: int, labels: np.ndarray) -> "EdgeScores":
-        """Sentence b's scores over its first n nodes and the columns
-        ``labels``, untracked, for decoding: a view when the sentence fills
-        the padded width and ``labels`` takes every column in order, else
-        a copy."""
-        if n == self.n and np.array_equal(labels, np.arange(self.n_labels)):
-            return EdgeScores(Tensor(self.flat.data[b * n * n:(b + 1) * n * n]), n)
-        cells = self.flat.data.reshape(-1, self.n, self.n, self.n_labels)[b, :n, :n]
-        return EdgeScores(Tensor(cells[:, :, labels].reshape(n * n, len(labels))), n)
+    def cells(self) -> np.ndarray:
+        """The scores as a read-only (B, n, n, L) view of ``flat``."""
+        cells = self.flat.data.reshape(-1, self.n, self.n, self.flat.shape[1])
+        cells.flags.writeable = False
+        return cells
 
 
 def score_edges(state: EncoderState, params: EdgeScorerParams) -> EdgeScores:
@@ -195,32 +181,26 @@ def _biaffine(h: Tensor, t: Tensor, params: EdgeScorerParams) -> Tensor:
                            params.bias), bwd)
 
 
-def greedy_decode(scores: EdgeScores, allowed=None,
-                  lower_triangular: bool = False) -> LabeledGraph:
-    """Per-cell argmax decoding; ties go to the lowest label index.
+def greedy_decode(slab: np.ndarray, allowed=None) -> LabeledGraph:
+    """Per-cell argmax decoding of an (n, n, L) slab's lower triangle
+    (span/link style graphs); ties go to the lowest label index.
 
-    The diagonal is forced to NONE.  With ``lower_triangular`` the upper
-    triangle is forced to NONE as well (span/link style graphs).
-    ``allowed`` optionally restricts decoding to a subset of labels.
+    The diagonal and the upper triangle are NONE.  ``allowed`` optionally
+    restricts decoding to a subset of labels.
     """
-    arr = label_slab(scores, np.arange(scores.n_labels), allowed)
-    labels = arr.argmax(axis=2)
-    np.fill_diagonal(labels, NONE_LABEL)
-    if lower_triangular:
-        labels[np.triu_indices(scores.n, k=1)] = NONE_LABEL
-    return LabeledGraph(labels, n_labels=scores.n_labels)
+    n, _, n_labels = slab.shape
+    labels = label_slab(slab, np.arange(n_labels), allowed).argmax(axis=2)
+    labels[np.triu_indices(n)] = NONE_LABEL
+    return LabeledGraph(labels, n_labels=n_labels)
 
 
-def label_slab(scores: EdgeScores, labels: np.ndarray, allowed=None) -> np.ndarray:
-    """The scores as an (n, n, |labels|) array whose column k scores label
-    ``labels[k]``: a read-only view, or with ``allowed`` a copy in which
-    the labels outside that set read -inf."""
-    if scores.n_labels != len(labels):
-        raise ValueError(f"scores have {scores.n_labels} columns for {len(labels)} labels")
-    slab = scores.flat.data.reshape(scores.n, scores.n, len(labels))
+def label_slab(slab: np.ndarray, labels: np.ndarray, allowed=None) -> np.ndarray:
+    """An (n, n, |labels|) slab whose column k scores label ``labels[k]``:
+    as given, or with ``allowed`` a copy in which the labels outside that
+    set read -inf."""
+    if slab.shape[-1] != len(labels):
+        raise ValueError(f"scores have {slab.shape[-1]} columns for {len(labels)} labels")
     if allowed is None:
-        slab = slab.view()
-        slab.flags.writeable = False
         return slab
     keep = np.isin(labels, np.fromiter(allowed, dtype=np.intp, count=len(allowed)))
     return np.where(keep, slab, -np.inf)

@@ -190,16 +190,17 @@ class DependencyParserModel(SentenceEncoderModel):
     def decode_labels(self) -> np.ndarray:
         return self.rel_vocab.up_indices()
 
-    def decode(self, scores: EdgeScores, allowed=None) -> LabeledGraph:
-        """The next graph: the best tree under scores over the up labels,
-        ``decode_labels``.  Their (n, n, |up|) slab, with the labels outside
-        ``allowed`` at -inf, gives the single-root MST its head scores (the
-        max over labels) and each chosen arc its label (the argmax)."""
-        slab = label_slab(scores, self.decode_labels, allowed)
+    def decode(self, slab: np.ndarray, allowed=None) -> LabeledGraph:
+        """The next graph: the best tree under an (n, n, |up|) slab of scores
+        over the up labels, ``decode_labels``.  The slab, with the labels
+        outside ``allowed`` at -inf, gives the single-root MST its head
+        scores (the max over labels) and each chosen arc its label (the argmax)."""
+        labels = self.decode_labels
+        slab = label_slab(slab, labels, allowed)
         heads = mst_decode(pooled_head_scores(slab))
         up = label_edges(heads, slab)
-        return arc_graph(scores.n, np.arange(1, scores.n), heads[1:],
-                         self.rel_vocab.up_indices()[up], self.rel_vocab)
+        n = slab.shape[0]
+        return arc_graph(n, np.arange(1, n), heads[1:], labels[up], self.rel_vocab)
 
 
 class MentionCorefModel(SentenceEncoderModel):
@@ -213,5 +214,5 @@ class MentionCorefModel(SentenceEncoderModel):
     def ids(self, tokens: Sequence[int]) -> list[int]:
         return list(tokens)
 
-    def decode(self, scores: EdgeScores, allowed=None) -> LabeledGraph:
-        return greedy_decode(scores, allowed=allowed, lower_triangular=True)
+    def decode(self, slab: np.ndarray, allowed=None) -> LabeledGraph:
+        return greedy_decode(slab, allowed)

@@ -7,15 +7,16 @@ inference and training ask the model once per batch for a scorer (see
 :class:`g2gt.model.BatchScorer`), which computes once what the graph
 cannot change, so an iteration runs only the graph-dependent part of the
 encoder.  Both take a batch in one pass per iteration: its sentences are
-padded to the longest, encoded and scored together, and each sentence
-is decoded from its own block of the scores, on the columns of the
-labels its model decodes.
+padded to the longest, encoded and scored together, and one step,
+:func:`_decode`, decodes each sentence from its own (n, n, labels) slab
+of the scores, on the columns of the labels its model decodes.
 
 Inference (:func:`refine_batch`, of which :func:`refine` is the
-one-sentence case) scores only those labels and stops each sentence
-once its graph stops changing.  Training scores every label, runs a
-fixed number of iterations, conditioning each one on the previous
-(detached, discrete) prediction, and sums the per-iteration losses.
+one-sentence case) scores only those labels, decodes them in place and
+stops each sentence once its graph stops changing.  Training scores
+every label and decodes a copy of those columns; it runs a fixed number
+of iterations, conditioning each one on the previous (detached,
+discrete) prediction, and sums the per-iteration losses.
 Each iteration's loss is one op, :func:`graph_nll`: the negative
 log-probability of the gold label under a softmax over labels, summed
 over every real, in-scope cell of every sentence.  Padding cells carry
@@ -136,33 +137,36 @@ def refine_batch(batch: Sequence[Sequence], model,
     The model must expose ``scorer(batch, labels)``, whose result has the
     node count of each sentence in ``sizes`` and maps one graph per
     sentence to :class:`EdgeScores` over ``labels``; ``decode_labels``;
-    ``decode(scores, allowed)``; and a ``rel_vocab``.  Returns one (last
-    graph, trace) pair per sentence, in batch order.
+    ``decode(slab, allowed)`` of a read-only (n, n, labels) slab; and a
+    ``rel_vocab``.  Returns one (last graph, trace) pair per sentence.
     """
     if any(len(tokens) == 0 for tokens in batch):
         raise DataError("cannot refine an empty token sequence")
     score = model.scorer(batch, model.decode_labels)
     graphs = [empty_graph(n) for n in score.sizes]
     traces = [RefinementTrace([TraceStep(0, g, False)]) for g in graphs]
-    columns = np.arange(len(model.decode_labels))
     active = range(len(graphs))
     for t in range(1, cfg.t_max + 1):
-        allowed = stage_mask(t, cfg.schedule, model.rel_vocab)
-        scores = score(graphs)
-        for b in active:
-            new_graph = model.decode(scores.sentence(b, score.sizes[b], columns),
-                                     allowed=allowed)
+        # this pass's (B, n, n, labels) scores live only while they are
+        # decoded, so they are freed before the next pass allocates its own
+        decoded = _decode(model, score(graphs).cells(), score.sizes, active, t, cfg)
+        for b, new_graph in zip(active, decoded):
             traces[b].steps.append(
                 TraceStep(t, new_graph, graph_equals(new_graph, graphs[b])))
             graphs[b] = new_graph
-        # every active sentence is decoded: free this pass's (B, n, n, labels)
-        # scores before the next pass allocates its own
-        del scores
         if cfg.stop_on_convergence:
             active = [b for b in active if not traces[b].converged]
             if not active:
                 break
     return list(zip(graphs, traces))
+
+
+def _decode(model, cells, sizes, which, t, cfg) -> list[LabeledGraph]:
+    """The next graph of each sentence b in ``which``: ``model.decode`` of
+    its (n, n, labels) slab ``cells[b, :n, :n]``, under iteration t's
+    stage mask."""
+    allowed = stage_mask(t, cfg.schedule, model.rel_vocab)
+    return [model.decode(cells[b, :sizes[b], :sizes[b]], allowed) for b in which]
 
 
 # ---------------------------------------------------------------------------
@@ -248,10 +252,8 @@ def refinement_loss(batch: Sequence[tuple], model, cfg: RefinementConfig) -> Ten
             raise TrainingError(f"iteration {t}: loss is {loss_t.item()}")
         total = loss_t if total is None else add(total, loss_t)
         if t < cfg.t_train:
-            allowed = stage_mask(t, cfg.schedule, model.rel_vocab)
-            graphs = [model.decode(scores.sentence(b, n, model.decode_labels),
-                                   allowed=allowed)
-                      for b, n in enumerate(sizes)]
+            graphs = _decode(model, scores.cells()[..., model.decode_labels], sizes,
+                             range(len(sizes)), t, cfg)
     return total
 
 

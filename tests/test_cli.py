@@ -112,7 +112,12 @@ def test_gradcheck_command(capsys):
 
 @pytest.mark.parametrize("flag, value, message", [
     ("--tokens", "0", "--tokens must be at least 1, got 0"),
-    ("--eps", "1e-2", "--eps must lie in [1e-07, 0.001], got 0.01")])
+    ("--eps", "1e-2", "--eps must lie in [1e-07, 0.001], got 0.01"),
+    # a scale of 0 zeroed the parameters, and the check passed on nothing
+    ("--scale", "0", "--scale must be a positive finite number, got 0.0"),
+    ("--scale", "-1", "--scale must be a positive finite number, got -1.0"),
+    ("--scale", "nan", "--scale must be a positive finite number, got nan"),
+    ("--seed", "-1", "--seed must be >= 0, got -1")])
 def test_gradcheck_flag_out_of_range_exits_1(capsys, flag, value, message):
     assert main(["gradcheck", flag, value]) == 1
     err = capsys.readouterr().err
@@ -143,6 +148,25 @@ def test_eval_rejects_gold_trees_that_do_not_validate(tmp_path, capsys):
         "token 3 has invalid head 3\n")
 
 
+def test_eval_rejects_predictions_of_other_sentences(tmp_path, capsys):
+    # sentences 1 and 2 swapped (both 6 tokens) scored UAS 100.00 LAS 100.00
+    corpus = load_conllu(FIXTURE)
+    assert corpus[0].n == corpus[1].n and corpus[0].forms != corpus[1].forms
+    swapped = tmp_path / "swapped.conllu"
+    write_conllu([corpus[1], corpus[0]] + corpus[2:], swapped)
+    assert main(["eval", "--gold", str(FIXTURE), "--pred", str(swapped)]) == 2
+    assert capsys.readouterr().err == (
+        f"data error: {swapped}: sentence 1 of {len(corpus)}: "
+        f"forms differ from {FIXTURE}\n")
+
+    shorter = tmp_path / "shorter.conllu"
+    write_conllu(corpus[:-1], shorter)
+    assert main(["eval", "--gold", str(FIXTURE), "--pred", str(shorter)]) == 2
+    assert capsys.readouterr().err == (
+        f"data error: {shorter} has {len(corpus) - 1} sentences, "
+        f"{FIXTURE} has {len(corpus)}\n")
+
+
 def test_eval_counts_unattached_predictions_as_wrong(tmp_path, capsys):
     # g2gt parse writes '_' heads for a sentence it could not parse
     corpus = load_conllu(FIXTURE)
@@ -162,6 +186,26 @@ def test_non_finite_loss_exits_3(tmp_path, monkeypatch, capsys):
             str(tmp_path / "m.g2gt")] + SMALL_FLAGS
     assert main(argv) == 3
     assert "epoch 1, batch 1 of 4: iteration 1: loss is nan" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--seed", "-1"], "seed must be >= 0, got -1"),
+    (["--stop-at-las", "150"], "stop_at_las must lie in [0, 100], got 150.0"),
+    (["--stop-at-las", "nan"], "stop_at_las must lie in [0, 100], got nan")])
+def test_train_flag_out_of_range_exits_1(tmp_path, capsys, flags, message):
+    out = tmp_path / "m.g2gt"
+    argv = ["train", "--train-file", str(FIXTURE), "--model-out", str(out),
+            "--epochs", "1"] + flags
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not out.exists()
+
+
+def test_negative_seed_from_environment_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("G2GT_SEED", "-1")
+    assert main(["train", "--train-file", str(FIXTURE),
+                 "--model-out", str(tmp_path / "m.g2gt"), "--epochs", "1"]) == 1
+    assert capsys.readouterr().err == "usage error: seed must be >= 0, got -1\n"
 
 
 def test_usage_error_exits_1(capsys):

@@ -43,7 +43,7 @@ class TestScoreEdges:
             p.tensor.data[:] = 0.0
         rng = np.random.default_rng(1)
         scores = scores_for(rng.normal(size=(4, 6)), params)
-        assert_allclose(scores.array(), 0.0)
+        assert_allclose(scores.cells()[0], 0.0)
 
     def test_scalar_hand_case(self):
         # d_e = 1, h=2, t=3, bilinear=1, no linear terms, no bias -> 6
@@ -55,7 +55,7 @@ class TestScoreEdges:
         registry.get("edge.tail_lin").tensor.data[:] = 0.0
         registry.get("edge.bias").tensor.data[:] = 0.0
         scores = scores_for(np.ones((2, 1)), params)
-        assert_allclose(scores.array()[:, :, 0], 6.0)
+        assert_allclose(scores.cells()[0, :, :, 0], 6.0)
 
     def test_against_cell_loop_oracle(self):
         for seed in range(20):
@@ -67,16 +67,16 @@ class TestScoreEdges:
                 z, params.head_proj.data, params.tail_proj.data,
                 np.split(params.bilinear.data, params.n_labels),
                 params.head_lin.data, params.tail_lin.data, params.bias.data)
-            assert_allclose(scores.array(), oracle, rtol=0, atol=1e-12)
+            assert_allclose(scores.cells()[0], oracle, rtol=0, atol=1e-12)
 
     def test_pairwise_independence(self):
         registry, params = build_scorer(5, 3, 3, seed=2)
         rng = np.random.default_rng(3)
         z = rng.normal(size=(4, 5))
-        before = scores_for(z, params).array()
+        before = scores_for(z, params).cells()[0]
         z2 = z.copy()
         z2[3] += rng.normal(size=5)  # perturb an unrelated node
-        after = scores_for(z2, params).array()
+        after = scores_for(z2, params).cells()[0]
         assert np.array_equal(before[:3, :3, :], after[:3, :3, :])
 
     def test_d_edge_wider_than_d_rejected(self):
@@ -199,37 +199,34 @@ class TestBiaffineOp:
         assert runs[0][1:] == runs[1][1:]
 
 
-def make_scores(arr):
-    n = arr.shape[0]
-    return EdgeScores(Tensor(arr.reshape(n * n, arr.shape[2])), n)
-
-
 def label_tree(heads, arr, vocab):
     """The tree that ``label_edges`` labels, read back as deprels."""
     up = vocab.up_indices()
-    positions = label_edges(heads, label_slab(make_scores(arr[:, :, up]), up))
+    positions = label_edges(heads, label_slab(arr[:, :, up], up))
     return DepTree(list(heads[1:]), [vocab.deprel_of(up[k]) for k in positions])
 
 
 class TestGreedyDecode:
+    """Greedy decoding is lower-triangular: the mention/coreference style."""
+
     def test_all_zero_scores_tie_break_to_none(self):
-        g = greedy_decode(make_scores(np.zeros((3, 3, 4))))
+        g = greedy_decode(np.zeros((3, 3, 4)))
         assert np.all(g.labels == NONE_LABEL)
 
     def test_cell_max_wins(self):
         arr = np.zeros((3, 3, 4))
-        arr[1, 2, 2] = 5.0
-        g = greedy_decode(make_scores(arr))
-        assert g.label(1, 2) == 2
+        arr[2, 1, 2] = 5.0
+        g = greedy_decode(arr)
+        assert g.label(2, 1) == 2
 
     def test_matches_exhaustive_argmax(self):
         for seed in range(30):
             rng = np.random.default_rng(seed)
             arr = rng.normal(size=(4, 4, 3))
-            g = greedy_decode(make_scores(arr))
+            g = greedy_decode(arr)
             for i in range(4):
                 for j in range(4):
-                    if i == j:
+                    if j >= i:
                         assert g.label(i, j) == NONE_LABEL
                     else:
                         assert g.label(i, j) == int(np.argmax(arr[i, j]))
@@ -237,32 +234,24 @@ class TestGreedyDecode:
     def test_diagonal_forced_none(self):
         arr = np.zeros((2, 2, 3))
         arr[0, 0, 2] = 99.0
-        g = greedy_decode(make_scores(arr))
+        g = greedy_decode(arr)
         assert g.label(0, 0) == NONE_LABEL
 
     def test_invariant_under_cellwise_monotone_transforms(self):
         rng = np.random.default_rng(8)
         arr = rng.normal(size=(4, 4, 5))
-        base = greedy_decode(make_scores(arr))
+        base = greedy_decode(arr)
         scale = rng.uniform(0.5, 3.0, size=(4, 4, 1))
         shift = rng.normal(size=(4, 4, 1))
-        transformed = greedy_decode(make_scores(arr * scale + shift))
+        transformed = greedy_decode(arr * scale + shift)
         assert np.array_equal(base.labels, transformed.labels)
-        assert np.array_equal(base.labels,
-                              greedy_decode(make_scores(np.tanh(arr))).labels)
+        assert np.array_equal(base.labels, greedy_decode(np.tanh(arr)).labels)
 
     def test_label_mask_restricts_decoding(self):
         arr = np.zeros((3, 3, 3))
         arr[:, :, 2] = 10.0
-        g = greedy_decode(make_scores(arr), allowed=frozenset({0, 1}))
+        g = greedy_decode(arr, allowed=frozenset({0, 1}))
         assert np.all(g.labels != 2)
-
-    def test_lower_triangular_mode(self):
-        arr = np.full((3, 3, 2), 0.0)
-        arr[:, :, 1] = 1.0
-        g = greedy_decode(make_scores(arr), lower_triangular=True)
-        assert np.all(g.labels[np.triu_indices(3, k=1)] == NONE_LABEL)
-        assert g.label(2, 0) == 1
 
 
 class TestLabelEdges:
@@ -293,14 +282,24 @@ class TestLabelEdges:
 
 class TestLabelSlab:
     def test_unmasked_slab_is_a_read_only_view(self):
-        scores = make_scores(np.zeros((2, 2, 3)))
-        slab = label_slab(scores, np.array([2, 4, 6]))
+        # the slab of EdgeScores.cells, which label_slab passes through
+        scores = EdgeScores(Tensor(np.zeros((2 * 2 * 2, 3))), 2)
+        cells = scores.cells()
+        assert cells.shape == (2, 2, 2, 3)
+        slab = label_slab(cells[1], np.array([2, 4, 6]))
         assert np.shares_memory(slab, scores.flat.data)
         assert not slab.flags.writeable and scores.flat.data.flags.writeable
 
+    def test_masked_slab_is_a_copy(self):
+        slab = np.arange(12.0).reshape(2, 2, 3)
+        masked = label_slab(slab, np.array([2, 4, 6]), allowed=frozenset({4}))
+        assert not np.shares_memory(masked, slab)
+        assert np.array_equal(masked[..., 1], slab[..., 1])
+        assert np.all(masked[..., [0, 2]] == -np.inf)
+
     def test_column_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="3 columns for 2 labels"):
-            label_slab(make_scores(np.zeros((2, 2, 3))), np.array([2, 4]))
+            label_slab(np.zeros((2, 2, 3)), np.array([2, 4]))
 
 
 class TestPooledHeadScores:
@@ -308,7 +307,7 @@ class TestPooledHeadScores:
         rng = np.random.default_rng(1)
         arr = rng.normal(size=(3, 3, len(VOCAB)))
         up = VOCAB.up_indices()
-        pooled = pooled_head_scores(label_slab(make_scores(arr[:, :, up]), up))
+        pooled = pooled_head_scores(label_slab(arr[:, :, up], up))
         assert_allclose(pooled, arr[:, :, up].max(axis=2))
 
 
@@ -342,8 +341,7 @@ class TestParserDecode:
         model, scores, allowed = case
         pairs = up_down_pairs(model.rel_vocab.labels)
         heads = mst_decode(pool_up_labels_loop(scores, pairs, allowed))
-        graph = model.decode(make_scores(scores[:, :, model.decode_labels]),
-                             allowed=allowed)
+        graph = model.decode(scores[:, :, model.decode_labels], allowed=allowed)
         assert np.array_equal(graph.labels,
                               label_tree_loop(scores, heads, pairs, allowed))
 
@@ -352,7 +350,7 @@ class TestParserDecode:
         # the first up label, as the per-token loop did
         model = PARSERS[2]
         scores = np.random.default_rng(0).normal(size=(5, 5, len(model.rel_vocab)))
-        graph = model.decode(make_scores(scores[:, :, model.decode_labels]),
+        graph = model.decode(scores[:, :, model.decode_labels],
                              allowed=frozenset({0, 1}))
         up, down = up_down_pairs(model.rel_vocab.labels)[0]
         assert np.all(graph.labels[1:, 0] == up)
@@ -360,8 +358,7 @@ class TestParserDecode:
 
     def test_decode_leaves_scores_unchanged(self):
         model = PARSERS[1]
-        scores = make_scores(np.random.default_rng(1).normal(
-            size=(6, 6, len(model.decode_labels))))
-        before = scores.flat.data.tobytes()
-        model.decode(scores, allowed=frozenset({0, 2}))
-        assert scores.flat.data.tobytes() == before
+        slab = np.random.default_rng(1).normal(size=(6, 6, len(model.decode_labels)))
+        before = slab.tobytes()
+        model.decode(slab, allowed=frozenset({0, 2}))
+        assert slab.tobytes() == before

@@ -480,10 +480,10 @@ class TestTrainPipeline:
         decode = model.decode
         unchanged = []
 
-        def checked_decode(scores, allowed=None):
-            flat = scores.flat.data.tobytes()
-            graph = decode(scores, allowed)
-            unchanged.append(scores.flat.data.tobytes() == flat)
+        def checked_decode(slab, allowed=None):
+            before = slab.tobytes()
+            graph = decode(slab, allowed)
+            unchanged.append(slab.tobytes() == before)
             return graph
 
         model.decode = checked_decode

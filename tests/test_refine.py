@@ -54,7 +54,7 @@ class ConstantModel:
         score.sizes = [n] * len(batch)
         return score
 
-    def decode(self, scores, allowed=None):
+    def decode(self, slab, allowed=None):
         return self.graph
 
 
@@ -66,8 +66,8 @@ def reference_refine(tokens, model, cfg):
     steps = [(0, g, False)]
     for t in range(1, cfg.t_max + 1):
         allowed = stage_mask(t, cfg.schedule, model.rel_vocab)
-        scores = model.scorer([tokens])([g]).sentence(0, g.n, model.decode_labels)
-        new_graph = model.decode(scores, allowed=allowed)
+        slab = model.scorer([tokens])([g]).cells()[0][..., model.decode_labels]
+        new_graph = model.decode(slab, allowed=allowed)
         converged = graph_equals(new_graph, g)
         steps.append((t, new_graph, converged))
         g = new_graph
@@ -366,7 +366,8 @@ def fresh_scorer_loss(batch, model, cfg):
         loss_t = graph_nll(scores, gold, model.scope)
         total = loss_t if total is None else add(total, loss_t)
         allowed = stage_mask(t, cfg.schedule, model.rel_vocab)
-        graphs = [model.decode(scores.sentence(b, g.n, model.decode_labels),
+        cells = scores.cells()
+        graphs = [model.decode(cells[b, :g.n, :g.n][..., model.decode_labels],
                                allowed=allowed)
                   for b, g in enumerate(graphs)]
     return total
@@ -468,30 +469,46 @@ class TestPaddedBatch:
         batch = self._parser_batch(model)
         graphs = [empty_graph(len(forms) + 1) for forms, _ in batch]
         scores = model.scorer([forms for forms, _ in batch])(graphs)
-        every_label = np.arange(len(model.rel_vocab))
         for b, ((forms, _), graph) in enumerate(zip(batch, graphs)):
-            alone = model.scorer([forms])([graph]).array()
-            assert_allclose(scores.sentence(b, graph.n, every_label).array(), alone,
+            alone = model.scorer([forms])([graph]).cells()[0]
+            assert_allclose(scores.cells()[b, :graph.n, :graph.n], alone,
                             rtol=0, atol=1e-12)
 
-    def test_sentence_is_a_view_only_of_a_whole_block(self):
+    def test_decode_reads_read_only_views_of_each_pass(self):
+        # each sentence of a padded bucket is decoded from its own block of
+        # that pass's scores, in place, whether or not it fills the bucket
         model = parser_fixture(seed=2)
-        batch = self._parser_batch(model)
-        graphs = [empty_graph(len(forms) + 1) for forms, _ in batch]
-        score = model.scorer([forms for forms, _ in batch], model.decode_labels)
-        scores = score(graphs)
-        columns = np.arange(scores.n_labels)
-        long, short = np.argmax(score.sizes), np.argmin(score.sizes)
-        assert score.sizes[long] == scores.n > score.sizes[short]
-        whole = scores.sentence(long, scores.n, columns)
-        assert np.shares_memory(whole.flat.data, scores.flat.data)
-        cells = scores.flat.data.reshape(len(graphs), scores.n, scores.n, -1)
-        assert np.array_equal(whole.array(), cells[long])
-        for b, n, labels in ((short, score.sizes[short], columns),
-                             (long, scores.n, columns[::-1])):
-            part = scores.sentence(b, n, labels)
-            assert not np.shares_memory(part.flat.data, scores.flat.data)
-            assert np.array_equal(part.array(), cells[b, :n, :n][:, :, labels])
+        batch = [forms for forms, _ in self._parser_batch(model)]
+        scorer, decode = model.scorer, model.decode
+        passes, slabs = [], []
+
+        def traced_scorer(tokens, labels=None):
+            score = scorer(tokens, labels)
+
+            def traced_score(graphs):
+                scores = score(graphs)
+                passes.append(scores.flat.data)
+                return scores
+
+            traced_score.sizes = score.sizes
+            return traced_score
+
+        def checked_decode(slab, allowed=None):
+            slabs.append((len(passes) - 1, slab))
+            return decode(slab, allowed)
+
+        model.scorer, model.decode = traced_scorer, checked_decode
+        refine_batch(batch, model, RefinementConfig(t_max=2, stop_on_convergence=False))
+        sizes = [len(forms) + 1 for forms in batch]
+        assert len(set(sizes)) == len(sizes) and len(passes) == 2
+        assert [p for p, _ in slabs] == [0] * len(batch) + [1] * len(batch)
+        up = len(model.rel_vocab.up_indices())
+        for k, (p, slab) in enumerate(slabs):
+            b = k % len(batch)
+            n = sizes[b]
+            cells = passes[p].reshape(len(batch), max(sizes), max(sizes), up)
+            assert not slab.flags.writeable and np.shares_memory(slab, passes[p])
+            assert slab.shape == (n, n, up) and np.array_equal(slab, cells[b, :n, :n])
 
     def test_tape_budget(self):
         # the figures before batching: 108 nodes for one sentence's scores,
