@@ -30,7 +30,12 @@ log = logging.getLogger("g2gt")
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """argparse variant whose usage failures exit with code 1."""
+    """argparse variant whose usage failures exit with code 1, and which
+    takes no flag by a prefix: ``--d`` is not read as ``--dev-file``.
+    Sub-parsers are made of this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -7,6 +7,7 @@ built-in default.  Unknown keys and values of the wrong type are rejected.
 
 from __future__ import annotations
 
+import math
 import os
 import re
 from dataclasses import dataclass, fields
@@ -66,8 +67,8 @@ class RunConfig(ModelConfig):
             raise UsageError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise UsageError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not (self.lr > 0):
-            raise UsageError(f"lr must be positive, got {self.lr}")
+        if not (0 < self.lr < math.inf):
+            raise UsageError(f"lr must be a positive finite number, got {self.lr}")
         if self.stop_at_las is not None and not (0 <= self.stop_at_las <= 100):
             raise UsageError(f"stop_at_las must lie in [0, 100], got {self.stop_at_las}")
         self.model_config()       # raises UsageError on bad dimensions

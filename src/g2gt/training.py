@@ -183,8 +183,7 @@ def train(config: RunConfig) -> TrainResult:
     dev_reports: list[EvalReport] = []
     best_las = -1.0
     best_epoch = 0
-    best_state: dict[str, np.ndarray] = {
-        p.name: p.tensor.data.copy() for p in model.registry}
+    best_state: list[np.ndarray] = []     # the parameters after best_epoch
 
     started = time.time()
     for epoch in range(1, config.epochs + 1):
@@ -204,14 +203,15 @@ def train(config: RunConfig) -> TrainResult:
         if report.las > best_las:
             best_las = report.las
             best_epoch = epoch
-            best_state = {p.name: p.tensor.data.copy() for p in model.registry}
+            best_state = [p.tensor.data.copy() for p in model.registry]
         if config.stop_at_las is not None and report.las >= config.stop_at_las:
             log.info("dev LAS reached %.2f at epoch %d; stopping", report.las, epoch)
             break
     log.info("training finished in %.1fs", time.time() - started)
 
-    for p in model.registry:
-        p.tensor.data = best_state[p.name]
+    if best_epoch != len(losses):         # a later epoch moved the parameters on
+        for p, data in zip(model.registry, best_state):
+            p.tensor.data[...] = data
     checkpoint_path = Path(config.model_out)
     checkpoint_path.parent.mkdir(parents=True, exist_ok=True)
     checkpoint_save(model, checkpoint_path)

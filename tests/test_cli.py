@@ -191,7 +191,10 @@ def test_non_finite_loss_exits_3(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("flags, message", [
     (["--seed", "-1"], "seed must be >= 0, got -1"),
     (["--stop-at-las", "150"], "stop_at_las must lie in [0, 100], got 150.0"),
-    (["--stop-at-las", "nan"], "stop_at_las must lie in [0, 100], got nan")])
+    (["--stop-at-las", "nan"], "stop_at_las must lie in [0, 100], got nan"),
+    (["--lr", "0"], "lr must be a positive finite number, got 0.0"),
+    (["--lr", "inf"], "lr must be a positive finite number, got inf"),
+    (["--lr", "nan"], "lr must be a positive finite number, got nan")])
 def test_train_flag_out_of_range_exits_1(tmp_path, capsys, flags, message):
     out = tmp_path / "m.g2gt"
     argv = ["train", "--train-file", str(FIXTURE), "--model-out", str(out),
@@ -211,6 +214,19 @@ def test_negative_seed_from_environment_exits_1(tmp_path, capsys, monkeypatch):
 def test_usage_error_exits_1(capsys):
     assert main(["parse", "--checkpoint", "x"]) == 1  # missing required flags
     assert main(["no-such-command"]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--d", "16"],                  # a prefix of --dev-file
+    ["train", "--train", "x.conllu"],        # a prefix of --train-file
+    ["gradcheck", "--sca", "0.5"],           # a prefix of --scale
+    ["parse", "--checkpoint", "m.g2gt", "--input", "a", "--output", "b",
+     "--t-m", "2"]])                         # a prefix of --t-max
+def test_flag_prefixes_are_rejected(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unknown_config_key_exits_1(tmp_path):

@@ -5,7 +5,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from g2gt.autodiff import Record, Tensor, backward, matmul, mul, recording, tensor_sum
+from g2gt.graphs import RelationVocab
+from g2gt.model import DependencyParserModel, ModelConfig
 from g2gt.optim import Adam, ParameterRegistry, adam_step, grad_check
+from g2gt.vocab import Vocab
 
 
 class TestRegistry:
@@ -80,6 +83,83 @@ class TestAdam:
         t2.grad = np.array([0.2, -0.1, 0.4])
         adam_step(registry2, lr=5e-3)
         assert_allclose(t.data, t2.data)
+
+
+def reference_adam(data, grad, m, v, step, lr):
+    """Per-parameter Adam in plain numpy, one parameter's arrays at a time."""
+    m *= 0.9
+    m += (1.0 - 0.9) * grad
+    v *= 0.999
+    v += (1.0 - 0.999) * grad * grad
+    m_hat = m / (1.0 - 0.9 ** step)
+    v_hat = v / (1.0 - 0.999 ** step)
+    data -= lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+
+
+def parser_registry(seed=0):
+    cfg = ModelConfig(d=16, heads=2, d_ff=32, layers=2, d_edge=8, max_len=16)
+    vocab = Vocab.from_forms([f"w{i}" for i in range(9)])
+    rel_vocab = RelationVocab.from_deprels(["a", "b", "c"])
+    return DependencyParserModel(cfg, vocab, rel_vocab, seed=seed).registry
+
+
+class TestArena:
+    def test_200_steps_match_per_parameter_adam_bit_for_bit(self):
+        registry = parser_registry(seed=3)
+        names = registry.names()
+        data = {p.name: p.tensor.data.copy() for p in registry}
+        moments = {p.name: (np.zeros_like(p.tensor.data), np.zeros_like(p.tensor.data))
+                   for p in registry}
+        rng = np.random.default_rng(11)
+        for step in range(1, 201):
+            registry.zero_grad()
+            for p in registry:
+                # gradients from 1e-7 to 10 across parameters and steps
+                g = rng.normal(size=p.tensor.shape) * 10.0 ** rng.uniform(-7, 1)
+                if step == 50 and p.name == names[3]:
+                    p.tensor.grad = g            # a fresh array, not the arena's view
+                else:
+                    p.tensor.grad += g
+                if step == 120 and p.name == names[-1]:
+                    p.tensor.data = p.tensor.data * 0.5    # rebound, not written
+                    data[p.name] = data[p.name] * 0.5
+                reference_adam(data[p.name], g, *moments[p.name], step, lr=2e-3)
+            adam_step(registry, lr=2e-3)
+        for p in registry:
+            m, v = moments[p.name]
+            assert p.tensor.data.tobytes() == data[p.name].tobytes(), p.name
+            assert p.state["m"].tobytes() == m.tobytes(), p.name
+            assert p.state["v"].tobytes() == v.tobytes(), p.name
+
+    def test_zero_grad_zeroes_views_of_one_buffer_in_place(self):
+        registry = parser_registry()
+        registry.zero_grad()
+        grads = [p.tensor.grad for p in registry]
+        for g in grads:
+            g += 1.0
+        registry.zero_grad()
+        buffer = grads[0].base
+        assert buffer is not None and buffer.size == sum(g.size for g in grads)
+        for p, g in zip(registry, grads):
+            assert p.tensor.grad is g and g.base is buffer
+            assert g.shape == p.tensor.shape and not g.any()
+            assert p.tensor.data.base is not None and p.tensor.data.base is not buffer
+
+    @pytest.mark.parametrize("build", ["zero_grad", "adam_step"])
+    def test_registering_after_the_arena_is_built_raises(self, build):
+        registry = ParameterRegistry()
+        rng = np.random.default_rng(0)
+        registry.parameter("w", (2, 3), rng)
+        registry.parameter("b", (3,), rng)
+        if build == "zero_grad":
+            registry.zero_grad()
+        else:
+            for p in registry:
+                p.tensor.grad = np.ones(p.tensor.shape)
+            adam_step(registry)
+        with pytest.raises(ValueError, match="'late'"):
+            registry.parameter("late", (2,), rng)
+        assert registry.names() == ["w", "b"]
 
 
 class TestGradCheck:

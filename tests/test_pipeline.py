@@ -167,6 +167,15 @@ class TestCheckpoint:
         after = loaded.scorer([forms])([g]).flat.data
         assert np.array_equal(before, after)  # bitwise
 
+    def test_load_and_parse_build_no_optimizer_state(self, tmp_path):
+        # parsing must never pay for gradients, Adam moments or the arena
+        path = tmp_path / "model.g2gt"
+        checkpoint_save(small_model(seed=5), path)
+        model = checkpoint_load(path)
+        parse_corpus(model, load_conllu(FIXTURE), RefinementConfig())
+        assert all(p.tensor.grad is None and not p.state for p in model.registry)
+        assert model.registry._arena is None
+
     def test_truncated_file_rejected(self, tmp_path):
         model = small_model()
         path = tmp_path / "model.g2gt"
@@ -393,6 +402,26 @@ class TestTrainPipeline:
         trees, _ = parse_corpus(loaded, corpus, RefinementConfig())
         report = evaluate(trees, [s.tree for s in corpus])
         assert 0.0 <= report.las <= report.uas <= 100.0
+
+    def test_model_and_checkpoint_hold_the_best_dev_epoch(self, tmp_path, monkeypatch):
+        # dev LAS 50, 80, 60: epoch 3 moves the parameters past the best, epoch 2
+        las = iter([50.0, 80.0, 60.0])
+        after_epoch = []
+        parse = training.parse_corpus
+
+        def snapshot_and_parse(model, sentences, refinement):
+            after_epoch.append([p.tensor.data.copy() for p in model.registry])
+            return parse(model, sentences, refinement)
+
+        monkeypatch.setattr(training, "parse_corpus", snapshot_and_parse)
+        monkeypatch.setattr(training, "evaluate",
+                            lambda pred, gold: training.EvalReport(*[next(las)] * 2, 1))
+        result = train(self._config(tmp_path, epochs=3))
+        assert result.best_epoch == 2
+        assert any(not np.array_equal(a, b) for a, b in zip(*after_epoch[1:]))
+        saved = checkpoint_load(result.checkpoint_path)
+        for p, q, best in zip(result.model.registry, saved.registry, after_epoch[1]):
+            assert p.tensor.data.tobytes() == q.tensor.data.tobytes() == best.tobytes()
 
     def test_same_seed_gives_identical_losses_and_parameters(self, tmp_path):
         r1 = train(self._config(tmp_path, model_out=str(tmp_path / "a.g2gt")))
