@@ -15,7 +15,7 @@ from .checkpoint import checkpoint_load, checkpoint_save
 from .conllu import Sentence, load_conllu, write_conllu
 from .config import RunConfig, load_config_file
 from .edges import (EdgeScorerParams, EdgeScores, greedy_decode, init_edge_scorer,
-                    label_edges, label_slab, pooled_head_scores, score_edges)
+                    label_edges, pooled_head_scores, score_edges)
 from .errors import CheckpointError, DataError, G2GTError, TrainingError, UsageError
 from .graphs import (COREF_VOCAB, DepTree, GraphBatch, LabeledGraph, RelationVocab,
                      dep_tree_to_graph, empty_graph, graph_equals, graph_to_dep_tree,

@@ -160,8 +160,10 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    if args.tokens < 1:
-        raise UsageError(f"--tokens must be at least 1, got {args.tokens}")
+    max_len = 32
+    # the longer sentence, with the root, takes tokens + 2 nodes
+    if not 1 <= args.tokens <= max_len - 2:
+        raise UsageError(f"--tokens must lie in [1, {max_len - 2}], got {args.tokens}")
     if not GRAD_CHECK_EPS[0] <= args.eps <= GRAD_CHECK_EPS[1]:
         raise UsageError(f"--eps must lie in {list(GRAD_CHECK_EPS)}, got {args.eps}")
     if not (0 < args.scale < np.inf):
@@ -175,7 +177,7 @@ def _cmd_gradcheck(args) -> int:
     vocab = Vocab.from_forms(longer[:-1])
     rel_vocab = RelationVocab.from_deprels(["a", "b"])
     cfg = ModelConfig(d=args.d, heads=args.heads, d_ff=2 * args.d,
-                      layers=1, d_edge=args.d // 2, max_len=32)
+                      layers=1, d_edge=args.d // 2, max_len=max_len)
     model = DependencyParserModel(cfg, vocab, rel_vocab, seed=args.seed)
     for param in model.registry:
         if "norm" not in param.name:

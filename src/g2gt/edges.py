@@ -22,11 +22,10 @@ so inference scores only those: :meth:`EdgeScorerParams.for_labels`
 takes their rows of the scorer once per scorer the model builds, and the
 scores' column k is then label k of that subset.  Training scores every
 label for the loss.  A decoder reads one sentence's (n, n, labels) slab
-of :meth:`EdgeScores.cells`, a read-only view; :func:`label_slab` only
-copies it to put the labels outside ``allowed`` at -inf.
-Its max over labels gives the head scores for the MST, and its argmax at
-each chosen arc gives that arc's label; the MST's heads form a tree by
-construction, so labelling does not check them again.
+of :meth:`EdgeScores.cells`, a read-only view.  Its max over labels
+gives the head scores for the MST, and its argmax at each chosen arc
+gives that arc's label; the MST's heads form a tree by construction, so
+labelling does not check them again.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ __all__ = [
     "init_edge_scorer",
     "score_edges",
     "greedy_decode",
-    "label_slab",
     "pooled_head_scores",
     "label_edges",
 ]
@@ -181,35 +179,20 @@ def _biaffine(h: Tensor, t: Tensor, params: EdgeScorerParams) -> Tensor:
                            params.bias), bwd)
 
 
-def greedy_decode(slab: np.ndarray, allowed=None) -> LabeledGraph:
+def greedy_decode(slab: np.ndarray) -> LabeledGraph:
     """Per-cell argmax decoding of an (n, n, L) slab's lower triangle
     (span/link style graphs); ties go to the lowest label index.
 
-    The diagonal and the upper triangle are NONE.  ``allowed`` optionally
-    restricts decoding to a subset of labels.
+    The diagonal and the upper triangle are NONE.
     """
     n, _, n_labels = slab.shape
-    labels = label_slab(slab, np.arange(n_labels), allowed).argmax(axis=2)
+    labels = slab.argmax(axis=2)
     labels[np.triu_indices(n)] = NONE_LABEL
     return LabeledGraph(labels, n_labels=n_labels)
 
 
-def label_slab(slab: np.ndarray, labels: np.ndarray, allowed=None) -> np.ndarray:
-    """An (n, n, |labels|) slab whose column k scores label ``labels[k]``:
-    as given, or with ``allowed`` a copy in which the labels outside that
-    set read -inf."""
-    if slab.shape[-1] != len(labels):
-        raise ValueError(f"scores have {slab.shape[-1]} columns for {len(labels)} labels")
-    if allowed is None:
-        return slab
-    keep = np.isin(labels, np.fromiter(allowed, dtype=np.intp, count=len(allowed)))
-    return np.where(keep, slab, -np.inf)
-
-
 def pooled_head_scores(slab: np.ndarray) -> np.ndarray:
     """n x n head-selection scores: best up-label score per (dependent, head)."""
-    if slab.shape[-1] == 0:
-        raise ValueError("relation vocab has no up-relations to pool over")
     return slab.max(axis=-1)
 
 

@@ -83,9 +83,6 @@ class RelationVocab:
         return (isinstance(other, RelationVocab)
                 and self.labels == other.labels and self.scheme == other.scheme)
 
-    def index(self, label: str) -> int:
-        return self._index[label]
-
     def up_index(self, deprel: str) -> int:
         """Index of "deprel↑"; UNK when the deprel is not in the vocab."""
         return self._index.get(deprel + UP, UNK_LABEL)

@@ -26,7 +26,7 @@ from .attention import (EncoderParams, G2GLayerConfig, encode, first_layer,
                         init_encoder)
 from .autodiff import Tensor, add, gather_rows
 from .edges import (EdgeScorerParams, EdgeScores, greedy_decode, init_edge_scorer,
-                    label_edges, label_slab, pooled_head_scores, score_edges)
+                    label_edges, pooled_head_scores, score_edges)
 from .errors import DataError, UsageError
 from .graphs import COREF_VOCAB, GraphBatch, LabeledGraph, RelationVocab, arc_graph
 from .mst import mst_decode
@@ -180,6 +180,8 @@ class DependencyParserModel(SentenceEncoderModel):
                  rel_vocab: RelationVocab, seed: int = 0, source=None):
         if rel_vocab.scheme != "bidirectional":
             raise UsageError("dependency parsing needs a bidirectional relation vocab")
+        if not len(rel_vocab.up_indices()):
+            raise UsageError("dependency parsing needs at least one up relation label")
         super().__init__(cfg, len(token_vocab), rel_vocab, seed=seed, source=source)
         self.token_vocab = token_vocab
 
@@ -190,13 +192,14 @@ class DependencyParserModel(SentenceEncoderModel):
     def decode_labels(self) -> np.ndarray:
         return self.rel_vocab.up_indices()
 
-    def decode(self, slab: np.ndarray, allowed=None) -> LabeledGraph:
+    def decode(self, slab: np.ndarray) -> LabeledGraph:
         """The next graph: the best tree under an (n, n, |up|) slab of scores
-        over the up labels, ``decode_labels``.  The slab, with the labels
-        outside ``allowed`` at -inf, gives the single-root MST its head
-        scores (the max over labels) and each chosen arc its label (the argmax)."""
+        over the up labels, ``decode_labels``.  The slab gives the
+        single-root MST its head scores (the max over labels) and each
+        chosen arc its label (the argmax)."""
         labels = self.decode_labels
-        slab = label_slab(slab, labels, allowed)
+        if slab.shape[-1] != len(labels):
+            raise ValueError(f"scores have {slab.shape[-1]} columns for {len(labels)} labels")
         heads = mst_decode(pooled_head_scores(slab))
         up = label_edges(heads, slab)
         n = slab.shape[0]
@@ -214,5 +217,5 @@ class MentionCorefModel(SentenceEncoderModel):
     def ids(self, tokens: Sequence[int]) -> list[int]:
         return list(tokens)
 
-    def decode(self, slab: np.ndarray, allowed=None) -> LabeledGraph:
-        return greedy_decode(slab, allowed)
+    def decode(self, slab: np.ndarray) -> LabeledGraph:
+        return greedy_decode(slab)

@@ -124,9 +124,6 @@ class ParameterRegistry:
     def __len__(self) -> int:
         return len(self._params)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
     def get(self, name: str) -> Parameter:
         return self._params[name]
 

@@ -137,7 +137,7 @@ def refine_batch(batch: Sequence[Sequence], model,
     The model must expose ``scorer(batch, labels)``, whose result has the
     node count of each sentence in ``sizes`` and maps one graph per
     sentence to :class:`EdgeScores` over ``labels``; ``decode_labels``;
-    ``decode(slab, allowed)`` of a read-only (n, n, labels) slab; and a
+    ``decode(slab)`` of a read-only (n, n, labels) slab; and a
     ``rel_vocab``.  Returns one (last graph, trace) pair per sentence.
     """
     if any(len(tokens) == 0 for tokens in batch):
@@ -163,10 +163,15 @@ def refine_batch(batch: Sequence[Sequence], model,
 
 def _decode(model, cells, sizes, which, t, cfg) -> list[LabeledGraph]:
     """The next graph of each sentence b in ``which``: ``model.decode`` of
-    its (n, n, labels) slab ``cells[b, :n, :n]``, under iteration t's
-    stage mask."""
+    its (n, n, labels) slab ``cells[b, :n, :n]``.  When iteration t's stage
+    mask restricts the labels, the slabs are instead those of one
+    read-only copy of ``cells`` whose columns outside the mask read -inf;
+    ``cells`` itself is never written."""
     allowed = stage_mask(t, cfg.schedule, model.rel_vocab)
-    return [model.decode(cells[b, :sizes[b], :sizes[b]], allowed) for b in which]
+    if allowed is not None:
+        cells = np.where(np.isin(model.decode_labels, list(allowed)), cells, -np.inf)
+        cells.flags.writeable = False
+    return [model.decode(cells[b, :sizes[b], :sizes[b]]) for b in which]
 
 
 # ---------------------------------------------------------------------------

@@ -171,6 +171,8 @@ def train(config: RunConfig) -> TrainResult:
             raise DataError(f"{path}: sentence {k} of {len(sents)}: {problem}")
 
     token_vocab, rel_vocab = build_vocabs(train_sents)
+    if not len(rel_vocab.up_indices()):
+        raise DataError(f"{config.train_file}: no token has a deprel to learn")
     refinement = config.refinement_config()
     model = DependencyParserModel(model_cfg, token_vocab, rel_vocab, seed=config.seed)
     optimizer = Adam(model.registry, lr=config.lr)

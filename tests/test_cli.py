@@ -103,6 +103,26 @@ def test_refine_demo_prints_trace(trained, capsys):
         assert [deprel for _, _, deprel in got] == tree.deprels
 
 
+@pytest.mark.parametrize("command", ["parse", "refine-demo"])
+def test_checkpoint_without_up_relations_exits_2(trained, tmp_path, capsys, command):
+    # a checkpoint with no up relation label used to exit 3 with "cannot
+    # reshape array of size 0 into shape (0)"; its labels past NONE and UNK
+    # are renamed, so the parameter table still fits them
+    from test_pipeline import read_header, rewrite_header
+    bare = tmp_path / "bare.g2gt"
+    bare.write_bytes(trained.read_bytes())
+    header = read_header(bare)
+    labels = header["relation_labels"]
+    header["relation_labels"] = labels[:2] + [f"r{k}" for k in range(len(labels) - 2)]
+    rewrite_header(bare, header)
+    out = tmp_path / "out.conllu"
+    argv = [command, "--checkpoint", str(bare), "--input", str(FIXTURE)]
+    assert main(argv + (["--output", str(out)] if command == "parse" else [])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {bare}: invalid header contents: ")
+    assert "at least one up relation label" in err and not out.exists()
+
+
 def test_gradcheck_command(capsys):
     assert main(["gradcheck", "--d", "8", "--heads", "2", "--tokens", "3"]) == 0
     out = capsys.readouterr().out
@@ -111,7 +131,9 @@ def test_gradcheck_command(capsys):
 
 
 @pytest.mark.parametrize("flag, value, message", [
-    ("--tokens", "0", "--tokens must be at least 1, got 0"),
+    ("--tokens", "0", "--tokens must lie in [1, 30], got 0"),
+    # 31 tokens make a 33-node sentence, past the model's max_len of 32
+    ("--tokens", "31", "--tokens must lie in [1, 30], got 31"),
     ("--eps", "1e-2", "--eps must lie in [1e-07, 0.001], got 0.01"),
     # a scale of 0 zeroed the parameters, and the check passed on nothing
     ("--scale", "0", "--scale must be a positive finite number, got 0.0"),

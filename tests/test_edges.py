@@ -12,7 +12,8 @@ from g2gt.attention import EncoderState
 from g2gt.autodiff import (Record, Tensor, add, backward, matmul, mul, recording,
                            reshape, tensor_sum, transpose)
 from g2gt.edges import (EdgeScores, greedy_decode, init_edge_scorer, label_edges,
-                        label_slab, pooled_head_scores, score_edges)
+                        pooled_head_scores, score_edges)
+from g2gt.errors import UsageError
 from g2gt.graphs import NONE_LABEL, DepTree, RelationVocab
 from g2gt.model import DependencyParserModel, ModelConfig
 from g2gt.mst import mst_decode
@@ -36,6 +37,12 @@ def scores_for(z, params):
     return score_edges(EncoderState(z=Tensor(z)), params)
 
 
+def masked(slab, labels, allowed):
+    """``slab``, whose column k scores label ``labels[k]``, with the columns
+    of the labels outside ``allowed`` at -inf, as a stage mask leaves it."""
+    return np.where(np.isin(labels, list(allowed)), slab, -np.inf)
+
+
 class TestScoreEdges:
     def test_zero_classifier_gives_zero_scores(self):
         registry, params = build_scorer(6, 3, 4, seed=0)
@@ -56,6 +63,14 @@ class TestScoreEdges:
         registry.get("edge.bias").tensor.data[:] = 0.0
         scores = scores_for(np.ones((2, 1)), params)
         assert_allclose(scores.cells()[0, :, :, 0], 6.0)
+
+    def test_cells_is_a_read_only_view(self):
+        # a decoder's slab is one sentence's block of these cells
+        scores = EdgeScores(Tensor(np.zeros((2 * 2 * 2, 3))), 2)
+        cells = scores.cells()
+        assert cells.shape == (2, 2, 2, 3)
+        assert np.shares_memory(cells[1], scores.flat.data)
+        assert not cells[1].flags.writeable and scores.flat.data.flags.writeable
 
     def test_against_cell_loop_oracle(self):
         for seed in range(20):
@@ -202,7 +217,7 @@ class TestBiaffineOp:
 def label_tree(heads, arr, vocab):
     """The tree that ``label_edges`` labels, read back as deprels."""
     up = vocab.up_indices()
-    positions = label_edges(heads, label_slab(arr[:, :, up], up))
+    positions = label_edges(heads, arr[:, :, up])
     return DepTree(list(heads[1:]), [vocab.deprel_of(up[k]) for k in positions])
 
 
@@ -250,7 +265,7 @@ class TestGreedyDecode:
     def test_label_mask_restricts_decoding(self):
         arr = np.zeros((3, 3, 3))
         arr[:, :, 2] = 10.0
-        g = greedy_decode(arr, allowed=frozenset({0, 1}))
+        g = greedy_decode(masked(arr, np.arange(3), {0, 1}))
         assert np.all(g.labels != 2)
 
 
@@ -280,34 +295,12 @@ class TestLabelEdges:
                 assert tree.deprels[k] == VOCAB.deprel_of(up[int(np.argmax(cell))])
 
 
-class TestLabelSlab:
-    def test_unmasked_slab_is_a_read_only_view(self):
-        # the slab of EdgeScores.cells, which label_slab passes through
-        scores = EdgeScores(Tensor(np.zeros((2 * 2 * 2, 3))), 2)
-        cells = scores.cells()
-        assert cells.shape == (2, 2, 2, 3)
-        slab = label_slab(cells[1], np.array([2, 4, 6]))
-        assert np.shares_memory(slab, scores.flat.data)
-        assert not slab.flags.writeable and scores.flat.data.flags.writeable
-
-    def test_masked_slab_is_a_copy(self):
-        slab = np.arange(12.0).reshape(2, 2, 3)
-        masked = label_slab(slab, np.array([2, 4, 6]), allowed=frozenset({4}))
-        assert not np.shares_memory(masked, slab)
-        assert np.array_equal(masked[..., 1], slab[..., 1])
-        assert np.all(masked[..., [0, 2]] == -np.inf)
-
-    def test_column_count_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="3 columns for 2 labels"):
-            label_slab(np.zeros((2, 2, 3)), np.array([2, 4]))
-
-
 class TestPooledHeadScores:
     def test_pool_is_max_over_up_labels(self):
         rng = np.random.default_rng(1)
         arr = rng.normal(size=(3, 3, len(VOCAB)))
         up = VOCAB.up_indices()
-        pooled = pooled_head_scores(label_slab(arr[:, :, up], up))
+        pooled = pooled_head_scores(arr[:, :, up])
         assert_allclose(pooled, arr[:, :, up].max(axis=2))
 
 
@@ -341,7 +334,10 @@ class TestParserDecode:
         model, scores, allowed = case
         pairs = up_down_pairs(model.rel_vocab.labels)
         heads = mst_decode(pool_up_labels_loop(scores, pairs, allowed))
-        graph = model.decode(scores[:, :, model.decode_labels], allowed=allowed)
+        slab = scores[:, :, model.decode_labels]
+        if allowed is not None:
+            slab = masked(slab, model.decode_labels, allowed)
+        graph = model.decode(slab)
         assert np.array_equal(graph.labels,
                               label_tree_loop(scores, heads, pairs, allowed))
 
@@ -350,8 +346,8 @@ class TestParserDecode:
         # the first up label, as the per-token loop did
         model = PARSERS[2]
         scores = np.random.default_rng(0).normal(size=(5, 5, len(model.rel_vocab)))
-        graph = model.decode(scores[:, :, model.decode_labels],
-                             allowed=frozenset({0, 1}))
+        graph = model.decode(masked(scores[:, :, model.decode_labels],
+                                    model.decode_labels, {0, 1}))
         up, down = up_down_pairs(model.rel_vocab.labels)[0]
         assert np.all(graph.labels[1:, 0] == up)
         assert np.all(graph.labels[0, 1:] == down)
@@ -360,5 +356,16 @@ class TestParserDecode:
         model = PARSERS[1]
         slab = np.random.default_rng(1).normal(size=(6, 6, len(model.decode_labels)))
         before = slab.tobytes()
-        model.decode(slab, allowed=frozenset({0, 2}))
+        model.decode(slab)
         assert slab.tobytes() == before
+
+    def test_column_count_mismatch_rejected(self):
+        model = PARSERS[1]      # two up labels
+        with pytest.raises(ValueError, match="3 columns for 2 labels"):
+            model.decode(np.zeros((2, 2, 3)))
+
+    def test_parser_without_up_label_rejected(self):
+        # a relation vocab of NONE and UNK alone leaves the decoder no column
+        vocab = RelationVocab.from_deprels([])
+        with pytest.raises(UsageError, match="at least one up relation label"):
+            DependencyParserModel(PARSERS[0].cfg, Vocab.from_forms(["w"]), vocab)

@@ -501,6 +501,23 @@ class TestTrainPipeline:
             train(self._config(tmp_path, **files))
         assert not (tmp_path / "m.g2gt").exists()
 
+    def test_treebank_without_deprels_rejected_before_the_model_is_built(
+            self, tmp_path, monkeypatch):
+        # a DEPREL column of '_' alone used to train a whole epoch, then fail
+        # with "relation vocab has no up-relations to pool over"
+        bare = tmp_path / "bare.conllu"
+        write_conllu([Sentence(s.forms, DepTree(s.tree.heads, [None] * s.n))
+                      for s in load_conllu(FIXTURE)], bare)
+
+        def build(*args, **kwargs):
+            raise AssertionError("a model was built")
+
+        monkeypatch.setattr(training, "DependencyParserModel", build)
+        with pytest.raises(DataError, match=f"^{re.escape(str(bare))}: no token has a "
+                                            "deprel to learn$"):
+            train(self._config(tmp_path, train_file=str(bare)))
+        assert not (tmp_path / "m.g2gt").exists()
+
     def test_parse_leaves_parameters_and_scores_untouched(self, tmp_path):
         # untracked scoring returns views and sums in place; none of that may
         # reach a parameter or the scores a decode reads
@@ -509,9 +526,9 @@ class TestTrainPipeline:
         decode = model.decode
         unchanged = []
 
-        def checked_decode(slab, allowed=None):
+        def checked_decode(slab):
             before = slab.tobytes()
-            graph = decode(slab, allowed)
+            graph = decode(slab)
             unchanged.append(slab.tobytes() == before)
             return graph
 

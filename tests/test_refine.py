@@ -54,8 +54,16 @@ class ConstantModel:
         score.sizes = [n] * len(batch)
         return score
 
-    def decode(self, slab, allowed=None):
+    def decode(self, slab):
         return self.graph
+
+
+def stage_masked(slab, model, t, cfg):
+    """A decode slab with the columns outside iteration t's stage mask at -inf."""
+    allowed = stage_mask(t, cfg.schedule, model.rel_vocab)
+    if allowed is None:
+        return slab
+    return np.where(np.isin(model.decode_labels, list(allowed)), slab, -np.inf)
 
 
 def reference_refine(tokens, model, cfg):
@@ -65,9 +73,8 @@ def reference_refine(tokens, model, cfg):
     g = empty_graph(len(model.ids(tokens)))
     steps = [(0, g, False)]
     for t in range(1, cfg.t_max + 1):
-        allowed = stage_mask(t, cfg.schedule, model.rel_vocab)
         slab = model.scorer([tokens])([g]).cells()[0][..., model.decode_labels]
-        new_graph = model.decode(slab, allowed=allowed)
+        new_graph = model.decode(stage_masked(slab, model, t, cfg))
         converged = graph_equals(new_graph, g)
         steps.append((t, new_graph, converged))
         g = new_graph
@@ -365,12 +372,37 @@ def fresh_scorer_loss(batch, model, cfg):
         scores = model.scorer(tokens)(graphs)
         loss_t = graph_nll(scores, gold, model.scope)
         total = loss_t if total is None else add(total, loss_t)
-        allowed = stage_mask(t, cfg.schedule, model.rel_vocab)
         cells = scores.cells()
-        graphs = [model.decode(cells[b, :g.n, :g.n][..., model.decode_labels],
-                               allowed=allowed)
+        graphs = [model.decode(stage_masked(cells[b, :g.n, :g.n][..., model.decode_labels],
+                                            model, t, cfg))
                   for b, g in enumerate(graphs)]
     return total
+
+
+def record_decodes(model):
+    """Wrap ``model``'s scorer and decode.  Returns two lists that refining
+    then fills: each pass's flat scores with a copy of their bytes, and
+    each decoded slab with the index of its pass."""
+    scorer, decode = model.scorer, model.decode
+    passes, slabs = [], []
+
+    def traced_scorer(tokens, labels=None):
+        score = scorer(tokens, labels)
+
+        def traced_score(graphs):
+            scores = score(graphs)
+            passes.append((scores.flat.data, scores.flat.data.tobytes()))
+            return scores
+
+        traced_score.sizes = score.sizes
+        return traced_score
+
+    def recorded_decode(slab):
+        slabs.append((len(passes) - 1, slab))
+        return decode(slab)
+
+    model.scorer, model.decode = traced_scorer, recorded_decode
+    return passes, slabs
 
 
 def loss_and_gradients(batch, model, cfg, loss_fn=refinement_loss):
@@ -479,25 +511,7 @@ class TestPaddedBatch:
         # that pass's scores, in place, whether or not it fills the bucket
         model = parser_fixture(seed=2)
         batch = [forms for forms, _ in self._parser_batch(model)]
-        scorer, decode = model.scorer, model.decode
-        passes, slabs = [], []
-
-        def traced_scorer(tokens, labels=None):
-            score = scorer(tokens, labels)
-
-            def traced_score(graphs):
-                scores = score(graphs)
-                passes.append(scores.flat.data)
-                return scores
-
-            traced_score.sizes = score.sizes
-            return traced_score
-
-        def checked_decode(slab, allowed=None):
-            slabs.append((len(passes) - 1, slab))
-            return decode(slab, allowed)
-
-        model.scorer, model.decode = traced_scorer, checked_decode
+        passes, slabs = record_decodes(model)
         refine_batch(batch, model, RefinementConfig(t_max=2, stop_on_convergence=False))
         sizes = [len(forms) + 1 for forms in batch]
         assert len(set(sizes)) == len(sizes) and len(passes) == 2
@@ -506,9 +520,36 @@ class TestPaddedBatch:
         for k, (p, slab) in enumerate(slabs):
             b = k % len(batch)
             n = sizes[b]
-            cells = passes[p].reshape(len(batch), max(sizes), max(sizes), up)
-            assert not slab.flags.writeable and np.shares_memory(slab, passes[p])
+            cells = passes[p][0].reshape(len(batch), max(sizes), max(sizes), up)
+            assert not slab.flags.writeable and np.shares_memory(slab, passes[p][0])
             assert slab.shape == (n, n, up) and np.array_equal(slab, cells[b, :n, :n])
+
+    def test_stage_mask_is_applied_to_a_read_only_copy_of_the_pass(self):
+        # mention-first: iteration 1 decodes each sentence from one masked
+        # copy of its pass, with COREF at -inf; iteration 2 reads the pass
+        model = coref_fixture(seed=6)
+        rng = np.random.default_rng(4)
+        sizes = [4, 7, 2]
+        batch = [list(rng.integers(0, 12, size=n)) for n in sizes]
+        passes, slabs = record_decodes(model)
+        refine_batch(batch, model, RefinementConfig(t_max=2, schedule="mention-first",
+                                                    stop_on_convergence=False))
+        assert len(passes) == 2
+        assert [p for p, _ in slabs] == [0] * len(batch) + [1] * len(batch)
+        for k, (p, slab) in enumerate(slabs):
+            scores, before = passes[p]
+            cells = scores.reshape(len(batch), max(sizes), max(sizes), 3)
+            n = sizes[k % len(batch)]
+            block = cells[k % len(batch), :n, :n]
+            assert np.all(np.isfinite(block))
+            assert slab.shape == (n, n, 3) and not slab.flags.writeable
+            if p == 0:
+                assert not np.shares_memory(slab, scores)
+                assert np.all(slab[..., 2] == -np.inf)
+                assert np.array_equal(slab[..., :2], block[..., :2])
+            else:
+                assert np.shares_memory(slab, scores) and np.array_equal(slab, block)
+            assert scores.tobytes() == before
 
     def test_tape_budget(self):
         # the figures before batching: 108 nodes for one sentence's scores,
