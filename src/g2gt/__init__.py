@@ -23,8 +23,7 @@ from .graphs import (COREF_VOCAB, DepTree, GraphBatch, LabeledGraph, RelationVoc
 from .model import (BatchScorer, DependencyParserModel, MentionCorefModel,
                     ModelConfig, SentenceEncoderModel)
 from .mst import is_arborescence, mst_decode
-from .optim import (Adam, GradCheckReport, Parameter, ParameterRegistry,
-                    adam_step, grad_check)
+from .optim import GradCheckReport, Parameter, ParameterRegistry, adam_step, grad_check
 from .refine import (RefinementConfig, RefinementTrace, graph_nll, refine,
                      refine_batch, refinement_loss, stage_mask, train_refinement_step)
 from .training import EvalReport, evaluate, parse_corpus, train

@@ -170,6 +170,8 @@ def _cmd_gradcheck(args) -> int:
         raise UsageError(f"--scale must be a positive finite number, got {args.scale}")
     if args.seed < 0:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
+    if args.d < 2:         # d_edge is d // 2
+        raise UsageError(f"--d must be at least 2, got {args.d}")
     rng = np.random.default_rng(args.seed)
     # a second sentence one token longer, so the batch is padded; its last
     # form is out of the vocabulary

@@ -79,10 +79,6 @@ class RelationVocab:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, RelationVocab)
-                and self.labels == other.labels and self.scheme == other.scheme)
-
     def up_index(self, deprel: str) -> int:
         """Index of "deprel↑"; UNK when the deprel is not in the vocab."""
         return self._index.get(deprel + UP, UNK_LABEL)

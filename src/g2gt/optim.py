@@ -1,16 +1,16 @@
 """Named parameters, the Adam update, and a central-difference gradient checker.
 
 Training runs from one arena per registry: one flat float64 buffer that
-holds every parameter in registry order, one that holds every gradient,
-and, from the first Adam step, one each for Adam's first and second
-moments.  Each parameter's ``tensor.data`` and ``tensor.grad``, and its
-``state["m"]`` and ``state["v"]``, are views of these buffers, so
+holds every parameter in registry order, and one each for the gradients
+and for Adam's first and second moments.  Each parameter's
+``tensor.data`` and ``tensor.grad`` are views of the first two, so
 backward accumulates straight into the gradient buffer, ``zero_grad`` is
-one fill, and :func:`adam_step` runs its elementwise update over the flat
-buffers in blocks of ADAM_BLOCK elements rather than once per parameter.
-The arena is built by the first ``zero_grad`` or ``adam_step``, so a
-model that is only loaded and parsed never allocates gradients or
-moments; no parameter can be registered after it exists.
+one fill, and :func:`adam_step`, the one way to step the optimizer, runs
+its elementwise update over the flat buffers in blocks of ADAM_BLOCK
+elements rather than once per parameter.  The arena is built by the first
+``zero_grad`` or ``adam_step``, so a model that is only loaded and parsed
+never allocates gradients or moments; no parameter can be registered
+after it exists.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ __all__ = [
     "Parameter",
     "ParameterRegistry",
     "adam_step",
-    "Adam",
     "grad_check",
     "GradCheckReport",
 ]
@@ -46,32 +45,31 @@ ADAM_BLOCK = 16384
 
 
 class Parameter:
-    """A named trainable tensor plus its per-parameter optimizer state."""
+    """A named trainable tensor."""
 
-    __slots__ = ("name", "tensor", "state")
+    __slots__ = ("name", "tensor")
 
     def __init__(self, name: str, tensor: Tensor):
         self.name = name
         self.tensor = tensor
-        self.state: dict = {}
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.tensor.shape})"
 
 
 class _Arena:
-    """The flat buffers behind a registry's parameters and gradients, and
-    each parameter's views of them; Adam's moments and step count are set
-    by the first :func:`adam_step`."""
+    """The flat buffers behind a registry's parameters, gradients and Adam
+    moments, each parameter's views of the first two, and Adam's step
+    count."""
 
     def __init__(self, params: list[Parameter]):
         self.shapes = [p.tensor.data.shape for p in params]
         self.data = np.empty(sum(math.prod(shape) for shape in self.shapes))
         self.grad = np.zeros_like(self.data)
+        self.m = np.zeros_like(self.data)
+        self.v = np.zeros_like(self.data)
         self.data_views = self.views(self.data)
         self.grad_views = self.views(self.grad)
-        self.m: np.ndarray | None = None
-        self.v: np.ndarray | None = None
         self.step = 0
 
     def views(self, flat: np.ndarray) -> list[np.ndarray]:
@@ -163,11 +161,6 @@ def adam_step(registry: ParameterRegistry, lr: float = 1e-3) -> None:
         if p.tensor.grad is None:
             raise ValueError(f"parameter {p.name!r} has no gradient; run backward first")
     arena = registry._attach()
-    if arena.m is None:
-        arena.m = np.zeros_like(arena.data)
-        arena.v = np.zeros_like(arena.data)
-        for p, m, v in zip(registry, arena.views(arena.m), arena.views(arena.v)):
-            p.state["m"], p.state["v"] = m, v
     arena.step += 1
     m_scale = 1.0 - BETA1 ** arena.step
     v_scale = 1.0 - BETA2 ** arena.step
@@ -190,17 +183,6 @@ def adam_step(registry: ParameterRegistry, lr: float = 1e-3) -> None:
         a *= lr
         a /= b
         arena.data[lo:hi] -= a
-
-
-class Adam:
-    """Thin stateful wrapper around :func:`adam_step`."""
-
-    def __init__(self, registry: ParameterRegistry, lr: float = 1e-3):
-        self.registry = registry
-        self.lr = lr
-
-    def step(self) -> None:
-        adam_step(self.registry, lr=self.lr)
 
 
 @dataclass

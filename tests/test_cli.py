@@ -103,6 +103,15 @@ def test_refine_demo_prints_trace(trained, capsys):
         assert [deprel for _, _, deprel in got] == tree.deprels
 
 
+@pytest.mark.parametrize("index", [8, 99])
+def test_refine_demo_index_past_the_file_exits_2(trained, capsys, index):
+    assert len(load_conllu(FIXTURE)) == 8
+    assert main(["refine-demo", "--checkpoint", str(trained),
+                 "--input", str(FIXTURE), "--index", str(index)]) == 2
+    assert capsys.readouterr().err == (
+        f"data error: sentence index {index} out of range (file has 8 sentences)\n")
+
+
 @pytest.mark.parametrize("command", ["parse", "refine-demo"])
 def test_checkpoint_without_up_relations_exits_2(trained, tmp_path, capsys, command):
     # a checkpoint with no up relation label used to exit 3 with "cannot
@@ -139,9 +148,12 @@ def test_gradcheck_command(capsys):
     ("--scale", "0", "--scale must be a positive finite number, got 0.0"),
     ("--scale", "-1", "--scale must be a positive finite number, got -1.0"),
     ("--scale", "nan", "--scale must be a positive finite number, got nan"),
-    ("--seed", "-1", "--seed must be >= 0, got -1")])
+    ("--seed", "-1", "--seed must be >= 0, got -1"),
+    # d_edge is d // 2, and used to be named in place of --d
+    ("--d", "1", "--d must be at least 2, got 1")])
 def test_gradcheck_flag_out_of_range_exits_1(capsys, flag, value, message):
-    assert main(["gradcheck", flag, value]) == 1
+    heads = ["--heads", "1"] if flag == "--d" else []
+    assert main(["gradcheck", flag, value] + heads) == 1
     err = capsys.readouterr().err
     assert f"usage error: {message}\n" in err
     assert "internal error" not in err
@@ -216,7 +228,9 @@ def test_non_finite_loss_exits_3(tmp_path, monkeypatch, capsys):
     (["--stop-at-las", "nan"], "stop_at_las must lie in [0, 100], got nan"),
     (["--lr", "0"], "lr must be a positive finite number, got 0.0"),
     (["--lr", "inf"], "lr must be a positive finite number, got inf"),
-    (["--lr", "nan"], "lr must be a positive finite number, got nan")])
+    (["--lr", "nan"], "lr must be a positive finite number, got nan"),
+    (["--epochs", "-1"], "epochs must be >= 0, got -1"),
+    (["--batch-size", "0"], "batch_size must be >= 1, got 0")])
 def test_train_flag_out_of_range_exits_1(tmp_path, capsys, flags, message):
     out = tmp_path / "m.g2gt"
     argv = ["train", "--train-file", str(FIXTURE), "--model-out", str(out),
@@ -224,6 +238,38 @@ def test_train_flag_out_of_range_exits_1(tmp_path, capsys, flags, message):
     assert main(argv) == 1
     assert capsys.readouterr().err == f"usage error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("files, code, message", [
+    ([], 1, "usage error: training needs train_file"),
+    (["--train-file", "missing.conllu"], 2, "data error: train_file not found: "
+                                            "missing.conllu"),
+    (["--train-file", str(FIXTURE), "--dev-file", "missing.conllu"], 2,
+     "data error: dev_file not found: missing.conllu")])
+def test_train_without_readable_data_exits_before_training(tmp_path, monkeypatch,
+                                                           capsys, files, code, message):
+    monkeypatch.chdir(tmp_path)
+    assert main(["train", "--model-out", "m.g2gt"] + files) == code
+    assert capsys.readouterr().err == f"{message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("text, code, message", [
+    (None, 2, "data error: config file not found: run.yaml"),
+    ("epochs: [1\n", 1, "usage error: cannot parse config run.yaml: "),
+    ("- epochs\n- 1\n", 1, "usage error: config run.yaml must be a flat "
+                            "key-value mapping"),
+    ("", 0, "")])
+def test_config_file_that_is_missing_unparsable_or_not_a_mapping(
+        tmp_path, monkeypatch, capsys, text, code, message):
+    monkeypatch.chdir(tmp_path)
+    if text is not None:
+        (tmp_path / "run.yaml").write_text(text)
+    argv = ["train", "--config", "run.yaml", "--train-file", str(FIXTURE),
+            "--model-out", "m.g2gt", "--epochs", "0"]
+    assert main(argv) == code
+    assert capsys.readouterr().err.startswith(message)
+    assert (tmp_path / "m.g2gt").is_file() == (code == 0)
 
 
 def test_negative_seed_from_environment_exits_1(tmp_path, capsys, monkeypatch):

@@ -23,6 +23,13 @@ def test_two_token_fixture(tmp_path):
     assert corpus[0].tree.deprels == ["discourse", "root"]
 
 
+def test_last_sentence_without_trailing_newline_is_read(tmp_path):
+    f = tmp_path / "open.conllu"
+    f.write_text("1\tHi\t_\t_\t_\t_\t0\troot\t_\t_\n\n"
+                 "1\tthere\t_\t_\t_\t_\t0\troot\t_\t_")
+    assert [s.forms for s in load_conllu(f)] == [["Hi"], ["there"]]
+
+
 def test_comments_and_multiword_ranges_skipped(tmp_path):
     f = tmp_path / "mwt.conllu"
     f.write_text(
@@ -57,6 +64,13 @@ def test_wrong_column_count_reports_line_number(tmp_path):
     f = tmp_path / "bad.conllu"
     f.write_text("1\tword\t_\t_\n")
     with pytest.raises(DataError, match="bad.conllu:1"):
+        load_conllu(f)
+
+
+def test_non_integer_token_id_rejected(tmp_path):
+    f = tmp_path / "badid.conllu"
+    f.write_text("1x\tword\t_\t_\t_\t_\t0\troot\t_\t_\n")
+    with pytest.raises(DataError, match="badid.conllu:1: bad token id '1x'$"):
         load_conllu(f)
 
 
@@ -114,3 +128,8 @@ def test_empty_corpus_writes_empty_file(tmp_path):
 def test_missing_file_is_a_data_error():
     with pytest.raises(DataError, match="cannot read"):
         load_conllu("/nonexistent/nowhere.conllu")
+
+
+def test_unwritable_path_is_a_data_error(tmp_path):
+    with pytest.raises(DataError, match="cannot write"):
+        write_conllu(load_conllu(FIXTURE), tmp_path)

@@ -160,6 +160,10 @@ class TestStructuralValidity:
                 assert is_arborescence([-1, *combo], single_root=single_root) \
                     == (combo in trees), combo
 
+    @pytest.mark.parametrize("root", [-1, 3, 4])
+    def test_root_outside_the_nodes_is_not_an_arborescence(self, root):
+        assert not is_arborescence([-1, 0, 0], root=root)
+
     def test_always_valid_up_to_n12(self):
         checked = 0
         for seed in range(10_000):

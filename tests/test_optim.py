@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from g2gt.autodiff import Record, Tensor, backward, matmul, mul, recording, tensor_sum
 from g2gt.graphs import RelationVocab
 from g2gt.model import DependencyParserModel, ModelConfig
-from g2gt.optim import Adam, ParameterRegistry, adam_step, grad_check
+from g2gt.optim import ParameterRegistry, adam_step, grad_check
 from g2gt.vocab import Vocab
 
 
@@ -68,21 +68,10 @@ class TestAdam:
     def test_state_shapes_match_parameters(self):
         registry, t = self._single([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
         adam_step(registry)
-        state = registry.get("p").state
-        assert state["m"].shape == t.data.shape
-        assert state["v"].shape == t.data.shape
-
-    def test_wrapper_class_matches_function(self):
-        registry, t = self._single([1.0, 1.0, 1.0], [0.2, -0.1, 0.4])
-        opt = Adam(registry, lr=5e-3)
-        opt.step()
-        registry2 = ParameterRegistry()
-        rng = np.random.default_rng(0)
-        t2 = registry2.parameter("p", (3,), rng)
-        t2.data[:] = 1.0
-        t2.grad = np.array([0.2, -0.1, 0.4])
-        adam_step(registry2, lr=5e-3)
-        assert_allclose(t.data, t2.data)
+        arena = registry._arena
+        for moments in (arena.m, arena.v):
+            assert moments.shape == arena.data.shape == (t.data.size,)
+            assert [view.shape for view in arena.views(moments)] == [t.data.shape]
 
 
 def reference_adam(data, grad, m, v, step, lr):
@@ -125,11 +114,12 @@ class TestArena:
                     data[p.name] = data[p.name] * 0.5
                 reference_adam(data[p.name], g, *moments[p.name], step, lr=2e-3)
             adam_step(registry, lr=2e-3)
-        for p in registry:
+        arena = registry._arena
+        for p, arena_m, arena_v in zip(registry, arena.views(arena.m), arena.views(arena.v)):
             m, v = moments[p.name]
             assert p.tensor.data.tobytes() == data[p.name].tobytes(), p.name
-            assert p.state["m"].tobytes() == m.tobytes(), p.name
-            assert p.state["v"].tobytes() == v.tobytes(), p.name
+            assert arena_m.tobytes() == m.tobytes(), p.name
+            assert arena_v.tobytes() == v.tobytes(), p.name
 
     def test_zero_grad_zeroes_views_of_one_buffer_in_place(self):
         registry = parser_registry()

@@ -15,7 +15,7 @@ from numpy.testing import assert_allclose
 from g2gt.checkpoint import checkpoint_load, checkpoint_save
 from g2gt.config import RunConfig, load_config_file
 from g2gt.conllu import Sentence, load_conllu, write_conllu
-from g2gt import training
+from g2gt import optim, training
 from g2gt.errors import CheckpointError, DataError, TrainingError, UsageError
 from g2gt.graphs import DepTree, RelationVocab, empty_graph
 from g2gt.model import DependencyParserModel, ModelConfig
@@ -173,8 +173,33 @@ class TestCheckpoint:
         checkpoint_save(small_model(seed=5), path)
         model = checkpoint_load(path)
         parse_corpus(model, load_conllu(FIXTURE), RefinementConfig())
-        assert all(p.tensor.grad is None and not p.state for p in model.registry)
+        assert all(p.tensor.grad is None for p in model.registry)
         assert model.registry._arena is None
+
+    @pytest.mark.parametrize("damage, message", [
+        ("directory", "cannot read checkpoint"),
+        ("header-past-end", "truncated header"),
+        ("non-utf8-header", "corrupt header"),
+        ("extra-param-entry", "the parameter table disagrees"),
+    ])
+    def test_damaged_file_rejected(self, tmp_path, damage, message):
+        path = tmp_path / "model.g2gt"
+        checkpoint_save(small_model(), path)
+        if damage == "extra-param-entry":     # with the bytes it asks for
+            header = read_header(path)
+            extra = dict(header["params"][-1], name="extra")
+            extra["offset"] += extra["nbytes"]
+            header["params"].append(extra)
+            rewrite_header(path, header)
+            path.write_bytes(path.read_bytes() + bytes(extra["nbytes"]))
+        blob = bytearray(path.read_bytes())
+        if damage == "header-past-end":
+            blob[12:20] = len(blob).to_bytes(8, "little")
+        elif damage == "non-utf8-header":
+            blob[20] = 0xFF
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match=message):
+            checkpoint_load(tmp_path if damage == "directory" else path)
 
     def test_truncated_file_rejected(self, tmp_path):
         model = small_model()
@@ -430,6 +455,23 @@ class TestTrainPipeline:
         for p1, p2 in zip(r1.model.registry, r2.model.registry):
             assert np.array_equal(p1.tensor.data, p2.tensor.data)
         assert (tmp_path / "a.g2gt").read_bytes() == (tmp_path / "b.g2gt").read_bytes()
+
+    def test_every_batch_steps_through_the_optim_module_binding(self, tmp_path,
+                                                                 monkeypatch):
+        # perfbench's tracer times Adam by wrapping g2gt.optim.adam_step;
+        # a step that bypassed this binding would read 0 calls there
+        steps = []
+        adam_step = optim.adam_step
+
+        def counting(registry, lr):
+            steps.append(lr)
+            adam_step(registry, lr)
+
+        monkeypatch.setattr(optim, "adam_step", counting)
+        result = train(self._config(tmp_path, epochs=2, batch_size=2))
+        batches = -(-len(load_conllu(FIXTURE)) // 2)
+        assert len(result.losses) == 2
+        assert steps == [2e-3] * (2 * batches)
 
     @pytest.mark.parametrize("t_train", [1, 2])
     def test_non_finite_loss_stops_training(self, tmp_path, monkeypatch, t_train):
