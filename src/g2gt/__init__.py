@@ -8,14 +8,13 @@ back in until it stops changing.
 
 from .autodiff import (Record, Tensor, backward, layer_norm, matmul, recording,
                        softmax_rows)
-from .attention import (EncoderState, G2GLayerConfig, RelationEmbeddings,
-                        attention_scores, attention_values, encode, first_layer,
-                        init_encoder)
+from .attention import (G2GLayerConfig, RelationEmbeddings, attention_scores,
+                        attention_values, encode, first_layer, init_encoder)
 from .checkpoint import checkpoint_load, checkpoint_save
 from .conllu import Sentence, load_conllu, write_conllu
 from .config import RunConfig, load_config_file
-from .edges import (EdgeScorerParams, EdgeScores, greedy_decode, init_edge_scorer,
-                    label_edges, pooled_head_scores, score_edges)
+from .edges import (EdgeScorerParams, greedy_decode, init_edge_scorer, label_edges,
+                    pooled_head_scores, score_edges)
 from .errors import CheckpointError, DataError, G2GTError, TrainingError, UsageError
 from .graphs import (COREF_VOCAB, DepTree, GraphBatch, LabeledGraph, RelationVocab,
                      dep_tree_to_graph, empty_graph, graph_equals, graph_to_dep_tree,

@@ -22,7 +22,8 @@ The cells' offsets into the tables and the label-range check are also
 computed once per ``encode`` call, not per layer.
 Leading axes ride along: ``encode`` takes one sentence (n, d) with a
 :class:`LabeledGraph`, or a padded batch (B, n_max, d) with a
-:class:`GraphBatch`, and every relation matrix applies to every sentence.
+:class:`GraphBatch`, and returns the node vectors as one tensor of the
+same shape; every relation matrix applies to every sentence.
 Padding keys get -inf before the softmax, so a real node attends to real
 nodes only and its output equals that of encoding its sentence alone.
 
@@ -53,7 +54,6 @@ from .optim import ParameterRegistry
 __all__ = [
     "G2GLayerConfig",
     "RelationEmbeddings",
-    "EncoderState",
     "RelationHeads",
     "LayerTerms",
     "FirstLayer",
@@ -170,13 +170,6 @@ def first_layer(x: Tensor, params: "EncoderParams", cfg: G2GLayerConfig) -> Firs
     return FirstLayer(rel, layer_terms(x, params.layers[0], rel, cfg.heads))
 
 
-@dataclass
-class EncoderState:
-    """Set-of-vectors embedding produced by the encoder."""
-
-    z: Tensor
-
-
 def _split_heads(x: Tensor, heads: int) -> Tensor:
     """(..., m, H*d_h) -> (..., H, m, d_h): head h takes columns h*d_h to (h+1)*d_h."""
     *lead, m, width = x.shape
@@ -192,13 +185,13 @@ def _split_table_heads(rel: Tensor, heads: int) -> Tensor:
     return transpose(reshape(rel, (n_labels, heads, width // heads)), (1, 2, 0))
 
 
-def _head_slice(rel_matrix: Tensor, head: int, d_head: int, split) -> Tensor:
-    """Head ``head`` of a relation matrix split by ``split``, as a stack of one."""
+def _head_slice(rel_matrix: Tensor, d_head: int, split) -> Tensor:
+    """Head 0 of a relation matrix split by ``split``, as a stack of one."""
     width = rel_matrix.shape[1]
-    if width % d_head or not 0 <= head < width // d_head:
-        raise ValueError(f"relation matrix width {width} holds no head {head} "
-                         f"at d_head={d_head}")
-    return gather_rows(split(rel_matrix, width // d_head), [head])
+    if width % d_head:
+        raise ValueError(f"relation matrix width {width} is not a multiple "
+                         f"of d_head={d_head}")
+    return gather_rows(split(rel_matrix, width // d_head), [0])
 
 
 def _node_rows(labels: np.ndarray, stack: Tensor, n_labels: int) -> np.ndarray:
@@ -286,15 +279,16 @@ def _values(alpha: Tensor, v: Tensor, labels: np.ndarray, rows: np.ndarray,
 
 
 def attention_scores(x: Tensor, w_q: Tensor, w_k: Tensor, graph: LabeledGraph,
-                     rel: RelationEmbeddings, cfg: G2GLayerConfig,
-                     head: int = 0) -> Tensor:
-    """Graph-conditioned attention scores for one head, scaled by 1/sqrt(d_head)."""
+                     rel: RelationEmbeddings, cfg: G2GLayerConfig) -> Tensor:
+    """Graph-conditioned attention scores of one head, scaled by 1/sqrt(d_head):
+    the head of width ``w_q.shape[1]`` that reads the relation matrices'
+    first columns."""
     n = x.shape[0]
     q = matmul(x, w_q)
     k = matmul(x, w_k)
     d_head = q.shape[1]
-    rel_q_h = _head_slice(rel.query_rel, head, d_head, _split_table_heads)
-    rel_k_h = (_head_slice(rel.key_rel, head, d_head, _split_table_heads)
+    rel_q_h = _head_slice(rel.query_rel, d_head, _split_table_heads)
+    rel_k_h = (_head_slice(rel.key_rel, d_head, _split_table_heads)
                if cfg.use_key_term else None)
     terms = _layer_terms(reshape(q, (1, n, d_head)), reshape(k, (1, n, d_head)),
                          None, rel_q_h, rel_k_h)
@@ -303,9 +297,9 @@ def attention_scores(x: Tensor, w_q: Tensor, w_k: Tensor, graph: LabeledGraph,
 
 
 def attention_values(alpha: Tensor, x: Tensor, w_v: Tensor, graph: LabeledGraph,
-                     rel: RelationEmbeddings, cfg: G2GLayerConfig,
-                     head: int = 0) -> Tensor:
-    """Attention-weighted values with the relation term added per cell."""
+                     rel: RelationEmbeddings, cfg: G2GLayerConfig) -> Tensor:
+    """Attention-weighted values of one head, as :func:`attention_scores`
+    reads it, with the relation term added per cell."""
     n = x.shape[0]
     if graph.n != n:
         raise ValueError(f"graph has {graph.n} nodes but input has {n} rows")
@@ -316,7 +310,7 @@ def attention_values(alpha: Tensor, x: Tensor, w_v: Tensor, graph: LabeledGraph,
         raise ValueError("alpha rows must sum to 1")
     v = matmul(x, w_v)
     d_head = v.shape[1]
-    rel_v_h = (_head_slice(rel.value_rel, head, d_head, _split_heads)
+    rel_v_h = (_head_slice(rel.value_rel, d_head, _split_heads)
                if cfg.use_value_term else None)
     v = reshape(v, (1, n, d_head))
     rows = None if rel_v_h is None else _node_rows(graph.labels, v, rel_v_h.shape[-2])
@@ -370,8 +364,9 @@ def init_encoder(registry: ParameterRegistry, cfg: G2GLayerConfig, n_labels: int
 
 
 def encode(x: Tensor, graph: LabeledGraph | GraphBatch, params: EncoderParams,
-           cfg: G2GLayerConfig, first: Optional[FirstLayer] = None) -> EncoderState:
-    """Run the stacked graph-conditioned encoder over an embedded sequence.
+           cfg: G2GLayerConfig, first: Optional[FirstLayer] = None) -> Tensor:
+    """Run the stacked graph-conditioned encoder over an embedded sequence;
+    returns the node vectors, shaped as ``x``.
 
     ``x`` is one sentence (n, d) conditioned on a :class:`LabeledGraph`, or
     a padded batch (B, n_max, d) conditioned on a :class:`GraphBatch`.
@@ -406,4 +401,4 @@ def encode(x: Tensor, graph: LabeledGraph | GraphBatch, params: EncoderParams,
         hidden = relu(add(matmul(x, layer.ffn_w1), layer.ffn_b1))
         ffn = add(matmul(hidden, layer.ffn_w2), layer.ffn_b2)
         x = layer_norm(add(x, ffn), layer.ffn_gain, layer.ffn_bias)
-    return EncoderState(z=x)
+    return x

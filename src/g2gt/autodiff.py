@@ -289,12 +289,11 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     return _make(out, (a,), bwd)
 
 
-def tensor_sum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    out = np.add.reduce(a.data, axis=axis, keepdims=keepdims)
+def tensor_sum(a: Tensor) -> Tensor:
+    """The sum of every entry, as a scalar."""
+    out = np.add.reduce(a.data, axis=None)
 
     def bwd(g: np.ndarray) -> None:
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
         _accumulate(a, np.broadcast_to(g, a.data.shape).copy())
 
     return _make(out, (a,), bwd)
@@ -328,13 +327,12 @@ def softmax_rows(x: Tensor) -> Tensor:
     return _make(out, (x,), bwd)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalise each vector along the last axis, then scale and shift."""
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalise each vector along the last axis (variance plus 1e-5 under
+    the square root), then scale and shift."""
     d = x.data.shape[-1] if x.data.ndim else 0
     if d == 0:
         raise ValueError("layer_norm: empty feature axis")
-    if eps <= 0.0:
-        raise ValueError(f"layer_norm: eps must be positive, got {eps}")
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ValueError(
             f"layer_norm: gain/bias must have shape ({d},), "
@@ -343,7 +341,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     mean = np.add.reduce(x.data, axis=-1, keepdims=True) / d
     centred = x.data - mean
     var = np.add.reduce(centred * centred, axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = centred * inv
     out = xhat * gain.data + bias.data
 

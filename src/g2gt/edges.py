@@ -21,11 +21,12 @@ Decoding reads only some labels (a tree only the up, "deprel↑", ones),
 so inference scores only those: :meth:`EdgeScorerParams.for_labels`
 takes their rows of the scorer once per scorer the model builds, and the
 scores' column k is then label k of that subset.  Training scores every
-label for the loss.  A decoder reads one sentence's (n, n, labels) slab
-of :meth:`EdgeScores.cells`, a read-only view.  Its max over labels
-gives the head scores for the MST, and its argmax at each chosen arc
-gives that arc's label; the MST's heads form a tree by construction, so
-labelling does not check them again.
+label for the loss.  The scores stay one (..., n, n, L) tensor on their
+way to the loss and the decoders.  A decoder reads one sentence's
+read-only (n, n, labels) slab of them.  Its max over labels gives the
+head scores for the MST, and its argmax at each chosen arc gives that
+arc's label; the MST's heads form a tree by construction, so labelling
+does not check them again.
 """
 
 from __future__ import annotations
@@ -36,13 +37,11 @@ import numpy as np
 
 from . import autodiff
 from .autodiff import Tensor, matmul
-from .attention import EncoderState
 from .graphs import NONE_LABEL, LabeledGraph
 from .optim import ParameterRegistry
 
 __all__ = [
     "EdgeScorerParams",
-    "EdgeScores",
     "init_edge_scorer",
     "score_edges",
     "greedy_decode",
@@ -101,41 +100,19 @@ def init_edge_scorer(registry: ParameterRegistry, d: int, d_e: int, n_labels: in
     )
 
 
-class EdgeScores:
-    """n x n x |L| label scores of each of B sentences padded to n nodes;
-    cell (i, j) scores "i relates to j".  ``flat`` holds one row per cell,
-    (B*n*n, L), sentence by sentence."""
-
-    __slots__ = ("flat", "n")
-
-    def __init__(self, flat: Tensor, n: int):
-        if flat.shape[0] % (n * n):
-            raise ValueError(
-                f"flat scores have {flat.shape[0]} rows, not a multiple of {n * n}")
-        self.flat = flat
-        self.n = n
-
-    def cells(self) -> np.ndarray:
-        """The scores as a read-only (B, n, n, L) view of ``flat``."""
-        cells = self.flat.data.reshape(-1, self.n, self.n, self.flat.shape[1])
-        cells.flags.writeable = False
-        return cells
-
-
-def score_edges(state: EncoderState, params: EdgeScorerParams) -> EdgeScores:
+def score_edges(z: Tensor, params: EdgeScorerParams) -> Tensor:
     """Score every ordered node pair for every label in parallel.
 
-    ``state.z`` is one sentence (n, d) or a padded batch (B, n, d).
+    ``z`` is one sentence's node vectors (n, d) or a padded batch's
+    (B, n, d); the scores are (n, n, L) or (B, n, n, L), and cell (i, j)
+    scores "i relates to j".
     """
-    z = state.z
-    n = z.shape[-2]
-    return EdgeScores(_biaffine(matmul(z, params.head_proj),
-                                matmul(z, params.tail_proj), params), n)
+    return _biaffine(matmul(z, params.head_proj), matmul(z, params.tail_proj), params)
 
 
 def _biaffine(h: Tensor, t: Tensor, params: EdgeScorerParams) -> Tensor:
     """The (..., n, n, L) cells h_i B_l t_j' + u_l.h_i + v_l.t_j + b_l of the
-    head and tail views (..., n, d_e), flat as (cells, L): one op.
+    head and tail views (..., n, d_e): one op.
 
     Backward adds each view's linear-term gradient before its
     bilinear-term gradient.
@@ -151,8 +128,7 @@ def _biaffine(h: Tensor, t: Tensor, params: EdgeScorerParams) -> Tensor:
     cells += (t_rows @ params.tail_lin.data).reshape(*lead, 1, n, n_labels)
     cells += params.bias.data
 
-    def bwd(g: np.ndarray) -> None:
-        g_cells = g.reshape(cells.shape)
+    def bwd(g_cells: np.ndarray) -> None:
         bias = params.bias
         autodiff._accumulate(bias, autodiff._unbroadcast(g_cells, bias.shape))
         for view, rows, lin, cell_shape in (
@@ -174,9 +150,8 @@ def _biaffine(h: Tensor, t: Tensor, params: EdgeScorerParams) -> Tensor:
             if params.bilinear.requires_grad:
                 autodiff._accumulate(params.bilinear, (t_rows.T @ g_rows).T)
 
-    return autodiff._make(cells.reshape(-1, n_labels),
-                          (h, t, params.bilinear, params.head_lin, params.tail_lin,
-                           params.bias), bwd)
+    return autodiff._make(cells, (h, t, params.bilinear, params.head_lin,
+                                  params.tail_lin, params.bias), bwd)
 
 
 def greedy_decode(slab: np.ndarray) -> LabeledGraph:

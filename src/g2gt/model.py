@@ -25,8 +25,8 @@ import numpy as np
 from .attention import (EncoderParams, G2GLayerConfig, encode, first_layer,
                         init_encoder)
 from .autodiff import Tensor, add, gather_rows
-from .edges import (EdgeScorerParams, EdgeScores, greedy_decode, init_edge_scorer,
-                    label_edges, pooled_head_scores, score_edges)
+from .edges import (EdgeScorerParams, greedy_decode, init_edge_scorer, label_edges,
+                    pooled_head_scores, score_edges)
 from .errors import DataError, UsageError
 from .graphs import COREF_VOCAB, GraphBatch, LabeledGraph, RelationVocab, arc_graph
 from .mst import mst_decode
@@ -137,7 +137,8 @@ class SentenceEncoderModel:
 
 class BatchScorer:
     """Edge scores of B sentences, each conditioned on its own graph, in
-    one pass over the batch padded to its longest sentence.
+    one pass over the batch padded to its longest sentence: a call maps
+    one graph per sentence to one (B, n_max, n_max, labels) tensor.
 
     Made once per batch, it holds the padded embedding, the relation
     matrices split per head with layer 0's attention terms, and each
@@ -161,14 +162,14 @@ class BatchScorer:
         self._edge_params = (model.edge_params if labels is None
                              else model.edge_params.for_labels(labels))
 
-    def __call__(self, graphs: Sequence[LabeledGraph]) -> EdgeScores:
+    def __call__(self, graphs: Sequence[LabeledGraph]) -> Tensor:
         for graph, n in zip(graphs, self.sizes, strict=True):
             if graph.n != n:
                 raise DataError(f"conditioning graph has {graph.n} nodes for {n} tokens")
         model = self._model
-        state = encode(self._x, GraphBatch(graphs), model.encoder, model.layer_cfg,
-                       self._first)
-        return score_edges(state, self._edge_params)
+        z = encode(self._x, GraphBatch(graphs), model.encoder, model.layer_cfg,
+                   self._first)
+        return score_edges(z, self._edge_params)
 
 
 class DependencyParserModel(SentenceEncoderModel):

@@ -1,7 +1,8 @@
 """Maximum spanning arborescence decoding (Chu-Liu/Edmonds).
 
 Score matrices are dependent-major: ``scores[i][j]`` is the score of
-"node j is the head of node i".  Node ``root`` never receives a head.
+"node j is the head of node i".  Node 0 is the root and never receives a
+head.
 Decoding is deterministic: a (super)node's source is the lowest-index
 original node among its best incoming arcs, and a contracted cycle hands
 its source to the first best member in cycle order.
@@ -18,7 +19,7 @@ __all__ = ["mst_decode", "is_arborescence", "reaches_root"]
 NEG_INF = float("-inf")
 
 
-def _chu_liu_edmonds(rows: np.ndarray, root: int, charged: bool) -> np.ndarray:
+def _chu_liu_edmonds(rows: np.ndarray, charged: bool) -> np.ndarray:
     """Best arborescence over the n arc-score rows at the top of ``rows``.
 
     ``rows`` is (2n-1) x n, with -inf on the diagonal and in the root row.
@@ -37,15 +38,15 @@ def _chu_liu_edmonds(rows: np.ndarray, root: int, charged: bool) -> np.ndarray:
     n = rows.shape[1]
     src = rows[:n].argmax(axis=1)
     weight = rows[np.arange(n), src]
-    src[weight == NEG_INF] = root  # a node no arc can reach hangs off the root
-    src, weight = src.tolist() + [root] * (n - 1), weight.tolist() + [0.0] * (n - 1)
+    src[weight == NEG_INF] = 0  # a node no arc can reach hangs off the root
+    src, weight = src.tolist() + [0] * (n - 1), weight.tolist() + [0.0] * (n - 1)
     label, members, cycles = np.arange(n), [], []  # members of nodes n, n+1, ...
     state = [0] * (2 * n - 1)  # 0 unseen, 1 on the path or merged, 2 reaches root
-    state[root] = 2
+    state[0] = 2
 
     def choose(v):  # the lowest-index best source, or the root if none is finite
         u = int(rows[v].argmax())
-        src[v] = u if rows[v, u] > NEG_INF else root
+        src[v] = u if rows[v, u] > NEG_INF else 0
         weight[v] = float(rows[v, src[v]])
 
     def walk(starts):
@@ -74,53 +75,51 @@ def _chu_liu_edmonds(rows: np.ndarray, root: int, charged: bool) -> np.ndarray:
                 state[u] = 2
 
     walk(range(n))
-    live = [v for v in range(n + len(cycles)) if state[v] == 2 and v != root]
-    kids = [v for v in live if src[v] == root]
+    live = [v for v in range(1, n + len(cycles)) if state[v] == 2]
+    kids = [v for v in live if src[v] == 0]
     if charged and len(kids) > 1:
         finite = rows[:n][rows[:n] > NEG_INF]
-        rows[:n + len(cycles), root] -= 1.0 + n * (finite.max() - finite.min())
+        rows[:n + len(cycles), 0] -= 1.0 + n * (finite.max() - finite.min())
         for v in live:
             state[v] = 0
-            if src[v] == root:
+            if src[v] == 0:
                 choose(v)
         walk(kids)
     for v in range(n + len(cycles) - 1, n - 1, -1):
         src[max(cycles[v - n], key=lambda c: rows[c, src[v]] - weight[c])] = src[v]
-    src[root] = -1
+    src[0] = -1
     return np.array(src[:n])
 
 
-def reaches_root(heads, root: int = 0) -> np.ndarray:
-    """Whether each node's chain of heads leads to ``root``, by pointer
-    jumping: after k squarings each node points 2**k heads up.  Every head
-    is a node index, and ``heads[root]`` is ``root``."""
+def reaches_root(heads) -> np.ndarray:
+    """Whether each node's chain of heads leads to the root, node 0, by
+    pointer jumping: after k squarings each node points 2**k heads up.
+    Every head is a node index, and ``heads[0]`` is 0."""
     reach = np.asarray(heads, dtype=np.int64)
     for _ in range(reach.shape[0].bit_length()):
         reach = reach[reach]
-    return reach == root
+    return reach == 0
 
 
-def is_arborescence(heads: np.ndarray | list, root: int = 0,
-                    single_root: bool = False) -> bool:
-    """Structural check: every non-root node reaches root, no cycles.
+def is_arborescence(heads: np.ndarray | list, single_root: bool = False) -> bool:
+    """Structural check: every node reaches the root, node 0, with no cycles.
 
     With ``single_root`` the root must also have exactly one child.
     """
     heads = np.array(heads, dtype=np.int64)
     n = heads.shape[0]
-    if not 0 <= root < n:
+    if n == 0:
         return False
-    heads[root] = root  # a self-head elsewhere is a cycle, never reaching root
+    heads[0] = 0  # a self-head elsewhere is a cycle, never reaching the root
     if ((heads < 0) | (heads >= n)).any():
         return False
-    if single_root and np.count_nonzero(heads == root) != 2:  # root and one child
+    if single_root and np.count_nonzero(heads == 0) != 2:  # root and one child
         return False
-    return bool(reaches_root(heads, root).all())
+    return bool(reaches_root(heads).all())
 
 
-def mst_decode(head_scores: np.ndarray, root: int = 0,
-               single_root: bool = True) -> np.ndarray:
-    """Highest-scoring spanning arborescence rooted at ``root``.
+def mst_decode(head_scores: np.ndarray, single_root: bool = True) -> np.ndarray:
+    """Highest-scoring spanning arborescence rooted at node 0.
 
     Returns the head index per node (-1 for the root itself).  With
     ``single_root`` the root gets exactly one child whenever some tree of
@@ -143,13 +142,11 @@ def mst_decode(head_scores: np.ndarray, root: int = 0,
     n = scores.shape[0]
     if n == 0:
         raise DataError("cannot decode a tree over zero nodes")
-    if not (0 <= root < n):
-        raise DataError(f"root index {root} out of range for n={n}")
     rows = np.empty((2 * n - 1, n))  # rows past n are written as cycles form
     rows[:n] = scores
     np.fill_diagonal(rows, NEG_INF)  # only the top n x n block has a diagonal
-    rows[root] = NEG_INF
+    rows[0] = NEG_INF
     hi = rows[:n].max()
     if not hi < np.inf:
         raise DataError("head scores contain NaN or +inf")
-    return _chu_liu_edmonds(rows, root, single_root and hi > NEG_INF)
+    return _chu_liu_edmonds(rows, single_root and hi > NEG_INF)

@@ -7,9 +7,11 @@ inference and training ask the model once per batch for a scorer (see
 :class:`g2gt.model.BatchScorer`), which computes once what the graph
 cannot change, so an iteration runs only the graph-dependent part of the
 encoder.  Both take a batch in one pass per iteration: its sentences are
-padded to the longest, encoded and scored together, and one step,
-:func:`_decode`, decodes each sentence from its own (n, n, labels) slab
-of the scores, on the columns of the labels its model decodes.
+padded to the longest, encoded and scored together into one
+(B, n, n, labels) tensor, and one step, :func:`_decode`, decodes each
+sentence from its own (n, n, labels) slab of those scores, on the
+columns of the labels its model decodes.  Every slab a decoder gets is
+read-only, and ``_decode`` is where it becomes so.
 
 Inference (:func:`refine_batch`, of which :func:`refine` is the
 one-sentence case) scores only those labels, decodes them in place and
@@ -32,7 +34,6 @@ import numpy as np
 
 from . import autodiff
 from .autodiff import Record, Tensor, add, backward, recording
-from .edges import EdgeScores
 from .errors import DataError, TrainingError, UsageError
 from .graphs import (COREF_VOCAB, GraphBatch, LabeledGraph, RelationVocab,
                      empty_graph, graph_equals)
@@ -136,9 +137,10 @@ def refine_batch(batch: Sequence[Sequence], model,
 
     The model must expose ``scorer(batch, labels)``, whose result has the
     node count of each sentence in ``sizes`` and maps one graph per
-    sentence to :class:`EdgeScores` over ``labels``; ``decode_labels``;
-    ``decode(slab)`` of a read-only (n, n, labels) slab; and a
-    ``rel_vocab``.  Returns one (last graph, trace) pair per sentence.
+    sentence to a (B, n_max, n_max, labels) score tensor over ``labels``;
+    ``decode_labels``; ``decode(slab)`` of a read-only (n, n, labels)
+    slab; and a ``rel_vocab``.  Returns one (last graph, trace) pair per
+    sentence.
     """
     if any(len(tokens) == 0 for tokens in batch):
         raise DataError("cannot refine an empty token sequence")
@@ -149,7 +151,7 @@ def refine_batch(batch: Sequence[Sequence], model,
     for t in range(1, cfg.t_max + 1):
         # this pass's (B, n, n, labels) scores live only while they are
         # decoded, so they are freed before the next pass allocates its own
-        decoded = _decode(model, score(graphs).cells(), score.sizes, active, t, cfg)
+        decoded = _decode(model, score(graphs).data, score.sizes, active, t, cfg)
         for b, new_graph in zip(active, decoded):
             traces[b].steps.append(
                 TraceStep(t, new_graph, graph_equals(new_graph, graphs[b])))
@@ -163,14 +165,16 @@ def refine_batch(batch: Sequence[Sequence], model,
 
 def _decode(model, cells, sizes, which, t, cfg) -> list[LabeledGraph]:
     """The next graph of each sentence b in ``which``: ``model.decode`` of
-    its (n, n, labels) slab ``cells[b, :n, :n]``.  When iteration t's stage
-    mask restricts the labels, the slabs are instead those of one
-    read-only copy of ``cells`` whose columns outside the mask read -inf;
-    ``cells`` itself is never written."""
+    its (n, n, labels) slab ``cells[b, :n, :n]``, read-only.  The slabs are
+    those of a read-only view of ``cells``, or, when iteration t's stage
+    mask restricts the labels, of a read-only copy whose columns outside
+    the mask read -inf; ``cells`` itself is never written."""
     allowed = stage_mask(t, cfg.schedule, model.rel_vocab)
-    if allowed is not None:
+    if allowed is None:
+        cells = cells.view()
+    else:
         cells = np.where(np.isin(model.decode_labels, list(allowed)), cells, -np.inf)
-        cells.flags.writeable = False
+    cells.flags.writeable = False
     return [model.decode(cells[b, :sizes[b], :sizes[b]]) for b in which]
 
 
@@ -187,22 +191,21 @@ def scope_mask(n: int, scope: str) -> np.ndarray:
     raise UsageError(f"unknown scope {scope!r}")
 
 
-def graph_nll(scores: EdgeScores, gold: GraphBatch, scope: str) -> Tensor:
+def graph_nll(scores: Tensor, gold: GraphBatch, scope: str) -> Tensor:
     """Negative log-likelihood of the gold labels under a softmax over
-    labels at every cell of ``scores``, summed over the real, in-scope
-    cells of each graph (a scalar >= 0): one op.
+    labels at every cell of the (B, n, n, L) ``scores``, summed over the
+    real, in-scope cells of each graph (a scalar >= 0): one op.
 
-    The op keeps only the probabilities for backward.  Each in-scope
-    row's gradient is its probabilities less 1 at the gold label; every
-    other row's (padding, or out of scope) is 0.
+    The op works on the cells as (B*n*n, L) rows and keeps only the
+    probabilities for backward.  Each in-scope row's gradient is its
+    probabilities less 1 at the gold label; every other row's (padding,
+    or out of scope) is 0.
     """
-    flat = scores.flat
-    x = flat.data
-    n_labels = x.shape[1]
-    if gold.n != scores.n or len(gold) * gold.n * gold.n != x.shape[0]:
+    n, n_labels = scores.shape[-2:]
+    x = scores.data.reshape(-1, n_labels)
+    if gold.n != n or len(gold) * n * n != x.shape[0]:
         raise DataError(f"{len(gold)} graphs of {gold.n} nodes, but the distribution "
-                        f"covers {x.shape[0] // (scores.n * scores.n)} of "
-                        f"{scores.n} nodes")
+                        f"covers {x.shape[0] // (n * n)} of {n} nodes")
     in_scope = scope_mask(gold.n, scope) & gold.real_cells()
     out_of_scope = ~in_scope & (gold.labels != 0)
     if np.any(out_of_scope):
@@ -222,9 +225,9 @@ def graph_nll(scores: EdgeScores, gold: GraphBatch, scope: str) -> Tensor:
         grad[rows] = soft[rows]
         grad.reshape(-1)[cells] -= 1.0
         grad *= g
-        autodiff._accumulate(flat, grad)
+        autodiff._accumulate(scores, grad.reshape(scores.shape))
 
-    return autodiff._make(loss, (flat,), bwd)
+    return autodiff._make(loss, (scores,), bwd)
 
 
 def refinement_loss(batch: Sequence[tuple], model, cfg: RefinementConfig) -> Tensor:
@@ -257,7 +260,7 @@ def refinement_loss(batch: Sequence[tuple], model, cfg: RefinementConfig) -> Ten
             raise TrainingError(f"iteration {t}: loss is {loss_t.item()}")
         total = loss_t if total is None else add(total, loss_t)
         if t < cfg.t_train:
-            graphs = _decode(model, scores.cells()[..., model.decode_labels], sizes,
+            graphs = _decode(model, scores.data[..., model.decode_labels], sizes,
                              range(len(sizes)), t, cfg)
     return total
 

@@ -17,7 +17,7 @@ from g2gt.autodiff import Tensor, mul, tensor_sum
 from g2gt.checkpoint import checkpoint_load, checkpoint_save
 from g2gt.config import RunConfig
 from g2gt.conllu import load_conllu, write_conllu
-from g2gt.edges import EncoderState, init_edge_scorer, score_edges
+from g2gt.edges import init_edge_scorer, score_edges
 from g2gt.graphs import (DepTree, LabeledGraph, RelationVocab, dep_tree_to_graph,
                          empty_graph, graph_equals, graph_to_dep_tree,
                          permute_graph)
@@ -72,7 +72,7 @@ def test_01_vanilla_reduction():
         n = int(rng.integers(1, 9))
         x = rng.normal(size=(n, 16))
         graph = random_graph(rng, n, 5)
-        z = encode(Tensor(x), graph, params, cfg).z.data
+        z = encode(Tensor(x), graph, params, cfg).data
         oracle = vanilla_encoder_forward(x, encoder_as_numpy_layers(params), heads=4)
         worst = max(worst, float(np.abs(z - oracle).max()))
     elapsed = time.monotonic() - started
@@ -95,7 +95,7 @@ def test_02_gradient_fidelity():
     graph = random_graph(rng, 5, 4)
     probe = Tensor(rng.normal(size=(5, 8)))
     layer_report = grad_check(
-        lambda: tensor_sum(mul(encode(x, graph, params, cfg).z, probe)),
+        lambda: tensor_sum(mul(encode(x, graph, params, cfg), probe)),
         registry, eps=1e-5, threshold=1e-4)
 
     # (b) the biaffine edge scorer: d=8, n=5, |L|=4
@@ -104,10 +104,9 @@ def test_02_gradient_fidelity():
     edge_params = init_edge_scorer(registry_b, 8, 4, 4, rng)
     rescale_parameters(registry_b, 0.5)
     z = Tensor(rng.normal(size=(5, 8)))
-    probe_b = Tensor(rng.normal(size=(25, 4)))
+    probe_b = Tensor(rng.normal(size=(5, 5, 4)))
     scorer_report = grad_check(
-        lambda: tensor_sum(mul(score_edges(EncoderState(z=z), edge_params).flat,
-                               probe_b)),
+        lambda: tensor_sum(mul(score_edges(z, edge_params), probe_b)),
         registry_b, eps=1e-5, threshold=1e-4)
 
     # (c) a full refinement training step, T_train = 2
@@ -259,9 +258,9 @@ def test_08_ablation_independence():
         registry = ParameterRegistry()
         params = init_encoder(registry, cfg, 4, np.random.default_rng(11))
         graph = random_graph(np.random.default_rng(3), 5, 4)
-        before = encode(Tensor(x), graph, params, cfg).z.data.copy()
+        before = encode(Tensor(x), graph, params, cfg).data.copy()
         registry.get(rel_name).tensor.data[:] = rng.normal(size=(4, 8))
-        after = encode(Tensor(x), graph, params, cfg).z.data
+        after = encode(Tensor(x), graph, params, cfg).data
         ok &= bool(np.array_equal(before, after))
     report("08 ablation-independence", ok, "bitwise identical outputs")
 
@@ -285,8 +284,8 @@ def test_09_round_trips(tmp_path):
     checkpoint_save(model, ckpt)
     loaded = checkpoint_load(ckpt)
     forms = ["w1", "w2", "w3"]
-    ckpt_ok = np.array_equal(model.scorer([forms])([empty_graph(4)]).flat.data,
-                             loaded.scorer([forms])([empty_graph(4)]).flat.data)
+    ckpt_ok = np.array_equal(model.scorer([forms])([empty_graph(4)]).data,
+                             loaded.scorer([forms])([empty_graph(4)]).data)
 
     tree_vocab = RelationVocab.from_deprels(["det", "nsubj", "obj", "root"])
     tree_ok = True
@@ -314,8 +313,8 @@ def test_10_permutation_equivariance():
         graph = random_graph(rng, n, 5)
         perm = rng.permutation(n)
         inv = np.argsort(perm)
-        z = encode(Tensor(x), graph, params, cfg).z.data
-        z_perm = encode(Tensor(x[inv]), permute_graph(graph, perm), params, cfg).z.data
+        z = encode(Tensor(x), graph, params, cfg).data
+        z_perm = encode(Tensor(x[inv]), permute_graph(graph, perm), params, cfg).data
         worst = max(worst, float(np.abs(z_perm - z[inv]).max()))
     report("10 permutation-equivariance", worst < 1e-9,
            f"max abs deviation {worst:.2e} over 100 triples")

@@ -208,7 +208,7 @@ class TestEncoder:
         z = encode(Tensor(x), graph, params, cfg)
         oracle = vanilla_encoder_forward(x, encoder_as_numpy_layers(params),
                                          heads=2)
-        assert_allclose(z.z.data, oracle, rtol=0, atol=1e-10)
+        assert_allclose(z.data, oracle, rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("use_key_term,use_value_term",
                              [(True, True), (False, True), (True, False)])
@@ -229,7 +229,7 @@ class TestEncoder:
         z = encode(Tensor(x), graph, params, cfg)
         oracle = vanilla_encoder_forward(x, encoder_as_numpy_layers(params),
                                          heads=2, rel=rel, labels=graph.labels)
-        assert_allclose(z.z.data, oracle, rtol=0, atol=1e-10)
+        assert_allclose(z.data, oracle, rtol=0, atol=1e-10)
 
     def test_permutation_equivariance(self):
         # sending node i to position perm[i] in both input and graph must
@@ -243,9 +243,9 @@ class TestEncoder:
             graph = random_graph(rng, n, 5)
             perm = rng.permutation(n)
             inv = np.argsort(perm)
-            z = encode(Tensor(x), graph, params, cfg).z.data
+            z = encode(Tensor(x), graph, params, cfg).data
             z_perm = encode(Tensor(x[inv]), permute_graph(graph, perm),
-                            params, cfg).z.data
+                            params, cfg).data
             assert_allclose(z_perm, z[inv], rtol=0, atol=1e-9)
 
     def test_single_token_ignores_off_diagonal_relations(self):
@@ -253,8 +253,8 @@ class TestEncoder:
         registry, params = build_encoder(cfg, 3, seed=3)
         rng = np.random.default_rng(0)
         x = rng.normal(size=(1, 4))
-        z1 = encode(Tensor(x), empty_graph(1), params, cfg).z.data
-        z2 = encode(Tensor(x), empty_graph(1), params, cfg).z.data
+        z1 = encode(Tensor(x), empty_graph(1), params, cfg).data
+        z2 = encode(Tensor(x), empty_graph(1), params, cfg).data
         assert_allclose(z1, z2, rtol=0, atol=0)
 
     def test_ablated_key_term_is_bitwise_independent_of_key_relations(self):
@@ -263,9 +263,9 @@ class TestEncoder:
         rng = np.random.default_rng(2)
         x = rng.normal(size=(5, 8))
         graph = random_graph(rng, 5, 4)
-        before = encode(Tensor(x), graph, params, cfg).z.data.copy()
+        before = encode(Tensor(x), graph, params, cfg).data.copy()
         registry.get("encoder.rel.key").tensor.data[:] = rng.normal(size=(4, 8))
-        after = encode(Tensor(x), graph, params, cfg).z.data
+        after = encode(Tensor(x), graph, params, cfg).data
         assert np.array_equal(before, after)
 
     def test_ablated_value_term_is_bitwise_independent_of_value_relations(self):
@@ -274,9 +274,9 @@ class TestEncoder:
         rng = np.random.default_rng(3)
         x = rng.normal(size=(5, 8))
         graph = random_graph(rng, 5, 4)
-        before = encode(Tensor(x), graph, params, cfg).z.data.copy()
+        before = encode(Tensor(x), graph, params, cfg).data.copy()
         registry.get("encoder.rel.value").tensor.data[:] = rng.normal(size=(4, 8))
-        after = encode(Tensor(x), graph, params, cfg).z.data
+        after = encode(Tensor(x), graph, params, cfg).data
         assert np.array_equal(before, after)
 
     def test_graph_size_mismatch_rejected_on_every_view(self):
@@ -307,7 +307,7 @@ class TestEncoder:
         c = Tensor(rng.normal(size=(5, 8)))
 
         def fn():
-            return tensor_sum(mul(encode(x, graph, params, cfg).z, c))
+            return tensor_sum(mul(encode(x, graph, params, cfg), c))
 
         report = grad_check(fn, registry, eps=1e-5)
         assert report.passed, report.max_errors
@@ -328,10 +328,10 @@ class TestPaddedBatch:
         for name in ("query", "key", "value"):
             registry.get(f"encoder.rel.{name}").tensor.data[:] = rng.normal(size=(5, 8))
         graphs, x = self._batch(rng, lengths, 8, 5)
-        z = encode(Tensor(x), GraphBatch(graphs), params, cfg).z.data
+        z = encode(Tensor(x), GraphBatch(graphs), params, cfg).data
         assert z.shape == x.shape
         for b, (n, graph) in enumerate(zip(lengths, graphs)):
-            alone = encode(Tensor(x[b, :n]), graph, params, cfg).z.data
+            alone = encode(Tensor(x[b, :n]), graph, params, cfg).data
             assert_allclose(z[b, :n], alone, rtol=0, atol=1e-12)
 
     def test_padding_keys_get_exactly_zero_attention(self, monkeypatch):

@@ -116,8 +116,7 @@ class TestUntrackedOps:
         b = Tensor(np.ones((2, 3)))
         outs = [add(a, b), mul(a, b), matmul(a, transpose(b)), transpose(a),
                 reshape(a, (3, 2)), gather_rows(a, [1, 0]), relu(a), softmax_rows(a),
-                layer_norm(a, Tensor(np.ones(3)), Tensor(np.zeros(3))),
-                tensor_sum(a, axis=1), tensor_sum(a)]
+                layer_norm(a, Tensor(np.ones(3)), Tensor(np.zeros(3))), tensor_sum(a)]
         for out in outs:
             assert type(out.data) is np.ndarray and out.data.dtype == np.float64
             assert out.requires_grad is False and out.grad is None
@@ -188,11 +187,6 @@ class TestLayerNorm:
     def test_empty_feature_axis_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             layer_norm(Tensor(np.ones((2, 0))), Tensor(np.ones(0)), Tensor(np.ones(0)))
-
-    def test_nonpositive_eps_rejected(self):
-        with pytest.raises(ValueError, match="eps"):
-            layer_norm(Tensor([[1.0]]), Tensor(np.ones(1)), Tensor(np.zeros(1)),
-                       eps=0.0)
 
 
 class TestBackward:
@@ -340,12 +334,12 @@ class TestOperationGradients:
         registry = ParameterRegistry()
         a = registry.parameter("a", (2, 3, 4), rng, std=1.0)
         row = registry.parameter("row", (4,), rng, std=1.0)
-        c = Tensor(rng.normal(size=(2, 4)))
+        c = Tensor(rng.normal())
         c2 = Tensor(rng.normal(size=(2, 3, 4)))
 
         def fn():
-            mid = tensor_sum(a, axis=1)             # (2, 4)
+            total = tensor_sum(a)                   # a scalar, scaled by c
             broad = add(a, row)                     # broadcast over last axis
-            return add(tensor_sum(mul(mid, c)), tensor_sum(mul(broad, c2)))
+            return add(mul(total, c), tensor_sum(mul(broad, c2)))
 
         _check(fn, registry, f"(sum/broadcast, seed {seed})")

@@ -8,11 +8,10 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
-from g2gt.attention import EncoderState
 from g2gt.autodiff import (Record, Tensor, add, backward, matmul, mul, recording,
                            reshape, tensor_sum, transpose)
-from g2gt.edges import (EdgeScores, greedy_decode, init_edge_scorer, label_edges,
-                        pooled_head_scores, score_edges)
+from g2gt.edges import (greedy_decode, init_edge_scorer, label_edges, pooled_head_scores,
+                        score_edges)
 from g2gt.errors import UsageError
 from g2gt.graphs import NONE_LABEL, DepTree, RelationVocab
 from g2gt.model import DependencyParserModel, ModelConfig
@@ -34,7 +33,7 @@ def build_scorer(d, d_e, n_labels, seed):
 
 
 def scores_for(z, params):
-    return score_edges(EncoderState(z=Tensor(z)), params)
+    return score_edges(Tensor(z), params).data
 
 
 def masked(slab, labels, allowed):
@@ -50,7 +49,7 @@ class TestScoreEdges:
             p.tensor.data[:] = 0.0
         rng = np.random.default_rng(1)
         scores = scores_for(rng.normal(size=(4, 6)), params)
-        assert_allclose(scores.cells()[0], 0.0)
+        assert_allclose(scores, 0.0)
 
     def test_scalar_hand_case(self):
         # d_e = 1, h=2, t=3, bilinear=1, no linear terms, no bias -> 6
@@ -62,15 +61,7 @@ class TestScoreEdges:
         registry.get("edge.tail_lin").tensor.data[:] = 0.0
         registry.get("edge.bias").tensor.data[:] = 0.0
         scores = scores_for(np.ones((2, 1)), params)
-        assert_allclose(scores.cells()[0, :, :, 0], 6.0)
-
-    def test_cells_is_a_read_only_view(self):
-        # a decoder's slab is one sentence's block of these cells
-        scores = EdgeScores(Tensor(np.zeros((2 * 2 * 2, 3))), 2)
-        cells = scores.cells()
-        assert cells.shape == (2, 2, 2, 3)
-        assert np.shares_memory(cells[1], scores.flat.data)
-        assert not cells[1].flags.writeable and scores.flat.data.flags.writeable
+        assert_allclose(scores[:, :, 0], 6.0)
 
     def test_against_cell_loop_oracle(self):
         for seed in range(20):
@@ -82,16 +73,16 @@ class TestScoreEdges:
                 z, params.head_proj.data, params.tail_proj.data,
                 np.split(params.bilinear.data, params.n_labels),
                 params.head_lin.data, params.tail_lin.data, params.bias.data)
-            assert_allclose(scores.cells()[0], oracle, rtol=0, atol=1e-12)
+            assert_allclose(scores, oracle, rtol=0, atol=1e-12)
 
     def test_pairwise_independence(self):
         registry, params = build_scorer(5, 3, 3, seed=2)
         rng = np.random.default_rng(3)
         z = rng.normal(size=(4, 5))
-        before = scores_for(z, params).cells()[0]
+        before = scores_for(z, params)
         z2 = z.copy()
         z2[3] += rng.normal(size=5)  # perturb an unrelated node
-        after = scores_for(z2, params).cells()[0]
+        after = scores_for(z2, params)
         assert np.array_equal(before[:3, :3, :], after[:3, :3, :])
 
     def test_d_edge_wider_than_d_rejected(self):
@@ -106,11 +97,10 @@ class TestScoreEdges:
         for n, d, d_e, n_labels, lead in [(4, 6, 3, 5, ()), (26, 64, 32, 76, (1,)),
                                           (101, 64, 32, 76, (1,)), (7, 8, 4, 6, (3,))]:
             registry, params = build_scorer(d, d_e, n_labels, seed=n)
-            state = EncoderState(z=Tensor(np.random.default_rng(n).normal(
-                size=(*lead, n, d))))
-            untracked = score_edges(state, params).flat.data
+            z = Tensor(np.random.default_rng(n).normal(size=(*lead, n, d)))
+            untracked = score_edges(z, params).data
             with recording(Record()):
-                tracked = score_edges(state, params).flat.data
+                tracked = score_edges(z, params).data
             assert untracked.tobytes() == tracked.tobytes()
 
     def test_untracked_peak_memory_and_tracked_tape_budget(self):
@@ -118,19 +108,19 @@ class TestScoreEdges:
         # and the (n*L, d_e) right factor, and nothing else of that order
         n, d, d_e, n_labels = 101, 64, 32, 76
         registry, params = build_scorer(d, d_e, n_labels, seed=0)
-        state = EncoderState(z=Tensor(np.random.default_rng(1).normal(size=(n, d))))
-        score_edges(state, params)
+        z = Tensor(np.random.default_rng(1).normal(size=(n, d)))
+        score_edges(z, params)
         tracemalloc.start()
         try:
-            scores = score_edges(state, params)
+            scores = score_edges(z, params)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert scores.flat.shape == (n * n, n_labels)
+        assert scores.shape == (n, n, n_labels)
         assert peak <= 1.5 * n * n * n_labels * 8
         record = Record()
         with recording(record):
-            score_edges(state, params)
+            score_edges(z, params)
         assert len(record) <= 3      # two projections and the biaffine op
 
     def test_gradients_end_to_end(self):
@@ -138,10 +128,10 @@ class TestScoreEdges:
         rescale_parameters(registry, 0.5)
         rng = np.random.default_rng(5)
         z = Tensor(rng.normal(size=(5, 8)))
-        c = Tensor(rng.normal(size=(25, 4)))
+        c = Tensor(rng.normal(size=(5, 5, 4)))
 
         def fn():
-            return tensor_sum(mul(score_edges(EncoderState(z=z), params).flat, c))
+            return tensor_sum(mul(score_edges(z, params), c))
 
         report = grad_check(fn, registry, eps=1e-5)
         assert report.passed, report.max_errors
@@ -154,8 +144,7 @@ class TestBiaffineOp:
         registry, params = build_scorer(6, 3, 4, seed=30)
         rescale_parameters(registry, 0.5)
         z = np.random.default_rng(31).normal(size=(3, 5, 6))
-        cells = score_edges(EncoderState(z=Tensor(z)), params).flat.data
-        cells = cells.reshape(-1, 5, 5, 4)
+        cells = score_edges(Tensor(z), params).data
         bilinear = np.split(params.bilinear.data, params.n_labels)
         for b, sentence in enumerate(z.reshape(-1, 5, 6)):
             oracle = biaffine_score_loop(
@@ -171,10 +160,10 @@ class TestBiaffineOp:
         rescale_parameters(registry, 0.5)
         rng = np.random.default_rng(33)
         z = registry.parameter("z", (*lead, 5, 6), rng, std=1.0)
-        c = Tensor(rng.normal(size=(int(np.prod(lead)) * 25, 4)))
+        c = Tensor(rng.normal(size=(*lead, 5, 5, 4)))
 
         def fn():
-            return tensor_sum(mul(score_edges(EncoderState(z=z), params).flat, c))
+            return tensor_sum(mul(score_edges(z, params), c))
 
         report = grad_check(fn, registry, eps=1e-5, threshold=1e-4)
         assert report.passed, report.max_errors
@@ -188,12 +177,11 @@ class TestBiaffineOp:
         for fused in (True, False):
             registry, params = build_scorer(d, d_e, n_labels, seed=34)
             z = registry.parameter("z", (*lead, n, d), np.random.default_rng(35), std=1.0)
-            weights = Tensor(np.random.default_rng(36).normal(
-                size=(int(np.prod(lead)) * n * n, n_labels)))
+            weights = Tensor(np.random.default_rng(36).normal(size=(*lead, n, n, n_labels)))
             record = Record()
             with recording(record):
                 if fused:
-                    flat = score_edges(EncoderState(z=z), params).flat
+                    cells = score_edges(z, params)
                 else:
                     h = matmul(z, params.head_proj)
                     t = matmul(z, params.tail_proj)
@@ -204,13 +192,13 @@ class TestBiaffineOp:
                                                (*lead, n, 1, n_labels)))
                     cells = add(cells, reshape(matmul(t, params.tail_lin),
                                                (*lead, 1, n, n_labels)))
-                    flat = reshape(add(cells, params.bias), (-1, n_labels))
+                    cells = add(cells, params.bias)
                 nodes = len(record)
-                loss = tensor_sum(mul(flat, weights))
+                loss = tensor_sum(mul(cells, weights))
             backward(loss, record)
-            runs.append((nodes, flat.data.tobytes(),
+            runs.append((nodes, cells.data.tobytes(),
                          [p.tensor.grad.tobytes() for p in registry]))
-        assert runs[0][0] == 3 and runs[1][0] == 16
+        assert runs[0][0] == 3 and runs[1][0] == 15
         assert runs[0][1:] == runs[1][1:]
 
 

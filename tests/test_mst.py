@@ -12,42 +12,42 @@ from g2gt.mst import is_arborescence, mst_decode
 from oracles import all_arborescences, brute_force_best_tree, reference_mst_decode
 
 
-def _total(scores, heads, root=0):
-    return sum(scores[i, heads[i]] for i in range(len(heads)) if i != root)
+def _total(scores, heads):
+    return sum(scores[i, heads[i]] for i in range(1, len(heads)))
 
 
 @st.composite
 def _masked_integer_scores(draw, min_n=2):
-    """Small-integer scores (so trees tie) with a random -inf mask, and a root."""
+    """Small-integer scores (so trees tie) with a random -inf mask."""
     n = draw(st.integers(min_n, 6))
     values = draw(st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n))
     masked = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
     scores = np.array(values, dtype=np.float64).reshape(n, n)
     scores[np.array(masked).reshape(n, n)] = -np.inf
-    return scores, draw(st.integers(0, n - 1))
+    return scores
 
 
 @st.composite
 def _root_heavy_scores(draw):
     """Scores whose uncharged optimum has two or more root children after a
     contraction: two non-root nodes prefer each other, and every other
-    node prefers the root.  Small integers, a random -inf mask, any root."""
-    scores, root = draw(_masked_integer_scores(min_n=4))
+    node prefers the root.  Small integers and a random -inf mask."""
+    scores = draw(_masked_integer_scores(min_n=4))
     n = len(scores)
-    a, b = draw(st.lists(st.sampled_from([v for v in range(n) if v != root]),
-                         min_size=2, max_size=2, unique=True))
+    a, b = draw(st.lists(st.sampled_from(range(1, n)), min_size=2, max_size=2,
+                         unique=True))
     others = [v for v in range(n) if v not in (a, b)]
-    scores[others, root] = draw(st.integers(4, 8))
+    scores[others, 0] = draw(st.integers(4, 8))
     scores[a, b] = scores[b, a] = 10.0
-    return scores, root
+    return scores
 
 
-def _peaked_root_heavy(rng, n, root):
+def _peaked_root_heavy(rng, n):
     """Near-equal rows with one shared preference per head and a raised root
     column, the shape of untrained parser scores: the charged decode then
     contracts about one cycle per node."""
     scores = rng.normal(size=(n, n)) * 0.1 + rng.normal(size=n) * 2.0
-    scores[:, root] += 3.0
+    scores[:, 0] += 3.0
     return scores
 
 
@@ -125,15 +125,14 @@ class TestAgainstBruteForce:
         assert trial == 1000
 
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(case=_masked_integer_scores(), single_root=st.booleans())
-    def test_ties_and_neg_inf_cells(self, case, single_root):
-        scores, root = case
-        heads = mst_decode(scores, root=root, single_root=single_root)
-        assert is_arborescence(heads, root=root)
-        best, _ = brute_force_best_tree(scores, root=root, single_root=single_root)
+    @given(scores=_masked_integer_scores(), single_root=st.booleans())
+    def test_ties_and_neg_inf_cells(self, scores, single_root):
+        heads = mst_decode(scores, single_root=single_root)
+        assert is_arborescence(heads)
+        best, _ = brute_force_best_tree(scores, single_root=single_root)
         if np.isfinite(best):
-            assert _total(scores, heads, root) == pytest.approx(best, rel=1e-12, abs=1e-9)
-            assert is_arborescence(heads, root=root, single_root=single_root)
+            assert _total(scores, heads) == pytest.approx(best, rel=1e-12, abs=1e-9)
+            assert is_arborescence(heads, single_root=single_root)
 
     def test_score_at_least_random_samples(self):
         rng = np.random.default_rng(77)
@@ -160,10 +159,6 @@ class TestStructuralValidity:
                 assert is_arborescence([-1, *combo], single_root=single_root) \
                     == (combo in trees), combo
 
-    @pytest.mark.parametrize("root", [-1, 3, 4])
-    def test_root_outside_the_nodes_is_not_an_arborescence(self, root):
-        assert not is_arborescence([-1, 0, 0], root=root)
-
     def test_always_valid_up_to_n12(self):
         checked = 0
         for seed in range(10_000):
@@ -187,17 +182,16 @@ class TestStructuralValidity:
 
 class TestResumedCharge:
     @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(case=_root_heavy_scores())
-    def test_finds_the_single_root_optimum(self, case):
-        scores, root = case
-        unconstrained, _ = brute_force_best_tree(scores, root=root)
-        best, _ = brute_force_best_tree(scores, root=root, single_root=True)
+    @given(scores=_root_heavy_scores())
+    def test_finds_the_single_root_optimum(self, scores):
+        unconstrained, _ = brute_force_best_tree(scores)
+        best, _ = brute_force_best_tree(scores, single_root=True)
         assume(best < unconstrained)  # every uncharged optimum has 2+ root children
-        heads = mst_decode(scores, root=root, single_root=True)
-        assert is_arborescence(heads, root=root)
+        heads = mst_decode(scores, single_root=True)
+        assert is_arborescence(heads)
         if np.isfinite(best):
-            assert _total(scores, heads, root) == pytest.approx(best, rel=1e-12, abs=1e-9)
-            assert is_arborescence(heads, root=root, single_root=True)
+            assert _total(scores, heads) == pytest.approx(best, rel=1e-12, abs=1e-9)
+            assert is_arborescence(heads, single_root=True)
 
 
 class TestAgainstReference:
@@ -215,13 +209,13 @@ class TestAgainstReference:
             assert np.array_equal(heads, expected), f"n={n} seed={seed}"
 
     @pytest.mark.parametrize("n", [11, 26, 51, 101])
-    @pytest.mark.parametrize("root", [0, 5])
-    def test_peaked_root_heavy_matrices(self, n, root):
-        rng = np.random.default_rng(1000 * n + root)
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_peaked_root_heavy_matrices(self, n, seed):
+        rng = np.random.default_rng(1000 * n + seed)
         for trial in range(5):
-            scores = _peaked_root_heavy(rng, n, root)
+            scores = _peaked_root_heavy(rng, n)
             for single_root in (True, False):
                 assert np.array_equal(
-                    mst_decode(scores, root=root, single_root=single_root),
-                    reference_mst_decode(scores, root=root, single_root=single_root)), \
+                    mst_decode(scores, single_root=single_root),
+                    reference_mst_decode(scores, single_root=single_root)), \
                     f"trial={trial} single_root={single_root}"

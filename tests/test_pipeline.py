@@ -163,8 +163,8 @@ class TestCheckpoint:
         loaded = checkpoint_load(path)
         forms = ["the", "dog", "barks"]
         g = empty_graph(4)
-        before = model.scorer([forms])([g]).flat.data
-        after = loaded.scorer([forms])([g]).flat.data
+        before = model.scorer([forms])([g]).data
+        after = loaded.scorer([forms])([g]).data
         assert np.array_equal(before, after)  # bitwise
 
     def test_load_and_parse_build_no_optimizer_state(self, tmp_path):

@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 
 from g2gt import autodiff
 from g2gt.autodiff import Record, Tensor, add, backward, recording
-from g2gt.edges import EdgeScores
 from g2gt.errors import DataError, TrainingError, UsageError
 from g2gt.graphs import (COREF_VOCAB, DepTree, GraphBatch, LabeledGraph,
                          RelationVocab, dep_tree_to_graph, empty_graph, graph_equals,
@@ -49,7 +48,7 @@ class ConstantModel:
         n = self.graph.n
 
         def score(graphs):
-            return EdgeScores(Tensor(np.zeros((len(graphs) * n * n, 3))), n)
+            return Tensor(np.zeros((len(graphs), n, n, 3)))
 
         score.sizes = [n] * len(batch)
         return score
@@ -73,7 +72,7 @@ def reference_refine(tokens, model, cfg):
     g = empty_graph(len(model.ids(tokens)))
     steps = [(0, g, False)]
     for t in range(1, cfg.t_max + 1):
-        slab = model.scorer([tokens])([g]).cells()[0][..., model.decode_labels]
+        slab = model.scorer([tokens])([g]).data[0][..., model.decode_labels]
         new_graph = model.decode(stage_masked(slab, model, t, cfg))
         converged = graph_equals(new_graph, g)
         steps.append((t, new_graph, converged))
@@ -173,7 +172,7 @@ class TestStageMask:
 
 
 def uniform_scores(n, n_labels):
-    return EdgeScores(Tensor(np.zeros((n * n, n_labels))), n)
+    return Tensor(np.zeros((1, n, n, n_labels)))
 
 
 def padded_gold(rng, scope, n_labels):
@@ -210,12 +209,12 @@ class TestGraphLogLikelihood:
     def test_in_scope_row_gradients_sum_to_zero_and_others_are_zero(self):
         rng = np.random.default_rng(0)
         gold = padded_gold(rng, "lower", 5)
-        scores = Tensor(rng.normal(size=(len(gold) * 16, 5)), requires_grad=True)
+        scores = Tensor(rng.normal(size=(len(gold), 4, 4, 5)), requires_grad=True)
         record = Record()
         with recording(record):
-            loss = graph_nll(EdgeScores(scores, 4), gold, "lower")
+            loss = graph_nll(scores, gold, "lower")
         backward(loss, record)
-        in_scope = (np.tri(4, dtype=bool) & gold.real_cells()).reshape(-1)
+        in_scope = np.tri(4, dtype=bool) & gold.real_cells()
         assert_allclose(scores.grad[in_scope].sum(axis=1), 0.0, rtol=0, atol=1e-12)
         assert not np.any(scores.grad[~in_scope])
 
@@ -225,10 +224,10 @@ class TestGraphLogLikelihood:
         gold = padded_gold(rng, scope, 6)
         x = rng.normal(scale=2.0, size=(len(gold) * 16, 6))
         expected_loss, expected_grad = chain_nll(x, gold, scope)
-        scores = Tensor(x, requires_grad=True)
+        scores = Tensor(x.reshape(len(gold), 4, 4, 6), requires_grad=True)
         record = Record()
         with recording(record):
-            loss = graph_nll(EdgeScores(scores, 4), gold, scope)
+            loss = graph_nll(scores, gold, scope)
         backward(loss, record)
         assert float.hex(loss.item()) == float.hex(float(expected_loss))
         assert scores.grad.tobytes() == expected_grad.tobytes()
@@ -238,16 +237,16 @@ class TestGraphLogLikelihood:
         rng = np.random.default_rng(4)
         gold = padded_gold(rng, scope, 3)
         registry = ParameterRegistry()
-        scores = registry.parameter("scores", (len(gold) * 16, 3), rng, std=1.0)
-        report = grad_check(lambda: graph_nll(EdgeScores(scores, 4), gold, scope),
+        scores = registry.parameter("scores", (len(gold), 4, 4, 3), rng, std=1.0)
+        report = grad_check(lambda: graph_nll(scores, gold, scope),
                             registry, eps=1e-5)
         assert report.passed, report.max_errors
 
     def test_one_hot_on_gold_gives_zero(self):
         gold = empty_graph(3)
-        raw = np.full((9, 3), -1e9)
-        raw[:, 0] = 0.0  # certain NONE everywhere
-        nll = graph_nll(EdgeScores(Tensor(raw), 3), GraphBatch([gold]), "full")
+        raw = np.full((1, 3, 3, 3), -1e9)
+        raw[..., 0] = 0.0  # certain NONE everywhere
+        nll = graph_nll(Tensor(raw), GraphBatch([gold]), "full")
         assert nll.item() == 0.0
 
     def test_uniform_closed_form(self):
@@ -260,8 +259,8 @@ class TestGraphLogLikelihood:
 
     def test_matches_per_cell_oracle(self):
         rng = np.random.default_rng(5)
-        raw = rng.normal(size=(9, 4))
-        scores = EdgeScores(Tensor(raw), 3)
+        raw = rng.normal(size=(3, 3, 4))
+        scores = Tensor(raw[None])
         labels = np.array([[0, 0, 2], [1, 0, 0], [3, 2, 0]])
         gold = LabeledGraph(labels)
         got = -graph_nll(scores, GraphBatch([gold]), "full").item()
@@ -271,7 +270,7 @@ class TestGraphLogLikelihood:
             for j in range(3):
                 if i == j:
                     continue
-                cell = raw[i * 3 + j]
+                cell = raw[i, j]
                 log_probs = cell - np.log(np.exp(cell - cell.max()).sum()) - cell.max()
                 expected += log_probs[labels[i, j]]
         assert got == pytest.approx(expected, rel=1e-12)
@@ -279,11 +278,11 @@ class TestGraphLogLikelihood:
     def test_never_positive(self):
         for seed in range(50):
             rng = np.random.default_rng(seed)
-            raw = rng.normal(scale=3.0, size=(16, 3))
+            raw = rng.normal(scale=3.0, size=(1, 4, 4, 3))
             labels = rng.integers(0, 3, size=(4, 4))
             labels = np.tril(labels)
             np.fill_diagonal(labels, 0)
-            ll = -graph_nll(EdgeScores(Tensor(raw), 4), GraphBatch([LabeledGraph(labels)]),
+            ll = -graph_nll(Tensor(raw), GraphBatch([LabeledGraph(labels)]),
                             "lower").item()
             assert ll < 0.0
 
@@ -371,7 +370,7 @@ def fresh_scorer_loss(batch, model, cfg):
         scores = model.scorer(tokens)(graphs)
         loss_t = graph_nll(scores, gold, model.scope)
         total = loss_t if total is None else add(total, loss_t)
-        cells = scores.cells()
+        cells = scores.data
         graphs = [model.decode(stage_masked(cells[b, :g.n, :g.n][..., model.decode_labels],
                                             model, t, cfg))
                   for b, g in enumerate(graphs)]
@@ -380,8 +379,8 @@ def fresh_scorer_loss(batch, model, cfg):
 
 def record_decodes(model):
     """Wrap ``model``'s scorer and decode.  Returns two lists that refining
-    then fills: each pass's flat scores with a copy of their bytes, and
-    each decoded slab with the index of its pass."""
+    then fills: each pass's (B, n, n, labels) scores with a copy of their
+    bytes, and each decoded slab with the index of its pass."""
     scorer, decode = model.scorer, model.decode
     passes, slabs = [], []
 
@@ -390,7 +389,7 @@ def record_decodes(model):
 
         def traced_score(graphs):
             scores = score(graphs)
-            passes.append((scores.flat.data, scores.flat.data.tobytes()))
+            passes.append((scores.data, scores.data.tobytes()))
             return scores
 
         traced_score.sizes = score.sizes
@@ -501,8 +500,8 @@ class TestPaddedBatch:
         graphs = [empty_graph(len(forms) + 1) for forms, _ in batch]
         scores = model.scorer([forms for forms, _ in batch])(graphs)
         for b, ((forms, _), graph) in enumerate(zip(batch, graphs)):
-            alone = model.scorer([forms])([graph]).cells()[0]
-            assert_allclose(scores.cells()[b, :graph.n, :graph.n], alone,
+            alone = model.scorer([forms])([graph]).data[0]
+            assert_allclose(scores.data[b, :graph.n, :graph.n], alone,
                             rtol=0, atol=1e-12)
 
     def test_decode_reads_read_only_views_of_each_pass(self):
@@ -519,9 +518,27 @@ class TestPaddedBatch:
         for k, (p, slab) in enumerate(slabs):
             b = k % len(batch)
             n = sizes[b]
-            cells = passes[p][0].reshape(len(batch), max(sizes), max(sizes), up)
-            assert not slab.flags.writeable and np.shares_memory(slab, passes[p][0])
+            cells = passes[p][0]
+            assert cells.shape == (len(batch), max(sizes), max(sizes), up)
+            assert not slab.flags.writeable and np.shares_memory(slab, cells)
             assert slab.shape == (n, n, up) and np.array_equal(slab, cells[b, :n, :n])
+
+    def test_training_decodes_read_only_slabs(self):
+        # training decodes a copy of the decode columns; its slabs are
+        # read-only all the same, unmasked (parser) or masked (coref, t=1)
+        for kind in ("parser", "coref"):
+            model, batch, cfg = self._model_batch_config(kind)
+            decode, slabs = model.decode, []
+
+            def recorded_decode(slab):
+                slabs.append(slab)
+                return decode(slab)
+
+            model.decode = recorded_decode
+            with recording(Record()):
+                refinement_loss(batch, model, cfg)
+            assert cfg.t_train == 2 and len(slabs) == len(batch), kind
+            assert not any(slab.flags.writeable for slab in slabs), kind
 
     def test_stage_mask_is_applied_to_a_read_only_copy_of_the_pass(self):
         # mention-first: iteration 1 decodes each sentence from one masked
@@ -537,9 +554,8 @@ class TestPaddedBatch:
         assert [p for p, _ in slabs] == [0] * len(batch) + [1] * len(batch)
         for k, (p, slab) in enumerate(slabs):
             scores, before = passes[p]
-            cells = scores.reshape(len(batch), max(sizes), max(sizes), 3)
             n = sizes[k % len(batch)]
-            block = cells[k % len(batch), :n, :n]
+            block = scores[k % len(batch), :n, :n]
             assert np.all(np.isfinite(block))
             assert slab.shape == (n, n, 3) and not slab.flags.writeable
             if p == 0:
@@ -601,7 +617,7 @@ def random_graph(model, n, rng):
     return LabeledGraph(labels)
 
 
-class TestSentenceScorer:
+class TestBatchScorer:
     @pytest.mark.parametrize("n", [2, 11, 51])
     @pytest.mark.parametrize("make", [fixture_parser, ud_parser])
     def test_scores_are_the_decode_columns_of_the_full_scores(self, make, n):
@@ -615,9 +631,9 @@ class TestSentenceScorer:
         score = model.scorer([forms], model.decode_labels)
         assert score.sizes == [n]
         for graph in (empty_graph(n), random_graph(model, n, rng)):
-            full = model.scorer([forms])([graph]).flat.data[:, model.decode_labels]
-            got = score([graph]).flat.data
-            assert got.shape == (n * n, len(model.rel_vocab.up_indices()))
+            full = model.scorer([forms])([graph]).data[..., model.decode_labels]
+            got = score([graph]).data
+            assert got.shape == (1, n, n, len(model.rel_vocab.up_indices()))
             assert_allclose(got, full, rtol=0, atol=1e-15 * np.abs(full).max())
 
     @pytest.mark.parametrize("lengths", [(4,), (10, 7, 10), (25, 12), (50,)])
@@ -629,19 +645,19 @@ class TestSentenceScorer:
         rng = np.random.default_rng(len(lengths) + sum(lengths))
         batch = [random_forms(model, count, rng) for count in lengths]
         graphs = [random_graph(model, count + 1, rng) for count in lengths]
-        unrecorded = model.scorer(batch)(graphs).flat.data
+        unrecorded = model.scorer(batch)(graphs).data
         with recording(Record()):
             recorded = model.scorer(batch)(graphs)
-        assert recorded.flat.requires_grad
-        assert recorded.flat.data.tobytes() == unrecorded.tobytes()
+        assert recorded.requires_grad
+        assert recorded.data.tobytes() == unrecorded.tobytes()
 
     def test_coref_model_scores_every_label(self):
         model = coref_fixture(seed=1)
         tokens = [3, 1, 4, 1, 5]
         graph = coref_gold(np.random.default_rng(2), 5)
-        full = model.scorer([tokens])([graph]).flat.data
+        full = model.scorer([tokens])([graph]).data
         assert np.array_equal(
-            model.scorer([tokens], model.decode_labels)([graph]).flat.data, full)
+            model.scorer([tokens], model.decode_labels)([graph]).data, full)
 
     def test_graph_size_mismatch_rejected(self):
         model = parser_fixture()
