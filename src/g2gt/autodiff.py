@@ -7,10 +7,14 @@ differences, so numerical fidelity beats speed.
 Operations record themselves onto the active :class:`Record` (see
 :func:`recording`) whenever at least one input requires gradient.  The
 record is an append-only tape; appending at creation time keeps it in
-topological order, so :func:`backward` is a single reverse sweep.  The
-sweep drops each recorded output's gradient once that output's backward
-function has used it, so only the leaves (the parameters) keep theirs;
-the nodes themselves stay on the record.
+topological order, so :func:`sweep` runs its backward functions in one
+reverse pass, from whatever gradients its outputs hold.  An operation may
+read the outputs of an earlier record: its backward function then leaves
+their gradients in place, and a later sweep of that record carries them
+on.  :func:`backward` seeds a scalar loss and sweeps its record.  A sweep
+drops each recorded output's gradient once that output's backward
+function has used it, so after the last sweep only the leaves (the
+parameters) keep theirs; the nodes themselves stay on the record.
 
 With no active record an operation builds no tape node; recorded or
 not, it makes the same numpy calls on the same memory layouts, and
@@ -31,6 +35,7 @@ __all__ = [
     "recording",
     "active_record",
     "backward",
+    "sweep",
     "add",
     "mul",
     "matmul",
@@ -155,19 +160,27 @@ def _make(out_data: np.ndarray, inputs: Sequence[Tensor],
 
 
 def backward(loss: Tensor, record: Record) -> None:
-    """Run the reverse sweep from a scalar loss over a record.
+    """Seed the scalar ``loss`` with gradient 1 and :func:`sweep` ``record``,
+    the record ``loss`` was computed on.
 
-    Every tracked leaf reachable from ``loss`` gets its ``grad``
-    accumulated; tensors on the record that do not feed the loss are
-    skipped (their output gradient is never populated).  An operation's
-    output gradient is released once its backward function has run, so
-    after the sweep only leaves hold a ``grad``.
+    Every tracked leaf reachable from ``loss`` through the record gets its
+    ``grad`` accumulated, and so does every tracked input the record's
+    operations read from an earlier record; tensors on the record that do
+    not feed the loss are skipped.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad:
         raise ValueError("loss is not connected to the differentiation record")
     loss.grad = np.ones_like(loss.data)
+    sweep(record)
+
+
+def sweep(record: Record) -> None:
+    """Run the reverse sweep over ``record`` from the gradients its outputs
+    already hold, latest first; an output that holds none is skipped.  Each
+    output's gradient is released once its backward function has run, so
+    afterwards no output on the record holds one."""
     for node in reversed(record._nodes):
         g = node.out.grad
         if g is None:

@@ -9,16 +9,21 @@ cannot change, so an iteration runs only the graph-dependent part of the
 encoder.  Both take a batch in one pass per iteration: its sentences are
 padded to the longest, encoded and scored together into one
 (B, n, n, labels) tensor, and one step, :func:`_decode`, decodes each
-sentence from its own (n, n, labels) slab of those scores, on the
-columns of the labels its model decodes.  Every slab a decoder gets is
-read-only, and ``_decode`` is where it becomes so.
+sentence from its own (n, n, labels) slab of that pass's decode columns.
+Every slab a decoder gets is read-only, and ``_decode`` is where it
+becomes so.
 
 Inference (:func:`refine_batch`, of which :func:`refine` is the
 one-sentence case) scores only those labels, decodes them in place and
 stops each sentence once its graph stops changing.  Training scores
-every label and decodes a copy of those columns; it runs a fixed number
-of iterations, conditioning each one on the previous (detached,
-discrete) prediction, and sums the per-iteration losses.
+every label and decodes a view of the decode columns when they are
+evenly spaced; it runs a fixed number of iterations, conditioning each
+one on the previous (detached, discrete) prediction, and sums the
+per-iteration losses.  Since no gradient crosses the decode,
+:func:`train_refinement_step` records each iteration on its own record
+and sweeps it as soon as the iteration has decoded its next graph, so a
+step holds one iteration's tape at a time; the scorer's shared part is
+swept last.
 Each iteration's loss is one op, :func:`graph_nll`: the negative
 log-probability of the gold label under a softmax over labels, summed
 over every real, in-scope cell of every sentence.  Padding cells carry
@@ -28,7 +33,7 @@ NONE and add nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -151,7 +156,8 @@ def refine_batch(batch: Sequence[Sequence], model,
     for t in range(1, cfg.t_max + 1):
         # this pass's (B, n, n, labels) scores live only while they are
         # decoded, so they are freed before the next pass allocates its own
-        decoded = _decode(model, score(graphs).data, score.sizes, active, t, cfg)
+        decoded = _decode(model, score(graphs).data, slice(None), score.sizes, active,
+                          t, cfg)
         for b, new_graph in zip(active, decoded):
             traces[b].steps.append(
                 TraceStep(t, new_graph, graph_equals(new_graph, graphs[b])))
@@ -163,19 +169,31 @@ def refine_batch(batch: Sequence[Sequence], model,
     return list(zip(graphs, traces))
 
 
-def _decode(model, cells, sizes, which, t, cfg) -> list[LabeledGraph]:
+def _decode(model, cells, columns, sizes, which, t, cfg) -> list[LabeledGraph]:
     """The next graph of each sentence b in ``which``: ``model.decode`` of
-    its (n, n, labels) slab ``cells[b, :n, :n]``, read-only.  The slabs are
-    those of a read-only view of ``cells``, or, when iteration t's stage
-    mask restricts the labels, of a read-only copy whose columns outside
-    the mask read -inf; ``cells`` itself is never written."""
+    its (n, n, labels) slab of the decode columns ``cells[..., columns]``,
+    read-only.  The slabs are those of a read-only view of the columns
+    when ``columns`` is a slice (inference's ``slice(None)``, or one from
+    :func:`_decode_columns`), else of a read-only copy; when iteration t's
+    stage mask restricts the labels, of a read-only copy whose columns
+    outside the mask read -inf.  ``cells`` itself is never written."""
+    cells = cells[..., columns]
     allowed = stage_mask(t, cfg.schedule, model.rel_vocab)
-    if allowed is None:
-        cells = cells.view()
-    else:
+    if allowed is not None:
         cells = np.where(np.isin(model.decode_labels, list(allowed)), cells, -np.inf)
     cells.flags.writeable = False
     return [model.decode(cells[b, :sizes[b], :sizes[b]]) for b in which]
+
+
+def _decode_columns(labels: np.ndarray):
+    """The index of the ``labels`` columns of an every-label pass: a slice
+    when they are evenly spaced and increasing, as both models' are, else
+    ``labels`` itself."""
+    found = labels.tolist()
+    step = found[1] - found[0] if len(found) > 1 else 1
+    if found and step > 0 and found == list(range(found[0], found[-1] + 1, step)):
+        return slice(found[0], found[-1] + 1, step)
+    return labels
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +248,8 @@ def graph_nll(scores: Tensor, gold: GraphBatch, scope: str) -> Tensor:
     return autodiff._make(loss, (scores,), bwd)
 
 
-def refinement_loss(batch: Sequence[tuple], model, cfg: RefinementConfig) -> Tensor:
+def refinement_loss(batch: Sequence[tuple], model, cfg: RefinementConfig,
+                    sweep: Optional[Callable[[Tensor, Record], None]] = None) -> Tensor:
     """Summed negative log-likelihood over ``t_train`` refinement iterations.
 
     ``batch`` holds (tokens, gold graph) pairs.  Iteration t scores the
@@ -243,6 +262,11 @@ def refinement_loss(batch: Sequence[tuple], model, cfg: RefinementConfig) -> Ten
     iterations do not backpropagate into each other.  Raises
     :class:`TrainingError` when an iteration's loss is not finite, before
     its prediction is decoded.
+
+    Without ``sweep`` every op goes on the active record.  With it, only
+    the scorer's do; each iteration's go on a record of its own, which
+    ``sweep(loss_t, record_t)`` gets once the iteration has decoded its
+    next graph, and the returned sum carries the value alone.
     """
     score = model.scorer([t for t, _ in batch])
     sizes = score.sizes
@@ -251,17 +275,23 @@ def refinement_loss(batch: Sequence[tuple], model, cfg: RefinementConfig) -> Ten
             raise DataError(f"sentence {k} of {len(batch)}: gold graph has {gold.n} "
                             f"nodes, input needs {n}")
     gold = GraphBatch([g for _, g in batch])
+    columns = _decode_columns(model.decode_labels)
     graphs = [empty_graph(n) for n in sizes]
     total: Optional[Tensor] = None
     for t in range(1, cfg.t_train + 1):
-        scores = score(graphs)
-        loss_t = graph_nll(scores, gold, model.scope)
-        if not np.isfinite(loss_t.data):
-            raise TrainingError(f"iteration {t}: loss is {loss_t.item()}")
-        total = loss_t if total is None else add(total, loss_t)
+        # rebinding frees the previous iteration's record, and with it its tape
+        record = autodiff.active_record() if sweep is None else Record()
+        with recording(record):
+            scores = score(graphs)
+            loss_t = graph_nll(scores, gold, model.scope)
+            if not np.isfinite(loss_t.data):
+                raise TrainingError(f"iteration {t}: loss is {loss_t.item()}")
+            total = loss_t if total is None else add(total, loss_t)
         if t < cfg.t_train:
-            graphs = _decode(model, scores.data[..., model.decode_labels], sizes,
-                             range(len(sizes)), t, cfg)
+            graphs = _decode(model, scores.data, columns, sizes, range(len(sizes)), t, cfg)
+        del scores      # its record alone keeps it, until the record goes
+        if sweep is not None:
+            sweep(loss_t, record)
     return total
 
 
@@ -269,12 +299,17 @@ def train_refinement_step(batch: Sequence[tuple], model,
                           cfg: RefinementConfig) -> float:
     """One training step: accumulate gradients of the refinement loss.
 
-    Gradients are added into the model's parameters; the caller zeroes
-    them beforehand and applies the optimizer afterwards.  Returns the
-    loss value.
+    The scorer's shared part (the embedding, the relation matrices split
+    per head and layer 0's graph-independent terms) is recorded once, and
+    :func:`refinement_loss` hands each iteration's own record to
+    ``backward`` once it has decoded its next graph, so only one
+    iteration's tape is held at a time.  The shared record is swept last,
+    from the gradients the iterations left on its outputs.  Gradients are
+    added into the model's parameters; the caller zeroes them beforehand
+    and applies the optimizer afterwards.  Returns the summed loss.
     """
-    record = Record()
-    with recording(record):
-        loss = refinement_loss(batch, model, cfg)
-    backward(loss, record)
+    shared = Record()
+    with recording(shared):
+        loss = refinement_loss(batch, model, cfg, backward)
+    autodiff.sweep(shared)
     return loss.item()

@@ -159,6 +159,9 @@ class TrainResult:
 def train(config: RunConfig) -> TrainResult:
     """Train a parser from a run configuration; saves the best-dev checkpoint.
 
+    The checkpoint's directory is made before the first epoch; a
+    checkpoint that cannot be written raises :class:`DataError` naming it.
+
     Deterministic for a fixed seed: data order, initialization and the
     update schedule contain no other randomness.
     """
@@ -176,6 +179,14 @@ def train(config: RunConfig) -> TrainResult:
         raise DataError(f"{config.train_file}: no token has a deprel to learn")
     refinement = config.refinement_config()
     model = DependencyParserModel(model_cfg, token_vocab, rel_vocab, seed=config.seed)
+
+    checkpoint_path = Path(config.model_out)
+    try:
+        checkpoint_path.parent.mkdir(parents=True, exist_ok=True)
+        if checkpoint_path.is_dir():
+            raise IsADirectoryError("is a directory")
+    except OSError as exc:
+        raise DataError(f"cannot write checkpoint {checkpoint_path}: {exc}") from exc
 
     batch_items = [(s.forms, dep_tree_to_graph(s.tree, rel_vocab)) for s in train_sents]
     batches = _batches(batch_items, config.batch_size)
@@ -214,9 +225,10 @@ def train(config: RunConfig) -> TrainResult:
     if best_epoch != len(losses):         # a later epoch moved the parameters on
         for p, data in zip(model.registry, best_state):
             p.tensor.data[...] = data
-    checkpoint_path = Path(config.model_out)
-    checkpoint_path.parent.mkdir(parents=True, exist_ok=True)
-    checkpoint_save(model, checkpoint_path)
+    try:
+        checkpoint_save(model, checkpoint_path)
+    except OSError as exc:
+        raise DataError(f"cannot write checkpoint {checkpoint_path}: {exc}") from exc
     log.info("saved checkpoint %s (best epoch %d)", checkpoint_path, best_epoch)
     return TrainResult(model=model, checkpoint_path=checkpoint_path, losses=losses,
                        dev_reports=dev_reports, best_epoch=best_epoch)

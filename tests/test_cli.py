@@ -254,6 +254,35 @@ def test_train_without_readable_data_exits_before_training(tmp_path, monkeypatch
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("model_out", ["pytest.ini/m.g2gt", "pytest.ini/sub/m.g2gt", "."])
+def test_unwritable_checkpoint_exits_2_before_training(tmp_path, monkeypatch, capsys,
+                                                       model_out):
+    # a path under a regular file, or a directory, used to train every
+    # epoch and then exit 3 with "internal error: [Errno 17] File exists"
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pytest.ini").write_text("")
+    steps = []
+    monkeypatch.setattr("g2gt.training.train_refinement_step",
+                        lambda *args: steps.append(args))
+    assert main(["train", "--train-file", str(FIXTURE), "--model-out", model_out]
+                + SMALL_FLAGS) == 2
+    assert capsys.readouterr().err.startswith(
+        f"data error: cannot write checkpoint {model_out}: ")
+    assert steps == [] and sorted(tmp_path.iterdir()) == [tmp_path / "pytest.ini"]
+
+
+def test_checkpoint_write_failure_is_a_data_error(tmp_path, monkeypatch, capsys):
+    def fail(model, path):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr("g2gt.training.checkpoint_save", fail)
+    out = tmp_path / "m.g2gt"
+    assert main(["train", "--train-file", str(FIXTURE), "--model-out", str(out),
+                 "--epochs", "0"]) == 2
+    assert capsys.readouterr().err == (f"data error: cannot write checkpoint {out}: "
+                                       f"[Errno 13] Permission denied: '{out}'\n")
+
+
 @pytest.mark.parametrize("text, code, message", [
     (None, 2, "data error: config file not found: run.yaml"),
     ("epochs: [1\n", 1, "usage error: cannot parse config run.yaml: "),

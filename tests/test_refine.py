@@ -15,8 +15,9 @@ from g2gt.graphs import (COREF_VOCAB, DepTree, GraphBatch, LabeledGraph,
                          graph_to_dep_tree)
 from g2gt.model import DependencyParserModel, MentionCorefModel, ModelConfig
 from g2gt.optim import ParameterRegistry, adam_step, grad_check
-from g2gt.refine import (RefinementConfig, graph_nll, refine, refine_batch,
-                         refinement_loss, stage_mask, train_refinement_step)
+from g2gt.refine import (RefinementConfig, _decode_columns, graph_nll, refine,
+                         refine_batch, refinement_loss, stage_mask,
+                         train_refinement_step)
 from g2gt.config import RunConfig
 from g2gt.conllu import Sentence, load_conllu
 from g2gt.training import BUCKET_CELLS, length_buckets, parse_corpus, train
@@ -329,6 +330,32 @@ class TestTrainingStep:
         assert all(np.isfinite(losses))
         assert losses[-1] < 0.5 * losses[0]
 
+    @pytest.mark.parametrize("t_train", [1, 2, 3])
+    def test_step_equals_one_whole_tape_backward(self, t_train):
+        # the step sweeps each iteration's record on its own, then the
+        # shared one: the same loss, and the gradients of one sweep over one
+        # record of every iteration, up to the order of their sums; no
+        # record keeps an output's gradient
+        corpus = load_conllu(FIXTURE)
+        relations = build_vocabs(corpus)[1]
+        batch = [(s.forms, dep_tree_to_graph(s.tree, relations)) for s in corpus[4:6]]
+        cfg = RefinementConfig(t_train=t_train)
+        whole = fixture_parser()
+        whole_loss, whole_grads = loss_and_gradients(batch, whole, cfg)
+        stepped = fixture_parser()
+        stepped.registry.zero_grad()
+        loss, records = step_records(batch, stepped, cfg)
+        assert loss.hex() == whole_loss.hex()
+        assert len(records) == t_train + 1
+        assert all(node.out.grad is None for r in records for node in r._nodes)
+        for p in stepped.registry:
+            expected = whole_grads[p.name]
+            if t_train == 1:
+                assert p.tensor.grad.tobytes() == expected.tobytes(), p.name
+            else:
+                assert_allclose(p.tensor.grad, expected, rtol=1e-10,
+                                atol=1e-12 * np.abs(expected).max(), err_msg=p.name)
+
     def test_gradcheck_through_two_iterations(self):
         vocab = Vocab.from_forms(["a", "b", "c", "d"])
         rel_vocab = RelationVocab.from_deprels(["x"])  # NONE, UNK, x up, x down
@@ -401,6 +428,24 @@ def record_decodes(model):
 
     model.scorer, model.decode = traced_scorer, recorded_decode
     return passes, slabs
+
+
+def step_records(batch, model, cfg):
+    """The loss of ``train_refinement_step`` and the records it sweeps, in
+    the order it sweeps them: one per iteration, then the scorer's shared
+    one."""
+    sweep, records = autodiff.sweep, []
+
+    def recorded_sweep(record):
+        records.append(record)
+        sweep(record)
+
+    autodiff.sweep = recorded_sweep
+    try:
+        loss = train_refinement_step(batch, model, cfg)
+    finally:
+        autodiff.sweep = sweep
+    return loss, records
 
 
 def loss_and_gradients(batch, model, cfg, loss_fn=refinement_loss):
@@ -524,8 +569,8 @@ class TestPaddedBatch:
             assert slab.shape == (n, n, up) and np.array_equal(slab, cells[b, :n, :n])
 
     def test_training_decodes_read_only_slabs(self):
-        # training decodes a copy of the decode columns; its slabs are
-        # read-only all the same, unmasked (parser) or masked (coref, t=1)
+        # training's slabs are read-only, unmasked (parser) or masked
+        # (coref, t=1)
         for kind in ("parser", "coref"):
             model, batch, cfg = self._model_batch_config(kind)
             decode, slabs = model.decode, []
@@ -539,6 +584,35 @@ class TestPaddedBatch:
                 refinement_loss(batch, model, cfg)
             assert cfg.t_train == 2 and len(slabs) == len(batch), kind
             assert not any(slab.flags.writeable for slab in slabs), kind
+
+    @pytest.mark.parametrize("kind", ["parser", "coref"])
+    def test_training_decodes_views_of_each_pass(self, kind):
+        # the decode columns are evenly spaced (the parser's up labels, all
+        # of coref's), so every non-final iteration decodes a view of its
+        # pass; each decode used to read a fancy-indexed copy of them
+        model, batch, _ = self._model_batch_config(kind)
+        passes, slabs = record_decodes(model)
+        with recording(Record()):
+            refinement_loss(batch, model, RefinementConfig(t_train=3))
+        assert len(passes) == 3
+        assert [p for p, _ in slabs] == [0] * len(batch) + [1] * len(batch)
+        columns = model.decode_labels
+        for k, (p, slab) in enumerate(slabs):
+            cells = passes[p][0]
+            n = batch[k % len(batch)][1].n
+            assert not slab.flags.writeable and np.shares_memory(slab, cells)
+            assert np.array_equal(slab, cells[k % len(batch), :n, :n][..., columns])
+
+    @pytest.mark.parametrize("labels, view", [
+        ([2, 4, 6], True), ([0, 1, 2], True), ([3], True),
+        ([0, 2, 1], False), ([1, 2, 4], False), ([4, 2], False), ([], False)],
+        ids=["step-2", "step-1", "one", "unsorted", "uneven", "decreasing", "none"])
+    def test_decode_columns_are_a_slice_when_evenly_spaced(self, labels, view):
+        labels = np.array(labels, dtype=np.intp)
+        columns = _decode_columns(labels)
+        assert isinstance(columns, slice) == view
+        cells = np.arange(2 * 8.0).reshape(2, 8)
+        assert np.array_equal(cells[..., columns], cells[..., labels])
 
     def test_stage_mask_is_applied_to_a_read_only_copy_of_the_pass(self):
         # mention-first: iteration 1 decodes each sentence from one masked
@@ -587,6 +661,12 @@ class TestPaddedBatch:
         with recording(record):
             refinement_loss(batch, model, RefinementConfig(t_train=2))
         assert len(record) <= 117
+        # a training step: the scorer's shared part, then one record per
+        # iteration (the later ones add the running loss sum)
+        _, records = step_records(batch, model, RefinementConfig(t_train=3))
+        lengths = [len(r) for r in records]
+        assert len(lengths) == 4
+        assert all(k <= most for k, most in zip(lengths, [47, 48, 48, 22])), lengths
 
 
 FIXTURE = Path(__file__).parent / "fixtures" / "toy_treebank.conllu"
@@ -907,12 +987,15 @@ class TestTrainingMemory:
         for a, b in zip(released.registry, kept.registry, strict=True):
             assert a.tensor.grad.tobytes() == b.tensor.grad.tobytes(), a.name
 
-    def test_a_ud_sized_step_peaks_below_20_score_arrays(self):
+    @pytest.mark.parametrize("t_train", [2, 3])
+    def test_a_ud_sized_step_peaks_below_14_score_arrays(self, t_train):
         # 68.8 while the score, value and biaffine chains were many ops whose
         # outputs and gradients all lived until the step ended; 25.4 while the
         # loss chain kept its log-probabilities, a flat copy of them and their
         # exponentials; 21.4 while recorded reshapes, transposes and the
-        # biaffine op's transposed blocks were copies
+        # biaffine op's transposed blocks were copies; 19.0 at t_train 2 and
+        # 25.5 at t_train 3 while every iteration's tape lived until one sweep
+        # at the end of the step.  12.56 now, at both
         model = ud_parser()
         deprels = [f"dep{i}" for i in range(37)]
         rng = np.random.default_rng(0)
@@ -921,7 +1004,7 @@ class TestTrainingMemory:
             tree = DepTree(*random_tree(rng, 20, deprels))
             batch.append((random_forms(model, 20, rng),
                           dep_tree_to_graph(tree, model.rel_vocab)))
-        cfg = RefinementConfig(t_train=2)
+        cfg = RefinementConfig(t_train=t_train)
         train_refinement_step(batch, model, cfg)
         model.registry.zero_grad()
         tracemalloc.start()
@@ -931,4 +1014,4 @@ class TestTrainingMemory:
         finally:
             tracemalloc.stop()
         scores = 4 * 21 * 21 * len(model.rel_vocab) * 8
-        assert peak <= 20 * scores
+        assert peak <= 14 * scores
