@@ -27,12 +27,18 @@ same shape; every relation matrix applies to every sentence.
 Padding keys get -inf before the softmax, so a real node attends to real
 nodes only and its output equals that of encoding its sentence alone.
 
-Each layer's scores (q k', the two table reads, the 1/sqrt(d_h) scaling
-and the key mask) are one autodiff op, and so are its values (alpha v and
-the histogram term); the softmax between them stays a separate op.  Each
-fused op's forward and backward make the numpy calls that the chain of
-generic ops (gathers, adds, a scaling, products, a bincount) made, in the
-same order and on the same memory layouts, so their outputs and
+Each chain of a layer is one autodiff op: each of the q, k and v
+projections with its head split; q k'; each label table (a plain
+``matmul``); the scores (q k' plus the two table reads, scaled by
+1/sqrt(d_h), plus the key mask); the softmax; the values (alpha v and the
+histogram term); the attention output (the head merge, w_o, the residual
+and its layer norm); and the feed-forward sublayer (both linear maps, the
+relu, the residual and its layer norm).  So a layer records at most 11
+nodes, and 5 when its terms come from ``first``.  Each fused op's
+forward and backward make the numpy calls that the chain of generic ops
+made, in the same order and on the same memory layouts, and add into an
+input that the chain reached more than once (a layer's input feeds its
+residual and its three projections) in the chain's order, so outputs and
 gradients are bit-identical to the chain's, while the tape holds one
 output per chain instead of every intermediate.
 """
@@ -46,8 +52,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import autodiff
-from .autodiff import (Tensor, add, gather_rows, layer_norm, matmul, relu,
-                       reshape, softmax_rows, transpose)
+from .autodiff import (Tensor, gather_rows, matmul, reshape, softmax_rows,
+                       transpose)
 from .graphs import GraphBatch, LabeledGraph
 from .optim import ParameterRegistry
 
@@ -141,7 +147,7 @@ class LayerTerms:
 
 def _layer_terms(q: Tensor, k: Tensor, v: Optional[Tensor], rel_q: Tensor,
                  rel_k: Optional[Tensor]) -> LayerTerms:
-    return LayerTerms(qk=matmul(q, transpose(k)), q_table=matmul(q, rel_q),
+    return LayerTerms(qk=_qk(q, k), q_table=matmul(q, rel_q),
                       k_table=None if rel_k is None else matmul(k, rel_k), v=v)
 
 
@@ -149,10 +155,49 @@ def layer_terms(x: Tensor, layer: "LayerParams", rel: RelationHeads,
                 heads: int) -> LayerTerms:
     """The graph-independent attention terms of ``layer`` on input ``x``,
     (n, d) or (B, n, d)."""
-    q = _split_heads(matmul(x, layer.w_q), heads)
-    k = _split_heads(matmul(x, layer.w_k), heads)
-    v = _split_heads(matmul(x, layer.w_v), heads)
+    q = _project_heads(x, layer.w_q, heads)
+    k = _project_heads(x, layer.w_k, heads)
+    v = _project_heads(x, layer.w_v, heads)
     return _layer_terms(q, k, v, rel.query, rel.key)
+
+
+def _head_axes(rank: int) -> tuple[int, ...]:
+    """The axes that swap the head and node axes of a (..., n, H, d_h) or
+    (..., H, n, d_h) array of ``rank``; the swap is its own inverse."""
+    return (*range(rank - 3), rank - 2, rank - 3, rank - 1)
+
+
+def _project_heads(x: Tensor, w: Tensor, heads: int) -> Tensor:
+    """x w split per head, (..., n, d) -> (..., H, n, d_h), a view of the
+    product in which head h takes columns h*d_h to (h+1)*d_h: one op."""
+    *lead, n, d = x.shape
+    width = w.shape[1]
+    rows = x.data.reshape(-1, d)
+    axes = _head_axes(len(lead) + 3)
+    out = (rows @ w.data).reshape(*lead, n, heads, width // heads).transpose(axes)
+
+    def bwd(g: np.ndarray) -> None:
+        g_rows = g.transpose(axes).reshape(-1, width)
+        if x.requires_grad:
+            autodiff._accumulate(x, (g_rows @ w.data.T).reshape(x.data.shape))
+        if w.requires_grad:
+            autodiff._accumulate(w, rows.T @ g_rows)
+
+    return autodiff._make(out, (x, w), bwd)
+
+
+def _qk(q: Tensor, k: Tensor) -> Tensor:
+    """The dot products q k' of every head, (..., H, n, n), of (..., H, n, d_h)
+    projections: one op."""
+    out = q.data @ np.swapaxes(k.data, -1, -2)
+
+    def bwd(g: np.ndarray) -> None:
+        if q.requires_grad:
+            autodiff._accumulate(q, g @ k.data)
+        if k.requires_grad:
+            autodiff._accumulate(k, np.swapaxes(np.swapaxes(q.data, -1, -2) @ g, -1, -2))
+
+    return autodiff._make(out, (q, k), bwd)
 
 
 class FirstLayer(NamedTuple):
@@ -173,9 +218,8 @@ def first_layer(x: Tensor, params: "EncoderParams", cfg: G2GLayerConfig) -> Firs
 def _split_heads(x: Tensor, heads: int) -> Tensor:
     """(..., m, H*d_h) -> (..., H, m, d_h): head h takes columns h*d_h to (h+1)*d_h."""
     *lead, m, width = x.shape
-    r = len(lead)
     return transpose(reshape(x, (*lead, m, heads, width // heads)),
-                     (*range(r), r + 1, r, r + 2))
+                     _head_axes(len(lead) + 3))
 
 
 def _split_table_heads(rel: Tensor, heads: int) -> Tensor:
@@ -388,17 +432,69 @@ def encode(x: Tensor, graph: LabeledGraph | GraphBatch, params: EncoderParams,
     rel, terms = first
     rows = _node_rows(labels, terms.q_table, terms.q_table.shape[-1])
     d_head = cfg.d // cfg.heads
-    r = len(lead)
-    merge = (*range(r), r + 1, r, r + 2)
 
     for index, layer in enumerate(params.layers):
         if index > 0:
             terms = layer_terms(x, layer, rel, cfg.heads)
         alpha = softmax_rows(_scores(terms, labels, rows, d_head, padding))
-        heads = _values(alpha, terms.v, labels, rows, rel.value)
-        attn = matmul(reshape(transpose(heads, merge), (*lead, n, cfg.d)), layer.w_o)
-        x = layer_norm(add(x, attn), layer.attn_gain, layer.attn_bias)
-        hidden = relu(add(matmul(x, layer.ffn_w1), layer.ffn_b1))
-        ffn = add(matmul(hidden, layer.ffn_w2), layer.ffn_b2)
-        x = layer_norm(add(x, ffn), layer.ffn_gain, layer.ffn_bias)
+        x = _attention_output(_values(alpha, terms.v, labels, rows, rel.value), x, layer)
+        x = _feed_forward(x, layer)
     return x
+
+
+def _attention_output(heads: Tensor, x: Tensor, layer: LayerParams) -> Tensor:
+    """The attention sublayer's output layer_norm(x + merge(heads) w_o) of
+    the (..., H, n, d_h) head outputs and the (..., n, d) input: one op."""
+    d = x.shape[-1]
+    axes = _head_axes(heads.data.ndim)
+    merged = heads.data.transpose(axes)                  # (..., n, H, d_h)
+    rows = merged.reshape(-1, d)                         # a copy
+    out, xhat, inv = autodiff._layer_norm_forward(
+        x.data + (rows @ layer.w_o.data).reshape(x.data.shape),
+        layer.attn_gain, layer.attn_bias)
+
+    def bwd(g: np.ndarray) -> None:
+        g_sum = autodiff._layer_norm_backward(g, xhat, inv, layer.attn_gain,
+                                              layer.attn_bias)
+        autodiff._accumulate(x, g_sum)
+        g_rows = g_sum.reshape(-1, d)
+        if heads.requires_grad:
+            g_merged = (g_rows @ layer.w_o.data.T).reshape(merged.shape)
+            autodiff._accumulate(heads, g_merged.transpose(axes))
+        autodiff._accumulate(layer.w_o, rows.T @ g_rows)
+
+    return autodiff._make(out, (heads, x, layer.w_o, layer.attn_gain, layer.attn_bias),
+                          bwd)
+
+
+def _feed_forward(x: Tensor, layer: LayerParams) -> Tensor:
+    """The feed-forward sublayer layer_norm(x + relu(x w1 + b1) w2 + b2) of
+    the (..., n, d) input: one op."""
+    d = x.shape[-1]
+    rows = x.data.reshape(-1, d)
+    hidden = rows @ layer.ffn_w1.data + layer.ffn_b1.data
+    mask = hidden > 0.0
+    hidden = hidden * mask
+    out, xhat, inv = autodiff._layer_norm_forward(
+        x.data + (hidden @ layer.ffn_w2.data + layer.ffn_b2.data).reshape(x.data.shape),
+        layer.ffn_gain, layer.ffn_bias)
+
+    def bwd(g: np.ndarray) -> None:
+        # the biases' gradients are summed over the input's leading axes in
+        # turn, as a broadcast add's backward sums them
+        g_sum = autodiff._layer_norm_backward(g, xhat, inv, layer.ffn_gain,
+                                              layer.ffn_bias)
+        autodiff._accumulate(x, g_sum)
+        autodiff._accumulate(layer.ffn_b2, autodiff._unbroadcast(
+            g_sum, layer.ffn_b2.data.shape))
+        g_rows = g_sum.reshape(-1, d)
+        g_hidden = (g_rows @ layer.ffn_w2.data.T) * mask
+        autodiff._accumulate(layer.ffn_w2, hidden.T @ g_rows)
+        autodiff._accumulate(layer.ffn_b1, autodiff._unbroadcast(
+            g_hidden.reshape(*x.shape[:-1], -1), layer.ffn_b1.data.shape))
+        if x.requires_grad:
+            autodiff._accumulate(x, (g_hidden @ layer.ffn_w1.data.T).reshape(x.data.shape))
+        autodiff._accumulate(layer.ffn_w1, rows.T @ g_hidden)
+
+    return autodiff._make(out, (x, layer.ffn_w1, layer.ffn_b1, layer.ffn_w2,
+                                layer.ffn_b2, layer.ffn_gain, layer.ffn_bias), bwd)

@@ -19,6 +19,17 @@ parameters) keep theirs; the nodes themselves stay on the record.
 With no active record an operation builds no tape node; recorded or
 not, it makes the same numpy calls on the same memory layouts, and
 ``reshape`` and ``transpose`` return views.
+
+A backward function hands each input its gradient through
+:func:`_accumulate`, which copies the first gradient a tensor gets (an
+op may hand one array to two inputs, or a view of its output's gradient)
+and adds every later one in place, in sweep order.  The encoder and the
+edge scorer run fused ops: one op for a chain of the generic ops here,
+making the chain's numpy calls in its order.  A fused op keeps the
+chain's intermediates as arrays of its own, not tensors, so their
+gradients are neither recorded nor copied; only the op's inputs go
+through ``_accumulate``.  ``layer_norm``'s arithmetic is shared with the
+fused ops that end in one.
 """
 
 from __future__ import annotations
@@ -121,6 +132,7 @@ def recording(record: Record):
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    """Add ``g`` into ``t.grad`` when ``t`` requires gradient."""
     if not t.requires_grad:
         return
     if t.grad is None:
@@ -350,22 +362,37 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         raise ValueError(
             f"layer_norm: gain/bias must have shape ({d},), "
             f"got {gain.data.shape} and {bias.data.shape}")
+    out, xhat, inv = _layer_norm_forward(x.data, gain, bias)
+
+    def bwd(g: np.ndarray) -> None:
+        _accumulate(x, _layer_norm_backward(g, xhat, inv, gain, bias))
+
+    return _make(out, (x, gain, bias), bwd)
+
+
+def _layer_norm_forward(x: np.ndarray, gain: Tensor,
+                        bias: Tensor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`layer_norm`'s arithmetic on the array ``x``: the output, and
+    the normalised input and inverse deviation that backward reads."""
+    d = x.shape[-1]
     # sum / d is what ndarray.mean computes, without its per-call overhead
-    mean = np.add.reduce(x.data, axis=-1, keepdims=True) / d
-    centred = x.data - mean
+    mean = np.add.reduce(x, axis=-1, keepdims=True) / d
+    centred = x - mean
     var = np.add.reduce(centred * centred, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = centred * inv
-    out = xhat * gain.data + bias.data
+    return xhat * gain.data + bias.data, xhat, inv
 
-    def bwd(g: np.ndarray) -> None:
-        _accumulate(gain, _unbroadcast(g * xhat, gain.data.shape).reshape(gain.data.shape))
-        _accumulate(bias, _unbroadcast(g, bias.data.shape).reshape(bias.data.shape))
-        if x.requires_grad:
-            gx = g * gain.data
-            # standard layer-norm input gradient
-            gmean = np.add.reduce(gx, axis=-1, keepdims=True) / d
-            gdot = np.add.reduce(gx * xhat, axis=-1, keepdims=True) / d
-            _accumulate(x, inv * (gx - gmean - xhat * gdot))
 
-    return _make(out, (x, gain, bias), bwd)
+def _layer_norm_backward(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray,
+                         gain: Tensor, bias: Tensor) -> np.ndarray:
+    """Accumulate the gradients of ``gain`` and ``bias`` from the output's
+    ``g``, and return the input's."""
+    _accumulate(gain, _unbroadcast(g * xhat, gain.data.shape).reshape(gain.data.shape))
+    _accumulate(bias, _unbroadcast(g, bias.data.shape).reshape(bias.data.shape))
+    d = g.shape[-1]
+    gx = g * gain.data
+    # standard layer-norm input gradient
+    gmean = np.add.reduce(gx, axis=-1, keepdims=True) / d
+    gdot = np.add.reduce(gx * xhat, axis=-1, keepdims=True) / d
+    return inv * (gx - gmean - xhat * gdot)

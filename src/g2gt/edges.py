@@ -9,13 +9,14 @@ products; the linear terms and the bias are then added by broadcasting,
 in place into the product.  A padded batch of B sentences is scored in
 the same products, as (B, n_max, n_max, L) cells.
 
-Past the two projections, the bilinear products, the linear terms and the
-bias are one autodiff op, so the tape holds one output and no
-intermediate score arrays.  Its forward and backward make the numpy calls
-that a chain of generic ops (transpose, matmul, reshape, add) makes, in
-the same order and on the same memory layouts, B' and the transposed
-(n*L, d_e) block as views, so its scores and gradients are bit-identical
-to the chain's, recorded or not.
+The whole scorer is one autodiff op: the two projections, the bilinear
+products, the linear terms and the bias, so the tape holds one output and
+no intermediate views or score arrays.  Its forward and backward make the
+numpy calls that a chain of generic ops (matmul, transpose, reshape, add)
+makes, in the same order and on the same memory layouts, B' and the
+transposed (n*L, d_e) block as views, and add the two views' gradients
+into the node vectors in the chain's order, so its scores and gradients
+are bit-identical to the chain's, recorded or not.
 
 Decoding reads only some labels (a tree only the up, "deprel↑", ones),
 so inference scores only those: :meth:`EdgeScorerParams.for_labels`
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff
-from .autodiff import Tensor, matmul
+from .autodiff import Tensor
 from .graphs import NONE_LABEL, LabeledGraph
 from .optim import ParameterRegistry
 
@@ -105,25 +106,22 @@ def score_edges(z: Tensor, params: EdgeScorerParams) -> Tensor:
 
     ``z`` is one sentence's node vectors (n, d) or a padded batch's
     (B, n, d); the scores are (n, n, L) or (B, n, n, L), and cell (i, j)
-    scores "i relates to j".
+    scores "i relates to j": h_i B_l t_j' + u_l.h_i + v_l.t_j + b_l of the
+    head and tail views h and t of ``z``, as one op.
+
+    Backward gives each view its linear-term gradient, then its bilinear
+    one, and ``z`` the tail view's gradient before the head view's.
     """
-    return _biaffine(matmul(z, params.head_proj), matmul(z, params.tail_proj), params)
-
-
-def _biaffine(h: Tensor, t: Tensor, params: EdgeScorerParams) -> Tensor:
-    """The (..., n, n, L) cells h_i B_l t_j' + u_l.h_i + v_l.t_j + b_l of the
-    head and tail views (..., n, d_e): one op.
-
-    Backward adds each view's linear-term gradient before its
-    bilinear-term gradient.
-    """
-    *lead, n, d_e = h.shape
+    *lead, n, d = z.shape
+    d_e = params.bilinear.shape[1]
     n_labels = params.n_labels
-    h_rows = h.data.reshape(-1, d_e)
-    t_rows = t.data.reshape(-1, d_e)
+    z_rows = z.data.reshape(-1, d)
+    h_rows = z_rows @ params.head_proj.data
+    t_rows = z_rows @ params.tail_proj.data
+    h = h_rows.reshape(*lead, n, d_e)
     # row j*L + l of bt is t_j B_l', so (h bt')[i, j*L + l] = h_i B_l t_j'
     bt = (t_rows @ params.bilinear.data.T).reshape(*lead, n * n_labels, d_e)
-    cells = (h.data @ np.swapaxes(bt, -1, -2)).reshape(*lead, n, n, n_labels)
+    cells = (h @ np.swapaxes(bt, -1, -2)).reshape(*lead, n, n, n_labels)
     cells += (h_rows @ params.head_lin.data).reshape(*lead, n, 1, n_labels)
     cells += (t_rows @ params.tail_lin.data).reshape(*lead, 1, n, n_labels)
     cells += params.bias.data
@@ -131,27 +129,28 @@ def _biaffine(h: Tensor, t: Tensor, params: EdgeScorerParams) -> Tensor:
     def bwd(g_cells: np.ndarray) -> None:
         bias = params.bias
         autodiff._accumulate(bias, autodiff._unbroadcast(g_cells, bias.shape))
-        for view, rows, lin, cell_shape in (
-                (t, t_rows, params.tail_lin, (*lead, 1, n, n_labels)),
-                (h, h_rows, params.head_lin, (*lead, n, 1, n_labels))):
-            g_lin = autodiff._unbroadcast(g_cells, cell_shape).reshape(-1, n_labels)
-            if view.requires_grad:
-                autodiff._accumulate(view, (g_lin @ lin.data.T).reshape(view.shape))
-            if lin.requires_grad:
-                autodiff._accumulate(lin, rows.T @ g_lin)
-        g_bilinear = g_cells.reshape(*lead, n, n * n_labels)
-        if h.requires_grad:
-            autodiff._accumulate(h, g_bilinear @ bt)
-        if t.requires_grad or params.bilinear.requires_grad:
-            g_bt = np.swapaxes(np.swapaxes(h.data, -1, -2) @ g_bilinear, -1, -2)
-            g_rows = g_bt.reshape(-1, n_labels * d_e)
-            if t.requires_grad:
-                autodiff._accumulate(t, (g_rows @ params.bilinear.data).reshape(t.shape))
-            if params.bilinear.requires_grad:
-                autodiff._accumulate(params.bilinear, (t_rows.T @ g_rows).T)
 
-    return autodiff._make(cells, (h, t, params.bilinear, params.head_lin,
-                                  params.tail_lin, params.bias), bwd)
+        def linear(rows: np.ndarray, lin: Tensor, cell_shape: tuple) -> np.ndarray:
+            g_lin = autodiff._unbroadcast(g_cells, cell_shape).reshape(-1, n_labels)
+            autodiff._accumulate(lin, rows.T @ g_lin)
+            return (g_lin @ lin.data.T).reshape(*lead, n, d_e)
+
+        g_t = linear(t_rows, params.tail_lin, (*lead, 1, n, n_labels))
+        g_h = linear(h_rows, params.head_lin, (*lead, n, 1, n_labels))
+        g_bilinear = g_cells.reshape(*lead, n, n * n_labels)
+        g_h += g_bilinear @ bt
+        g_bt = np.swapaxes(np.swapaxes(h, -1, -2) @ g_bilinear, -1, -2)
+        g_rows = g_bt.reshape(-1, n_labels * d_e)
+        g_t += (g_rows @ params.bilinear.data).reshape(g_t.shape)
+        autodiff._accumulate(params.bilinear, (t_rows.T @ g_rows).T)
+        for g_view, proj in ((g_t, params.tail_proj), (g_h, params.head_proj)):
+            g_view = g_view.reshape(-1, d_e)
+            if z.requires_grad:
+                autodiff._accumulate(z, (g_view @ proj.data.T).reshape(z.data.shape))
+            autodiff._accumulate(proj, z_rows.T @ g_view)
+
+    return autodiff._make(cells, (z, params.head_proj, params.tail_proj, params.bilinear,
+                                  params.head_lin, params.tail_lin, params.bias), bwd)
 
 
 def greedy_decode(slab: np.ndarray) -> LabeledGraph:

@@ -63,6 +63,11 @@ class RelationVocab:
         self.scheme = scheme
         self._index = {label: i for i, label in enumerate(self.labels)}
         self._up = _frozen([i for i, label in enumerate(self.labels) if label.endswith(UP)])
+        # entry i: whether label i is an up label; one more entry, False,
+        # stands for every index past the vocab
+        self._is_up = np.zeros(len(self.labels) + 1, dtype=bool)
+        self._is_up[self._up] = True
+        self._is_up.setflags(write=False)
         self._down = _frozen([self.down_index(label[:-1]) if label.endswith(UP)
                               else UNK_LABEL for label in self.labels])
 
@@ -89,6 +94,11 @@ class RelationVocab:
     def up_indices(self) -> np.ndarray:
         """Indices of all "↑"-type labels, in vocab order (read-only)."""
         return self._up
+
+    def is_up(self, labels: np.ndarray) -> np.ndarray:
+        """Whether each of ``labels`` is an "↑" label; an index outside the
+        vocab is not."""
+        return self._is_up.take(labels, mode="clip")
 
     def down_of(self, up_labels) -> np.ndarray:
         """The "↓" label of each "↑" label; UNK for UNK, and for an "↑"
@@ -250,7 +260,7 @@ def graph_to_dep_tree(graph: LabeledGraph, vocab: RelationVocab) -> DepTree:
     row gives an up label; rejects graphs that are not trees."""
     if vocab.scheme != "bidirectional":
         raise ValueError("graph_to_dep_tree needs a bidirectional relation vocab")
-    is_up = np.isin(graph.labels[1:], vocab.up_indices())
+    is_up = vocab.is_up(graph.labels[1:])
     found = is_up.sum(axis=1)
     if np.any(found != 1):
         k = int(np.flatnonzero(found != 1)[0])

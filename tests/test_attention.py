@@ -5,11 +5,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from g2gt.attention import (EncoderParams, G2GLayerConfig, LayerParams, LayerTerms,
-                            RelationEmbeddings, _node_rows, _scores, _values,
-                            attention_scores, attention_values, encode,
+                            RelationEmbeddings, _attention_output, _feed_forward,
+                            _node_rows, _project_heads, _qk, _scores, _split_heads,
+                            _values, attention_scores, attention_values, encode,
                             first_layer, init_encoder)
-from g2gt.autodiff import (Record, Tensor, add, backward, gather_rows, mul,
-                           recording, reshape, softmax_rows, tensor_sum)
+from g2gt.autodiff import (Record, Tensor, add, backward, gather_rows, layer_norm,
+                           matmul, mul, recording, relu, reshape, softmax_rows,
+                           tensor_sum, transpose)
 from g2gt.graphs import GraphBatch, LabeledGraph, empty_graph, permute_graph
 from g2gt.optim import ParameterRegistry, grad_check
 
@@ -512,3 +514,175 @@ class TestValueOp:
 
         report = grad_check(fn, registry, eps=1e-5, threshold=1e-4)
         assert report.passed, report.max_errors
+
+
+# the chains of generic ops that each sublayer op replaced
+
+
+def generic_project_heads(x, w, heads):
+    return _split_heads(matmul(x, w), heads)
+
+
+def generic_qk(q, k):
+    return matmul(q, transpose(k))
+
+
+def generic_attention_output(heads, x, layer):
+    r = x.data.ndim - 2
+    merged = reshape(transpose(heads, (*range(r), r + 1, r, r + 2)), x.shape)
+    return layer_norm(add(x, matmul(merged, layer.w_o)), layer.attn_gain, layer.attn_bias)
+
+
+def generic_feed_forward(x, layer):
+    hidden = relu(add(matmul(x, layer.ffn_w1), layer.ffn_b1))
+    return layer_norm(add(x, add(matmul(hidden, layer.ffn_w2), layer.ffn_b2)),
+                      layer.ffn_gain, layer.ffn_bias)
+
+
+def generic_encode(x, graph, params, cfg):
+    """``encode`` with every sublayer op as the chain of generic ops it
+    replaced."""
+    labels = np.expand_dims(graph.labels, -3)
+    padding = graph.key_mask() if isinstance(graph, GraphBatch) else None
+    rel = params.rel.heads(cfg)
+    rows = None
+    for layer in params.layers:
+        q, k, v = (generic_project_heads(x, w, cfg.heads)
+                   for w in (layer.w_q, layer.w_k, layer.w_v))
+        terms = LayerTerms(generic_qk(q, k), matmul(q, rel.query),
+                           None if rel.key is None else matmul(k, rel.key), v)
+        if rows is None:
+            rows = _node_rows(labels, terms.q_table, terms.q_table.shape[-1])
+        alpha = softmax_rows(_scores(terms, labels, rows, cfg.d // cfg.heads, padding))
+        x = generic_attention_output(_values(alpha, terms.v, labels, rows, rel.value),
+                                     x, layer)
+        x = generic_feed_forward(x, layer)
+    return x
+
+
+SUBLAYER_CFG = G2GLayerConfig(d=8, heads=2, d_ff=12, n_layers=1)
+D_HEAD = SUBLAYER_CFG.d // SUBLAYER_CFG.heads
+
+# each op: its inputs' shapes past the leading axes, the op, the chain it
+# replaced, and the number of nodes that chain recorded
+SUBLAYER_OPS = {
+    "project_heads": (
+        {"x": (5, 8)},
+        lambda t, layer: _project_heads(t["x"], layer.w_q, SUBLAYER_CFG.heads),
+        lambda t, layer: generic_project_heads(t["x"], layer.w_q, SUBLAYER_CFG.heads),
+        3),
+    "qk": (
+        {"q": (2, 5, D_HEAD), "k": (2, 5, D_HEAD)},
+        lambda t, layer: _qk(t["q"], t["k"]),
+        lambda t, layer: generic_qk(t["q"], t["k"]),
+        2),
+    "attention_output": (
+        {"heads": (2, 5, D_HEAD), "x": (5, 8)},
+        lambda t, layer: _attention_output(t["heads"], t["x"], layer),
+        lambda t, layer: generic_attention_output(t["heads"], t["x"], layer),
+        5),
+    "feed_forward": (
+        {"x": (5, 8)},
+        lambda t, layer: _feed_forward(t["x"], layer),
+        lambda t, layer: generic_feed_forward(t["x"], layer),
+        7),
+}
+
+
+def sublayer_case(op, lead, seed):
+    """A layer's parameters and the op's inputs, all in one registry, with
+    non-trivial norm gains and biases; the op's inputs by name; and fixed
+    weights for a loss that reads the op's output and each of its inputs."""
+    shapes = SUBLAYER_OPS[op][0]
+    registry, params = build_encoder(SUBLAYER_CFG, 4, seed)
+    rescale_parameters(registry, 0.5)
+    rng = np.random.default_rng(seed)
+    for p in registry:
+        if "norm" in p.name:
+            p.tensor.data[:] = rng.normal(size=p.tensor.shape)
+    inputs = {name: registry.parameter(name, (*lead, *shape), rng, std=1.0)
+              for name, shape in shapes.items()}
+    weights = {name: Tensor(rng.normal(size=t.shape)) for name, t in inputs.items()}
+    return registry, params.layers[0], inputs, weights
+
+
+def sublayer_loss(out, inputs, weights, rng):
+    """A loss that reads the op's output, then every input: the inputs'
+    own terms reach their gradients first, as a later reader's would."""
+    loss = tensor_sum(mul(out, Tensor(rng.normal(size=out.shape))))
+    for name, t in inputs.items():
+        loss = add(loss, tensor_sum(mul(t, weights[name])))
+    return loss
+
+
+def grad_bytes(registry):
+    return [(p.name, None if p.tensor.grad is None else p.tensor.grad.tobytes())
+            for p in registry]
+
+
+class TestSublayerOps:
+    """Each chain of an encoder layer as one op: the bits of the chain of
+    generic ops it replaced, recorded and not, and central differences."""
+
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["sentence", "batch"])
+    @pytest.mark.parametrize("op", sorted(SUBLAYER_OPS))
+    def test_bits_of_the_generic_chain(self, op, lead):
+        _, fused, generic, chain_nodes = SUBLAYER_OPS[op]
+        runs = []
+        for build in (fused, generic):
+            registry, layer, inputs, weights = sublayer_case(op, lead, 40)
+            unrecorded = build(inputs, layer).data.tobytes()
+            record = Record()
+            with recording(record):
+                out = build(inputs, layer)
+                nodes = len(record)
+                loss = sublayer_loss(out, inputs, weights, np.random.default_rng(41))
+            backward(loss, record)
+            assert out.data.tobytes() == unrecorded
+            runs.append((nodes, out.data.tobytes(), grad_bytes(registry)))
+        assert runs[0][0] == 1 and runs[1][0] == chain_nodes
+        assert runs[0][1:] == runs[1][1:]
+
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["sentence", "batch"])
+    @pytest.mark.parametrize("op", sorted(SUBLAYER_OPS))
+    def test_gradients(self, op, lead):
+        fused = SUBLAYER_OPS[op][1]
+        registry, layer, inputs, weights = sublayer_case(op, lead, 42)
+
+        def fn():
+            return sublayer_loss(fused(inputs, layer), inputs, weights,
+                                 np.random.default_rng(43))
+
+        report = grad_check(fn, registry, eps=1e-5, threshold=1e-4)
+        assert report.passed, report.max_errors
+
+    @pytest.mark.parametrize("use_key_term, use_value_term",
+                             [(True, True), (False, True), (True, False)])
+    @pytest.mark.parametrize("lengths", [None, (4, 2, 5)], ids=["sentence", "padded"])
+    def test_encoder_bits_of_the_generic_chain(self, lengths, use_key_term,
+                                               use_value_term):
+        # two layers, so a layer's input reaches its residual and its three
+        # projections, and their gradients add up in the chain's order
+        cfg = G2GLayerConfig(d=8, heads=2, d_ff=12, n_layers=2,
+                             use_key_term=use_key_term, use_value_term=use_value_term)
+        rng = np.random.default_rng(44)
+        if lengths is None:
+            graph, shape = random_graph(rng, 5, 4), (5, cfg.d)
+        else:
+            graph = GraphBatch([random_graph(rng, n, 4) for n in lengths])
+            shape = (len(lengths), graph.n, cfg.d)
+        weights = Tensor(rng.normal(size=shape))
+        runs = []
+        for run in (encode, generic_encode):
+            registry, params = build_encoder(cfg, 4, 45)
+            rescale_parameters(registry, 0.5)
+            x = registry.parameter("x", shape, np.random.default_rng(46), std=1.0)
+            unrecorded = run(x, graph, params, cfg).data.tobytes()
+            record = Record()
+            with recording(record):
+                z = run(x, graph, params, cfg)
+                loss = tensor_sum(mul(z, weights))
+            backward(loss, record)
+            assert z.data.tobytes() == unrecorded
+            runs.append((z.data.tobytes(), grad_bytes(registry)))
+        assert runs[0] == runs[1]

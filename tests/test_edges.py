@@ -138,7 +138,7 @@ class TestScoreEdges:
 
 
 class TestBiaffineOp:
-    """score_edges as two projections and one biaffine op."""
+    """score_edges as one op: the two projections and the biaffine cells."""
 
     def test_padded_batch_against_cell_loop_oracle(self):
         registry, params = build_scorer(6, 3, 4, seed=30)
@@ -170,14 +170,16 @@ class TestBiaffineOp:
 
     @pytest.mark.parametrize("lead", [(), (3,)])
     def test_bits_of_the_generic_chain(self, lead):
-        # the op replaced a recorded chain of transposes, reshapes, products
-        # and broadcast adds: same scores, same gradients
+        # the op replaced a recorded chain of the two projections,
+        # transposes, reshapes, products and broadcast adds: same scores,
+        # recorded or not, and same gradients
         n, d, d_e, n_labels = 6, 8, 4, 5
         runs = []
         for fused in (True, False):
             registry, params = build_scorer(d, d_e, n_labels, seed=34)
             z = registry.parameter("z", (*lead, n, d), np.random.default_rng(35), std=1.0)
             weights = Tensor(np.random.default_rng(36).normal(size=(*lead, n, n, n_labels)))
+            unrecorded = score_edges(z, params).data.tobytes()
             record = Record()
             with recording(record):
                 if fused:
@@ -196,9 +198,10 @@ class TestBiaffineOp:
                 nodes = len(record)
                 loss = tensor_sum(mul(cells, weights))
             backward(loss, record)
+            assert cells.data.tobytes() == unrecorded
             runs.append((nodes, cells.data.tobytes(),
                          [p.tensor.grad.tobytes() for p in registry]))
-        assert runs[0][0] == 3 and runs[1][0] == 15
+        assert runs[0][0] == 1 and runs[1][0] == 15
         assert runs[0][1:] == runs[1][1:]
 
 

@@ -87,6 +87,23 @@ class TestTreeGraphConversion:
         assert back.heads == tree.heads
         assert back.deprels == tree.deprels
 
+    def test_is_up_matches_the_up_indices(self):
+        labels = np.arange(len(VOCAB) + 3)
+        assert np.array_equal(VOCAB.is_up(labels), np.isin(labels, VOCAB.up_indices()))
+        assert not VOCAB.is_up(labels[len(VOCAB):]).any()
+
+    def test_label_outside_the_vocab_is_not_up(self):
+        # a LabeledGraph need not know the vocab's size: an index past it is
+        # neither an arc nor an IndexError
+        tree = DepTree([2, 0, 2], ["det", "root", "nsubj"])
+        labels = dep_tree_to_graph(tree, VOCAB).labels.copy()
+        labels[1, 3] = labels[3, 1] = len(VOCAB)      # no arc joins tokens 1 and 3
+        back = graph_to_dep_tree(LabeledGraph(labels), VOCAB)
+        assert (back.heads, back.deprels) == (tree.heads, tree.deprels)
+        labels[1, 2] = len(VOCAB) + 5                 # token 1's up label
+        with pytest.raises(DataError, match="token 1 has 0 head attachments"):
+            graph_to_dep_tree(LabeledGraph(labels), VOCAB)
+
     def test_all_none_graph_rejected(self):
         with pytest.raises(DataError, match="not a tree"):
             graph_to_dep_tree(empty_graph(4), VOCAB)

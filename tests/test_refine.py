@@ -21,7 +21,7 @@ from g2gt.refine import (RefinementConfig, _decode_columns, graph_nll, refine,
 from g2gt.config import RunConfig
 from g2gt.conllu import Sentence, load_conllu
 from g2gt.training import BUCKET_CELLS, length_buckets, parse_corpus, train
-from g2gt.vocab import Vocab, build_vocabs
+from g2gt.vocab import UNK, Vocab, build_vocabs
 
 from oracles import random_tree, rescale_parameters
 
@@ -371,6 +371,26 @@ class TestTrainingStep:
                             model.registry, eps=1e-5)
         assert report.passed, report.max_errors
 
+    def test_gradcheck_through_a_second_layer(self):
+        # a layer past 0 computes its terms from the previous layer's output
+        # on each iteration; the batch is padded and its longer sentence ends
+        # in a form out of the vocabulary
+        vocab = Vocab.from_forms(["a", "b", "c", "d"])
+        rel_vocab = RelationVocab.from_deprels(["x", "y"])
+        cfg = ModelConfig(d=8, heads=2, d_ff=16, layers=2, d_edge=4, max_len=8)
+        model = DependencyParserModel(cfg, vocab, rel_vocab, seed=1)
+        rescale_parameters(model.registry, 0.5)
+        batch = [(["a", "b", "c"], DepTree([0, 1, 1], ["x", "y", "x"])),
+                 (["d", "c", "b", "a", "zz"], DepTree([2, 0, 2, 5, 2],
+                                                      ["y", "x", "x", "y", "x"]))]
+        batch = [(forms, dep_tree_to_graph(tree, rel_vocab)) for forms, tree in batch]
+        assert model.token_vocab.encode_with_root(["zz"])[-1] == UNK
+        refinement = RefinementConfig(t_train=2)
+
+        report = grad_check(lambda: refinement_loss(batch, model, refinement),
+                            model.registry, eps=1e-5, threshold=1e-4)
+        assert report.passed, report.max_errors
+
 
 def coref_fixture(seed=0):
     model = MentionCorefModel(
@@ -645,7 +665,8 @@ class TestPaddedBatch:
         # 451 for a two-sentence step at t_train=2; 213 for that step before
         # its iterations shared one scorer; 108 and 191 before the score,
         # value and biaffine chains were one op each; 125 before the loss
-        # was one op
+        # was one op; 68 and 117 before each sublayer chain and the whole
+        # edge scorer were one op each
         corpus = load_conllu(Path(__file__).parent / "fixtures" / "toy_treebank.conllu")
         tokens, relations = build_vocabs(corpus)
         model = DependencyParserModel(
@@ -654,19 +675,20 @@ class TestPaddedBatch:
         record = Record()
         with recording(record):
             model.scorer([corpus[0].forms])([empty_graph(corpus[0].n + 1)])
-        assert len(record) <= 68
+        assert len(record) <= 32
         batch = [(s.forms, dep_tree_to_graph(s.tree, relations)) for s in corpus[4:6]]
         assert batch[0][1].n != batch[1][1].n      # padded, so the masks count
         record = Record()
         with recording(record):
             refinement_loss(batch, model, RefinementConfig(t_train=2))
-        assert len(record) <= 117
+        assert len(record) <= 52
         # a training step: the scorer's shared part, then one record per
-        # iteration (the later ones add the running loss sum)
+        # iteration (the later ones add the running loss sum); 47, 48, 48
+        # and 22 before each sublayer chain was one op
         _, records = step_records(batch, model, RefinementConfig(t_train=3))
         lengths = [len(r) for r in records]
         assert len(lengths) == 4
-        assert all(k <= most for k, most in zip(lengths, [47, 48, 48, 22])), lengths
+        assert all(k <= most for k, most in zip(lengths, [18, 19, 19, 15])), lengths
 
 
 FIXTURE = Path(__file__).parent / "fixtures" / "toy_treebank.conllu"
@@ -921,10 +943,11 @@ class TestOpCounts:
 
     def test_ops_per_refine_iteration(self, monkeypatch):
         # 83 while every iteration split the relation matrices again, 77
-        # before the score, value and biaffine chains were one op each
+        # before the score, value and biaffine chains were one op each, 46
+        # before each sublayer chain and the whole edge scorer were
         model = ud_parser()
         forms = random_forms(model, 9, np.random.default_rng(0))    # n = 10
-        assert self.ops_per_iteration([forms], model, count_makes(monkeypatch)) <= 46
+        assert self.ops_per_iteration([forms], model, count_makes(monkeypatch)) <= 17
 
     def test_ops_per_iteration_do_not_grow_with_the_batch(self, monkeypatch):
         model = ud_parser()
