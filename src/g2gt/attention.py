@@ -259,8 +259,10 @@ def _scores(terms: LayerTerms, labels: np.ndarray, rows: np.ndarray, d_head: int
 
     The relation terms are read from the per-node tables q R1' and k R2':
     q_i.r1_ij is entry (h, i, label_ij) of the first, r2_ij.k_j entry
-    (h, j, label_ij) of the second.  Backward scatter-adds each table's
-    cells into a zeroed flat table, as a gather's backward does.
+    (h, j, label_ij) of the second.  Backward sums each table's cells
+    into a flat table with a weighted bincount, which adds them in cell
+    order from zero as a gather's scatter-add (``np.add.at``) does, at a
+    fraction of its cost.
     """
     scale = 1.0 / math.sqrt(d_head)
     q_cells = rows + labels
@@ -279,8 +281,8 @@ def _scores(terms: LayerTerms, labels: np.ndarray, rows: np.ndarray, d_head: int
         autodiff._accumulate(terms.qk, g)
         for table, cells in tables:
             if table.requires_grad:
-                flat = np.zeros(table.data.size)
-                np.add.at(flat, cells, g)
+                flat = np.bincount(cells.reshape(-1), weights=g.reshape(-1),
+                                   minlength=table.data.size)
                 autodiff._accumulate(table, flat.reshape(table.data.shape))
 
     return autodiff._make(out, (terms.qk, *(table for table, _ in tables)), bwd)
